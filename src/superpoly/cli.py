@@ -124,33 +124,33 @@ def cmd_reduction(ns) -> tuple[dict, bool]:
 
 
 def cmd_favard(ns) -> tuple[dict, bool]:
+    kmax = max(12 * ns.r, (ns.N + 3) * ns.r)
     fam = generate(FamilyParams(ns.r, ns.m, ns.j0 if ns.j0 is not None
-                                else (-2 * ns.r if ns.type == 1 else -ns.r)),
-                   max(12 * ns.r, (ns.N + 3) * ns.r))
-    fd = favard(reindex(fam), ns.N)
+                                else (-2 * ns.r if ns.type == 1 else -ns.r)), kmax)
+    fd = favard(reindex(fam, kmax), ns.N)
     return fd.to_json(), fd.ok
 
 
 def cmd_gram(ns) -> tuple[dict, bool]:
-    fam = generate(FamilyParams(ns.r, ns.m, -2 * ns.r if ns.type == 1 else -ns.r),
-                   max(12 * ns.r, (ns.N + 3) * ns.r))
-    fd = favard(reindex(fam), ns.N)
+    kmax = max(12 * ns.r, (ns.N + 3) * ns.r)
+    fam = generate(FamilyParams(ns.r, ns.m, -2 * ns.r if ns.type == 1 else -ns.r), kmax)
+    fd = favard(reindex(fam, kmax), ns.N)
     report = gram_check(fd, ns.N)
     return report, report["pass"]
 
 
 def cmd_identify(ns) -> tuple[dict, bool]:
-    fam = generate(FamilyParams(ns.r, ns.m, -2 * ns.r if ns.type == 1 else -ns.r),
-                   12 * ns.r)
-    report = identify_ultraspherical(reindex(fam))
+    kmax = 12 * ns.r
+    fam = generate(FamilyParams(ns.r, ns.m, -2 * ns.r if ns.type == 1 else -ns.r), kmax)
+    report = identify_ultraspherical(reindex(fam, kmax))
     return report, True  # no-match is a recorded result, not a failure
 
 
 def cmd_orth(ns) -> tuple[dict, bool]:
-    fam = generate(FamilyParams(ns.r, ns.m, -2 * ns.r if ns.type == 1 else -ns.r),
-                   max(12 * ns.r, (ns.N + 3) * ns.r))
+    kmax = max(12 * ns.r, (ns.N + 3) * ns.r)
+    fam = generate(FamilyParams(ns.r, ns.m, -2 * ns.r if ns.type == 1 else -ns.r), kmax)
     report = orthogonality_report(fam, N=ns.N, n_positive=ns.n_positive,
-                                  closed_form_n=ns.closed_form_n)
+                                  closed_form_n=ns.closed_form_n, kmax=kmax)
     ok = report["a_positive"] and report["gram_pass"]
     return report, ok
 
@@ -177,7 +177,8 @@ def cmd_pde(ns) -> tuple[dict, bool]:
 
 def cmd_fit_ode(ns) -> tuple[dict, bool]:
     j0 = ns.j0 if ns.j0 is not None else (-2 * ns.r if ns.type == 1 else -ns.r)
-    fam = generate(FamilyParams(ns.r, ns.m, j0), ns.kmax)
+    kmax = 12 * ns.r if ns.kmax is None else ns.kmax
+    fam = generate(FamilyParams(ns.r, ns.m, j0), kmax)
     delta = ns.delta
     if delta is None:
         try:
@@ -186,7 +187,7 @@ def cmd_fit_ode(ns) -> tuple[dict, bool]:
             delta = 0
     bounds = tuple(int(b) for b in ns.bounds.split(","))
     result = fit_ode(fam, order=len(bounds) - 1, coeff_degree_bounds=bounds,
-                     delta=delta, holdout=ns.holdout)
+                     delta=delta, holdout=ns.holdout, kmax=kmax)
     report = result.to_json()
     if j0 in (-2 * ns.r, -ns.r) and len(bounds) == 5 and bounds == (0, 1, 2, 3, 4):
         target = operator_vector(build_operator, 1 if j0 == -2 * ns.r else 2,

@@ -120,13 +120,13 @@ class SupportProfile:
     degree_map: Tuple[Tuple[int, int], ...]  # (k, degree) for nonzero members
 
 
-def support_profile(fam: Family) -> SupportProfile:
-    """Detect the arithmetic progression carrying the nonzero members (k >= 0).
+def support_profile(fam: Family, kmax: int | None = None) -> SupportProfile:
+    """Detect the arithmetic progression carrying the nonzero members (0 <= k <= kmax).
 
     The recursion couples indices in steps of r, so the stride divides r;
     what is detected is whatever the generated data shows.
     """
-    members = fam.nonzero_members()
+    members = fam.nonzero_members(kmax)
     if not members:
         raise SupportError(f"family {fam.params} has no nonzero members up to kmax={fam.kmax}")
     ks = [k for k, _ in members]

@@ -1,28 +1,81 @@
 """Exact linear algebra over the rationals.
 
-Forward elimination is fraction-free (Bareiss): rows are cleared to integers
-and the two-step determinant identity keeps every intermediate entry an exact
-integer, which controls the coefficient blow-up coming from the large integer
-factors in the operator coefficient formulas.  Back-substitution runs over
-Fraction.
+Every routine goes through one kernel computation, `nullspace`, which runs
+in three steps on the matrix with each row cleared to integers:
+
+1. Select rows mod p.  Each row is reduced mod the prime p = 2^61 - 1
+   against an incremental echelon basis; the rows that are independent mod p
+   are kept (at most ncols of them).
+2. Solve the selected rows exactly.  Fraction-free (Bareiss) elimination,
+   whose two-step determinant identity keeps every intermediate entry an
+   exact integer, is followed by back-substitution over Fraction.
+3. Check every row exactly.  Each kernel vector, scaled to integers, is
+   checked against every row in Z.  A violated row joins the selection and
+   step 2 runs again.
+
+Rows independent mod p are independent over Q, so the kernel of the selected
+rows contains the true kernel; the check makes the two equal.  Each added row
+lowers the kernel dimension, so the loop ends.  An unlucky prime costs time,
+never correctness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import List, Optional, Sequence
+
+_P = (1 << 61) - 1  # Mersenne prime used to select rows
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+    """Each row scaled to coprime integers; the row space is unchanged."""
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            x = Fraction(x)
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(Fraction(x) * den) for x in row])
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
+        out.append([x // g for x in ints] if g > 1 else ints)
     return out
+
+
+def _independent_rows_mod_p(M: List[List[int]], ncols: int) -> List[int]:
+    """Indices of the rows of M that are independent mod _P, greedily in order.
+
+    The span of the rows picked so far is held as a reduced echelon basis
+    mod _P: basis row t has 1 in column pivots[t] and 0 in every other pivot
+    column, so only its entries in the free columns are stored.  A row v lies
+    in the span iff v - sum_t v[pivots[t]] * basis[t] vanishes, and that
+    difference is zero in the pivot columns by construction; testing a row
+    therefore costs one dot product per free column.
+    """
+    pivots: List[int] = []
+    free = list(range(ncols))
+    basis: List[List[int]] = []  # entries of each basis row in the free columns
+    cols: List[tuple] = [()] * ncols  # the same entries, one tuple per free column
+    picked: List[int] = []
+    for i, row in enumerate(M):
+        if not free:
+            break
+        coeffs = [row[p] % _P for p in pivots]
+        resid = [(row[c] - sum(map(mul, coeffs, col))) % _P for c, col in zip(free, cols)]
+        t = next((t for t, x in enumerate(resid) if x), None)
+        if t is None:
+            continue
+        inv = pow(resid[t], -1, _P)
+        new = [x * inv % _P for x in resid]
+        for s, b in enumerate(basis):
+            f = b[t]
+            if f:
+                basis[s] = [(x - f * y) % _P for x, y in zip(b, new)]
+        basis.append(new)
+        for b in basis:
+            del b[t]
+        pivots.append(free.pop(t))
+        cols = list(zip(*basis))
+        picked.append(i)
+    return picked
 
 
 def _bareiss_echelon(M: List[List[int]], ncols: int):
@@ -59,21 +112,9 @@ def _bareiss_echelon(M: List[List[int]], ncols: int):
     return piv_cols
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None):
-    """Exact basis of the right kernel of the matrix.
-
-    Deterministic: reduced-echelon pivots, one basis vector per free column,
-    each normalized so its first nonzero entry is 1.  Empty list iff the
-    kernel is trivial.
-    """
-    rows = list(rows)
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    if not rows:
-        rows = [[Fraction(0)] * ncols]
-    M = _integer_rows(rows)
+def _kernel_of_rows(M: List[List[int]], ncols: int) -> List[List[Fraction]]:
+    """Reduced-echelon kernel basis of the integer rows M, by Bareiss."""
+    M = [list(row) for row in M]
     piv_cols = _bareiss_echelon(M, ncols)
     rank = len(piv_cols)
     free_cols = [j for j in range(ncols) if j not in piv_cols]
@@ -93,40 +134,74 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None):
     return basis
 
 
+def _first_violated_row(M: List[List[int]], basis: List[List[Fraction]]) -> Optional[int]:
+    """Index of the first row of M that some kernel vector does not satisfy."""
+    scaled = _integer_rows(basis)
+    for i, row in enumerate(M):
+        for w in scaled:
+            if sum(a * b for a, b in zip(row, w) if a):
+                return i
+    return None
+
+
+def nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None):
+    """Exact basis of the right kernel of the matrix.
+
+    Deterministic: reduced-echelon pivots, one basis vector per free column,
+    each normalized so its first nonzero entry is 1.  This basis depends only
+    on the row space.  Empty list iff the kernel is trivial.
+    """
+    rows = list(rows)
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols required for an empty matrix")
+        ncols = len(rows[0])
+    return _nullspace(rows, ncols)
+
+
+def _nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
+    """The three steps of the module docstring.
+
+    `rank` and `solve_exact` call this rather than `nullspace`, so a tracer
+    wrapping the public functions sees each call once.
+    """
+    M = _integer_rows(rows)
+    picked = _independent_rows_mod_p(M, ncols)
+    while True:
+        basis = _kernel_of_rows([M[i] for i in picked], ncols)
+        bad = _first_violated_row(M, basis) if basis else None
+        if bad is None:
+            return basis
+        picked = sorted(picked + [bad])
+
+
 def rank(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> int:
     rows = list(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if not rows or ncols == 0:
         return 0
-    M = _integer_rows(rows)
-    return len(_bareiss_echelon(M, ncols))
+    return ncols - len(_nullspace(rows, ncols))
 
 
 def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Unique exact solution of an (over)determined consistent system.
 
     Returns the solution vector, or None if the system is inconsistent or
-    underdetermined (callers treat both as fit degeneracy).
+    underdetermined (callers treat both as fit degeneracy).  The solution is
+    unique iff the kernel of [A | b] is one-dimensional with a nonzero last
+    entry v[n]; then x = -v[:n] / v[n].
     """
     rows = [list(r) for r in rows]
     if not rows:
         return None
     ncols = len(rows[0])
     aug = [r + [Fraction(b)] for r, b in zip(rows, rhs)]
-    M = _integer_rows(aug)
-    piv_cols = _bareiss_echelon(M, ncols + 1)
-    if (ncols + 1 - len(piv_cols)) != 1 or ncols in piv_cols:
-        # last column pivotal -> inconsistent; >1 free -> underdetermined
+    basis = _nullspace(aug, ncols + 1)
+    if len(basis) != 1 or basis[0][ncols] == 0:
         return None
-    sol = [Fraction(0)] * ncols
-    for i in range(len(piv_cols) - 1, -1, -1):
-        pc = piv_cols[i]
-        s = Fraction(M[i][ncols])
-        for j in range(pc + 1, ncols):
-            s -= M[i][j] * sol[j]
-        sol[pc] = s / M[i][pc]
-    return sol
+    v = basis[0]
+    return [-x / v[ncols] for x in v[:ncols]]
 
 
 def matvec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]):

@@ -269,9 +269,9 @@ def residual_scan(family_type: FamilyType, r_range, m_range,
                   n_points: str = "paper") -> dict:
     """Verify apply(L_n, P_{n-2r}) = 0 on a grid of (r, m) cells.
 
-    n_points: "paper" checks the five points n = 5r..9r (enough to certify the
-    degree-<=4 rational identity in n); "all" additionally checks every
-    aligned generated n.
+    n_points: "paper" means checked at n = 5r..9r (sampled evidence, not a
+    proof for all n: P_{n-2r} is not polynomial in n); "all" checks every
+    aligned n of the members generated to k = 12r; "a..b" checks the given n.
     """
     from .families import FamilyParams, generate
 
@@ -280,12 +280,13 @@ def residual_scan(family_type: FamilyType, r_range, m_range,
     for r in _parse_range(r_range):
         for m in _parse_range(m_range):
             j0 = -2 * r if family_type == 1 else -r
-            fam = generate(FamilyParams(r, m, j0), 12 * r)
+            kmax = 12 * r
+            fam = generate(FamilyParams(r, m, j0), kmax)
             delta = align_index(fam, family_type)
             if n_points == "paper":
                 ns = [t * r for t in range(5, 10)]
             elif n_points == "all":
-                ns = sorted(k + delta for k, _ in fam.nonzero_members())
+                ns = sorted(k + delta for k, _ in fam.nonzero_members(kmax))
             else:
                 ns = _parse_range(n_points)
             failures = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -110,3 +111,27 @@ def test_jobs_parallel_matches_serial(capsys):
     _, serial = capture(capsys, argv)
     _, parallel = capture(capsys, argv + ["--jobs", "2"])
     assert serial["report"] == parallel["report"]
+
+
+# sha256 of the stdout report, recorded before the modular-first elimination
+# replaced whole-matrix Bareiss inside linalg.nullspace
+GOLDEN_REPORTS = [
+    (["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--kmax", "40"],
+     "bab00f23ccb08451c24eef92e832b13bc357d2157be03e9b25c8f709690f8906"),
+    (["fit-ode", "--type", "2", "--r", "2", "--m", "3", "--kmax", "40"],
+     "ae273dbcf2cfc5fc700c060ff7972179bb6ace1a8449c1ac6fb5db53be5ada24"),
+    # kernel_dim 18
+    (["fit-ode", "--type", "1", "--r", "2", "--m", "3", "--j0", "-3", "--kmax", "40"],
+     "a4d18d067d456b23d7bf0406a0b5a7f731be9e8c39921aa4c4fe16ee0a4d54ad"),
+    (["kernel", "--type", "2", "--r", "4", "--m", "4", "--n", "40", "--bound", "80"],
+     "7642b0a6f4f9ee53e551336247d120bbc58bd8ecec4eff933ac327bb816408c1"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_REPORTS,
+                         ids=[" ".join(a) for a, _ in GOLDEN_REPORTS])
+def test_elimination_reports_byte_identical(capsys, argv, digest):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

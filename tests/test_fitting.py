@@ -1,7 +1,7 @@
 import pytest
 
-from superpoly import (FitError, align_index, build_operator, family, fit_ode,
-                       in_span, operator_vector)
+from superpoly import (FitError, align_index, build_operator, clear_cache, family,
+                       fit_ode, in_span, operator_vector)
 
 
 def proportional(fitted, paper):
@@ -61,6 +61,17 @@ def test_fit_type_c_family_candidate():
     result = fit_ode(fam, delta=0, holdout=3)
     assert result.kernel_dim == 1
     assert len(result.candidates) == 1
+
+
+def test_fit_ignores_deeper_cached_members():
+    # kmax = 44 fits k = 0, 2, ..., 36 and holds out 38..44, fresh or after
+    # the family was generated to k = 120
+    clear_cache()
+    fresh = fit_ode(family(2, 2, -4, 44), delta=4, kmax=44)
+    family(2, 2, -4, 120)
+    deep = fit_ode(family(2, 2, -4, 44), delta=4, kmax=44)
+    assert fresh.fit_k[-1] == 36 and fresh.holdout_k == (38, 40, 42, 44)
+    assert deep == fresh
 
 
 def test_fit_underdetermined_raises():

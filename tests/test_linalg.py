@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from superpoly import matvec, nullspace, rank, solve_exact
+from superpoly import linalg, matvec, nullspace, rank, solve_exact
+
+P = linalg._P
 
 
 def F(x):
@@ -71,3 +73,99 @@ def test_solve_exact_rational_entries():
     assert sol is not None
     for row, b in zip(rows, [Fraction(13, 6), Fraction(-16, 35)]):
         assert sum(x * y for x, y in zip(row, sol)) == b
+
+
+# ---------------------------------------------------------------------------
+# modular-first elimination: exact whatever the prime
+# ---------------------------------------------------------------------------
+
+def rref_nullspace(M, ncols):
+    """Reference: Gauss-Jordan over Fraction, then one vector per free column."""
+    R = [[Fraction(x) for x in row] for row in M]
+    pivots = []
+    for col in range(ncols):
+        pr = next((i for i in range(len(pivots), len(R)) if R[i][col]), None)
+        if pr is None:
+            continue
+        top = len(pivots)
+        R[top], R[pr] = R[pr], R[top]
+        R[top] = [x / R[top][col] for x in R[top]]
+        for i in range(len(R)):
+            if i != top and R[i][col]:
+                R[i] = [a - R[i][col] * b for a, b in zip(R[i], R[top])]
+        pivots.append(col)
+    basis = []
+    for fc in (j for j in range(ncols) if j not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -R[i][fc]
+        first = next(x for x in vec if x)
+        basis.append([x / first for x in vec])
+    return basis
+
+
+def count_solves(monkeypatch):
+    calls = []
+    inner = linalg._kernel_of_rows
+
+    def spy(M, ncols):
+        calls.append(len(M))
+        return inner(M, ncols)
+
+    monkeypatch.setattr(linalg, "_kernel_of_rows", spy)
+    return calls
+
+
+def test_rows_vanishing_mod_p():
+    assert nullspace([[F(P), F(0)], [F(0), F(1)]]) == []
+    assert nullspace([[F(P), F(2 * P)], [F(3 * P), F(6 * P)]]) == [[F(1), Fraction(-1, 2)]]
+    assert rank([[F(P), F(0)], [F(0), F(P * P)]]) == 2
+
+
+def test_rows_equal_mod_p_are_added_back(monkeypatch):
+    # [1, p] and [1, 0] agree mod p, so only the first is selected; its
+    # kernel e_1 violates the second row exactly, which joins the selection
+    calls = count_solves(monkeypatch)
+    assert nullspace([[F(1), F(0)], [F(1), F(P)]]) == []
+    assert calls == [1, 2]
+
+
+def test_unlucky_prime_loop_reaches_true_kernel(monkeypatch):
+    # rows 2..4 lie in the span of rows 0..1 mod p but not over Q
+    M = [[F(1), F(0), F(0), F(0)],
+         [F(0), F(1), F(0), F(0)],
+         [F(1), F(1), F(P), F(0)],
+         [F(0), F(1), F(0), F(P)],
+         [F(2), F(3), F(P), F(P)]]
+    calls = count_solves(monkeypatch)
+    assert nullspace(M) == rref_nullspace(M, 4) == []
+    assert calls == [2, 3, 4]
+    assert rank(M) == 4
+    assert solve_exact(M[:4], [F(1), F(2), F(3 + P), F(2)]) == [F(1), F(2), F(1), F(0)]
+
+
+def test_tall_matrix_only_last_row_independent():
+    M = [[F(0)] * 6 for _ in range(199)]
+    M.append([F(0), Fraction(3, 7), F(-1), F(0), F(2), Fraction(5, 3)])
+    assert rank(M) == 1
+    assert nullspace(M) == rref_nullspace(M, 6)
+    assert len(nullspace(M)) == 5
+
+
+def test_random_tall_matrices_match_reference():
+    rng = random.Random(2024)
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        nrows = rng.randint(ncols, 40)
+        rk = rng.randint(0, ncols)
+        # rank <= rk by construction: (nrows x rk) times (rk x ncols)
+        left = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rk)]
+                for _ in range(nrows)]
+        right = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(ncols)]
+                 for _ in range(rk)]
+        M = [[sum((a * right[t][j] for t, a in enumerate(row)), Fraction(0))
+              for j in range(ncols)] for row in left]
+        expected = rref_nullspace(M, ncols)
+        assert nullspace(M, ncols) == expected
+        assert rank(M, ncols) == ncols - len(expected)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from superpoly import (AlignmentError, CPoly, align_index, build_operator,
-                       delta_correction, family, indicial,
+                       clear_cache, delta_correction, family, indicial,
                        indicial_value, is_resonant, leading_symbol,
                        polynomial_kernel, printed_indicial_factors,
                        residual_scan, resonant_pairs)
@@ -246,3 +246,13 @@ def test_scan_all_generated_points():
     report = residual_scan(1, [2], [3], "all")
     assert report["summary"]["pass"]
     assert len(report["cells"][0]["checked_n"]) >= 10
+
+
+def test_scan_all_ignores_deeper_cached_members():
+    # "all" reads the members generated to k = 12r: k = 0, 2, ..., 24
+    clear_cache()
+    fresh = residual_scan(2, [2], [3], "all")
+    family(2, 3, -2, 200)
+    deep = residual_scan(2, [2], [3], "all")
+    assert len(fresh["cells"][0]["checked_n"]) == 13
+    assert deep == fresh
