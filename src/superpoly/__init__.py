@@ -8,15 +8,15 @@ Gegenbauer reductions, Favard orthogonality) with no approximation anywhere.
 
 from .errors import (AlignmentError, FitError, ParameterError, SuperpolyError,
                      SupportError, TruncationError)
-from .poly import C, CPoly, Rat, parse_rat, rat_str
+from .poly import C, CPoly
 from .linalg import matvec, nullspace, rank, solve_exact
-from .families import (Family, FamilyParams, SupportProfile, clear_cache,
+from .families import (Family, FamilyParams, SupportProfile, canonical_j0,
                        family, generate, support_profile)
-from .ode import (IndicialData, OdeOperator, align_index, apply_operator,
-                  build_operator, delta_correction, indicial, indicial_factors,
-                  indicial_value, is_resonant, leading_symbol, polynomial_kernel,
+from .ode import (IndicialData, OdeOperator, align_index, build_operator,
+                  delta_correction, indicial, indicial_factors, indicial_value,
+                  is_resonant, leading_symbol, polynomial_kernel,
                   printed_indicial_factors, residual_scan, resonant_pairs,
-                  scalar_coefficients)
+                  scalar_coefficients, scan_cell, scan_report)
 from .fitting import FitCandidate, FitResult, fit_ode, in_span, operator_vector
 from .series import (ZSeries, certify_exponent_mapping, first_order_residual,
                      pde_reduced, pde_residual)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Literal, Optional
 
 from .errors import FitError, ParameterError
-from .families import FamilyParams, generate
+from .families import FamilyParams, canonical_j0, generate
 from .linalg import solve_exact
 from .poly import CPoly
 
@@ -79,9 +79,9 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10) -> Superpositi
     certified.  For genuine type-B seeds the three families live on different
     support lattices mod r, so members are aligned by degree (the only
     parity-consistent pairing); the fit is solved exactly from the first two
-    aligned members and certified on all the rest with k <= (members + 6) r,
-    however far the memoized families reach.  A failed certification is
-    reported as a superposition-violation finding, never patched.
+    aligned members and certified on all the rest with k <= (members + 6) r.
+    A failed certification is reported as a superposition-violation finding,
+    never patched.
     """
     kind = classify(r, m, j0).kind
     if kind == "A_type1":
@@ -95,11 +95,11 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10) -> Superpositi
 
     kmax = (members + 6) * r
     fam_b = generate(FamilyParams(r, m, j0), kmax)
-    fam_1 = generate(FamilyParams(r, m, -2 * r), kmax)
-    fam_2 = generate(FamilyParams(r, m, -r), kmax)
-    mem_b = fam_b.nonzero_members(kmax)
-    by_degree_1 = {int(p.degree): (k, p) for k, p in fam_1.nonzero_members(kmax)}
-    by_degree_2 = {int(p.degree): (k, p) for k, p in fam_2.nonzero_members(kmax)}
+    fam_1 = generate(FamilyParams(r, m, canonical_j0(1, r)), kmax)
+    fam_2 = generate(FamilyParams(r, m, canonical_j0(2, r)), kmax)
+    mem_b = fam_b.nonzero_members()
+    by_degree_1 = {int(p.degree): (k, p) for k, p in fam_1.nonzero_members()}
+    by_degree_2 = {int(p.degree): (k, p) for k, p in fam_2.nonzero_members()}
 
     triples = []
     for k, p in mem_b:
@@ -218,15 +218,14 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
     equation) while j0 = -1 members are single c Q_{n-1} multiples (and do
     not); the published reductions attribute these the other way around, which is
     reported as a finding by the caller comparing against the printed claims.
-    Only members with k <= kmax (default 14r) are examined, however far the
-    memoized family reaches.
+    Members with k <= kmax (default 14r) are examined.
     """
     if j0 not in (-1, -r - 1):
         raise ParameterError("gegenbauer reduction applies to j0 in {-1, -r-1}")
     if kmax is None:
         kmax = 14 * r
     fam = generate(FamilyParams(r, m, j0), kmax)
-    members = fam.nonzero_members(kmax)
+    members = fam.nonzero_members()
     degmax = max((int(p.degree) for _, p in members), default=0)
     basis = gegenbauer(m, degmax + 1)
     entries = []

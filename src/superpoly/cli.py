@@ -10,33 +10,51 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import product, repeat
 
 from . import __version__
 from .classify import (classification_report, gegenbauer, superposition_fit,
                        verify_gegenbauer_reduction)
 from .errors import SuperpolyError
-from .families import FamilyParams, generate
+from .families import FamilyParams, canonical_j0, generate
 from .fitting import fit_ode, in_span, operator_vector
-from .ode import (align_index, build_operator, indicial, polynomial_kernel,
-                  residual_scan)
+from .ode import (align_index, build_operator, indicial, polynomial_kernel, scan_cell,
+                  scan_report)
 from .orth import favard, gram_check, identify_ultraspherical, orthogonality_report, reindex
 from .series import first_order_residual, pde_residual
 
 
 def parse_span(text: str) -> list[int]:
-    """Inclusive integer range "a..b", or a single integer."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """Inclusive integer range "a..b", or a single integer; never empty."""
+    lo, dots, hi = text.partition("..")
+    try:
+        span = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or a range a..b, got {text!r}") from None
+    if not span:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return span
 
 
-def _scan_cell(args):
-    family_type, r, m, n_points = args
-    return residual_scan(family_type, [r], [m], n_points)["cells"][0]
+def parse_points(text: str):
+    """--points: "paper", "all", or a span of n as parse_span reads it."""
+    return text if text in ("paper", "all") else parse_span(text)
+
+
+def _seed(ns) -> int:
+    """The command's --j0 when it has one and it is given, else the canonical seed."""
+    j0 = getattr(ns, "j0", None)
+    return canonical_j0(ns.type, ns.r) if j0 is None else j0
+
+
+def _favard_kmax(ns) -> int:
+    """Generation depth of favard, gram and orth: k <= (N + 3) r, at least 12r."""
+    return max(12, ns.N + 3) * ns.r
 
 
 # ---------------------------------------------------------------------------
@@ -54,22 +72,16 @@ def cmd_gen(ns) -> tuple[dict, bool]:
 
 
 def cmd_verify_ode(ns) -> tuple[dict, bool]:
-    points = ns.points
-    rs = parse_span(ns.r_range)
-    ms = parse_span(ns.m_range)
-    if ns.jobs > 1:
-        cells = []
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            tasks = [(ns.type, r, m, points) for r in rs for m in ms]
-            cells = list(pool.map(_scan_cell, tasks))
-        cells.sort(key=lambda cell: (cell["r"], cell["m"]))
-        ok = all(cell["pass"] for cell in cells)
-        report = {"family_type": ns.type, "cells": cells,
-                  "summary": {"cells": len(cells), "pass": ok}}
+    rs, ms = zip(*product(ns.r_range, ns.m_range))
+    tasks = (repeat(ns.type), rs, ms, repeat(ns.points))
+    jobs = min(ns.jobs, os.cpu_count() or 1, len(rs))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            cells = list(pool.map(scan_cell, *tasks))  # map keeps task order
     else:
-        report = residual_scan(ns.type, rs, ms, points)
-        ok = report["summary"]["pass"]
-    return report, ok
+        cells = list(map(scan_cell, *tasks))
+    report = scan_report(ns.type, cells)
+    return report, report["summary"]["pass"]
 
 
 def cmd_indicial(ns) -> tuple[dict, bool]:
@@ -124,39 +136,34 @@ def cmd_reduction(ns) -> tuple[dict, bool]:
 
 
 def cmd_favard(ns) -> tuple[dict, bool]:
-    kmax = max(12 * ns.r, (ns.N + 3) * ns.r)
-    fam = generate(FamilyParams(ns.r, ns.m, ns.j0 if ns.j0 is not None
-                                else (-2 * ns.r if ns.type == 1 else -ns.r)), kmax)
-    fd = favard(reindex(fam, kmax), ns.N)
+    fam = generate(FamilyParams(ns.r, ns.m, _seed(ns)), _favard_kmax(ns))
+    fd = favard(reindex(fam), ns.N)
     return fd.to_json(), fd.ok
 
 
 def cmd_gram(ns) -> tuple[dict, bool]:
-    kmax = max(12 * ns.r, (ns.N + 3) * ns.r)
-    fam = generate(FamilyParams(ns.r, ns.m, -2 * ns.r if ns.type == 1 else -ns.r), kmax)
-    fd = favard(reindex(fam, kmax), ns.N)
+    fam = generate(FamilyParams(ns.r, ns.m, _seed(ns)), _favard_kmax(ns))
+    fd = favard(reindex(fam), ns.N)
     report = gram_check(fd, ns.N)
     return report, report["pass"]
 
 
 def cmd_identify(ns) -> tuple[dict, bool]:
-    kmax = 12 * ns.r
-    fam = generate(FamilyParams(ns.r, ns.m, -2 * ns.r if ns.type == 1 else -ns.r), kmax)
-    report = identify_ultraspherical(reindex(fam, kmax))
+    fam = generate(FamilyParams(ns.r, ns.m, _seed(ns)))
+    report = identify_ultraspherical(reindex(fam))
     return report, True  # no-match is a recorded result, not a failure
 
 
 def cmd_orth(ns) -> tuple[dict, bool]:
-    kmax = max(12 * ns.r, (ns.N + 3) * ns.r)
-    fam = generate(FamilyParams(ns.r, ns.m, -2 * ns.r if ns.type == 1 else -ns.r), kmax)
+    fam = generate(FamilyParams(ns.r, ns.m, _seed(ns)), _favard_kmax(ns))
     report = orthogonality_report(fam, N=ns.N, n_positive=ns.n_positive,
-                                  closed_form_n=ns.closed_form_n, kmax=kmax)
+                                  closed_form_n=ns.closed_form_n)
     ok = report["a_positive"] and report["gram_pass"]
     return report, ok
 
 
 def cmd_series(ns) -> tuple[dict, bool]:
-    j0 = ns.j0 if ns.j0 is not None else (-2 * ns.r if ns.type == 1 else -ns.r)
+    j0 = _seed(ns)
     fam = generate(FamilyParams(ns.r, ns.m, j0), max(ns.K - 2 * ns.r, 12 * ns.r))
     resid = first_order_residual(fam, ns.K)
     window = ns.K - 2 * ns.r
@@ -176,22 +183,21 @@ def cmd_pde(ns) -> tuple[dict, bool]:
 
 
 def cmd_fit_ode(ns) -> tuple[dict, bool]:
-    j0 = ns.j0 if ns.j0 is not None else (-2 * ns.r if ns.type == 1 else -ns.r)
-    kmax = 12 * ns.r if ns.kmax is None else ns.kmax
-    fam = generate(FamilyParams(ns.r, ns.m, j0), kmax)
+    j0 = _seed(ns)
+    fam = generate(FamilyParams(ns.r, ns.m, j0), ns.kmax)
     delta = ns.delta
     if delta is None:
         try:
-            delta = align_index(fam, ns.type if ns.type in (1, 2) else 1)
+            delta = align_index(fam, ns.type)
         except SuperpolyError:
             delta = 0
     bounds = tuple(int(b) for b in ns.bounds.split(","))
     result = fit_ode(fam, order=len(bounds) - 1, coeff_degree_bounds=bounds,
-                     delta=delta, holdout=ns.holdout, kmax=kmax)
+                     delta=delta, holdout=ns.holdout)
     report = result.to_json()
-    if j0 in (-2 * ns.r, -ns.r) and len(bounds) == 5 and bounds == (0, 1, 2, 3, 4):
-        target = operator_vector(build_operator, 1 if j0 == -2 * ns.r else 2,
-                                 ns.r, ns.m, bounds)
+    seed_type = {canonical_j0(t, ns.r): t for t in (1, 2)}.get(j0)
+    if seed_type is not None and bounds == (0, 1, 2, 3, 4):
+        target = operator_vector(build_operator, seed_type, ns.r, ns.m, bounds)
         report["closed_operator_in_span"] = in_span(result.candidates, target)
     return report, bool(result.candidates)
 
@@ -222,11 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
                 help=("verify the fourth-order operator annihilates the family "
                       f"(default points: {default_points})"))
         p.add_argument("--type", type=int, choices=(1, 2), required=True)
-        p.add_argument("--r-range", default="2..8")
-        p.add_argument("--m-range", default="2..10")
-        p.add_argument("--points", default=default_points,
+        p.add_argument("--r-range", type=parse_span, default="2..8")
+        p.add_argument("--m-range", type=parse_span, default="2..10")
+        p.add_argument("--points", type=parse_points, default=default_points,
                        help='"paper" (n = 5r..9r), "all", or "a..b"')
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, clamped to 1..CPU count")
 
     p = add("indicial", cmd_indicial, help="indicial roots, admissible degrees, resonance")
     p.add_argument("--type", type=int, choices=(1, 2), required=True)

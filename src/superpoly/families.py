@@ -62,15 +62,9 @@ class Family:
     def __getitem__(self, k: int) -> CPoly:
         return self.polys[k]
 
-    def nonzero_members(self, kmax: int | None = None) -> List[Tuple[int, CPoly]]:
-        """(k, P_k) for 0 <= k <= kmax with P_k != 0, in increasing k.
-
-        kmax defaults to everything generated so far.  A memoized family may
-        have been extended past what the caller asked for, so callers whose
-        result must depend only on their arguments pass their own kmax.
-        """
-        top = self.kmax if kmax is None else min(kmax, self.kmax)
-        return [(k, self.polys[k]) for k in range(0, top + 1) if self.polys[k]]
+    def nonzero_members(self) -> List[Tuple[int, CPoly]]:
+        """(k, P_k) for 0 <= k <= kmax with P_k != 0, in increasing k."""
+        return [(k, self.polys[k]) for k in range(0, self.kmax + 1) if self.polys[k]]
 
     def recursion_residual(self, k: int) -> CPoly:
         """(2r+m+km) P_k - 2c(r+(1+k-r)m) P_{k-r} + (k-(2r-1)) m P_{k-2r}; zero iff exact."""
@@ -89,28 +83,24 @@ class Family:
         }
 
 
-_CACHE: Dict[FamilyParams, Family] = {}
-
-
 def generate(params: FamilyParams, kmax: int | None = None) -> Family:
-    """Generate (or extend the memoized) family up to kmax; default kmax = 12r."""
+    """A new family holding exactly P_k for k <= kmax; default kmax = 12r."""
     if kmax is None:
         kmax = 12 * params.r
     if kmax < 0:
         raise ParameterError("kmax must be >= 0")
-    fam = _CACHE.get(params)
-    if fam is None:
-        fam = Family(params)
-        _CACHE[params] = fam
-    return fam.extend(kmax)
+    return Family(params).extend(kmax)
 
 
 def family(r: int, m: int, j0: int, kmax: int | None = None) -> Family:
     return generate(FamilyParams(r, m, j0), kmax)
 
 
-def clear_cache():
-    _CACHE.clear()
+def canonical_j0(family_type: int, r: int) -> int:
+    """Seed of the canonical family of a type: -2r for type 1, -r for type 2."""
+    if family_type not in (1, 2):
+        raise ParameterError(f"family_type must be 1 or 2, got {family_type}")
+    return -2 * r if family_type == 1 else -r
 
 
 @dataclass(frozen=True)
@@ -120,13 +110,13 @@ class SupportProfile:
     degree_map: Tuple[Tuple[int, int], ...]  # (k, degree) for nonzero members
 
 
-def support_profile(fam: Family, kmax: int | None = None) -> SupportProfile:
+def support_profile(fam: Family) -> SupportProfile:
     """Detect the arithmetic progression carrying the nonzero members (0 <= k <= kmax).
 
     The recursion couples indices in steps of r, so the stride divides r;
     what is detected is whatever the generated data shows.
     """
-    members = fam.nonzero_members(kmax)
+    members = fam.nonzero_members()
     if not members:
         raise SupportError(f"family {fam.params} has no nonzero members up to kmax={fam.kmax}")
     ks = [k for k, _ in members]

@@ -99,21 +99,18 @@ def _unknown_layout(bounds: Sequence[int]):
 
 def fit_ode(fam: Family, order: int = 4,
             coeff_degree_bounds: Sequence[int] = (0, 1, 2, 3, 4),
-            delta: int = 0, holdout: int = 4, kmax: int | None = None) -> FitResult:
+            delta: int = 0, holdout: int = 4) -> FitResult:
     """Fit annihilating operators to the generated members of a family.
 
     coeff_degree_bounds[i] is the c-degree bound of the coefficient of the
     i-th derivative (the shape of the closed fourth-order equations is
-    (0, 1, 2, 3, 4)).  Members with k <= kmax are read (default: everything
-    generated so far; a memoized family may have been extended past what the
-    caller generated, so callers pass their own kmax).  The last `holdout`
-    nonzero members are excluded from the fit and used to re-verify every
-    kernel basis vector.
+    (0, 1, 2, 3, 4)).  The last `holdout` nonzero members are excluded from
+    the fit and used to re-verify every kernel basis vector.
     """
     bounds = tuple(coeff_degree_bounds)
     if len(bounds) != order + 1:
         raise FitError("need one degree bound per derivative order 0..order")
-    members = fam.nonzero_members(kmax)
+    members = fam.nonzero_members()
     if len(members) < holdout + 6:
         raise FitError(
             f"family {fam.params} has only {len(members)} members; generate more "

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Literal, Sequence, Tuple
 
 from .errors import AlignmentError, ParameterError
-from .families import Family
+from .families import Family, FamilyParams, canonical_j0, generate
 from .linalg import nullspace
 from .poly import CPoly
 
@@ -100,10 +100,6 @@ def build_operator(family_type: FamilyType, r: int, m: int, n: int) -> OdeOperat
         coeff1=CPoly((0, Z)),
         coeff0=CPoly((W,)),
     )
-
-
-def apply_operator(op: OdeOperator, p: CPoly) -> CPoly:
-    return op.apply(p)
 
 
 def align_index(fam: Family, family_type: FamilyType) -> int:
@@ -258,56 +254,49 @@ def polynomial_kernel(op: OdeOperator, degree_bound: int,
 # residual scan
 # ---------------------------------------------------------------------------
 
-def _parse_range(spec) -> List[int]:
-    if isinstance(spec, str):
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return list(spec)
-
-
-def residual_scan(family_type: FamilyType, r_range, m_range,
-                  n_points: str = "paper") -> dict:
-    """Verify apply(L_n, P_{n-2r}) = 0 on a grid of (r, m) cells.
+def scan_cell(family_type: FamilyType, r: int, m: int, n_points="paper") -> dict:
+    """Verify apply(L_n, P_{n-2r}) = 0 for one (r, m) cell of the canonical family.
 
     n_points: "paper" means checked at n = 5r..9r (sampled evidence, not a
     proof for all n: P_{n-2r} is not polynomial in n); "all" checks every
-    aligned n of the members generated to k = 12r; "a..b" checks the given n.
+    aligned n of the members generated to k = 12r; a sequence of ints checks
+    the given n.
     """
-    from .families import FamilyParams, generate
+    fam = generate(FamilyParams(r, m, canonical_j0(family_type, r)))
+    delta = align_index(fam, family_type)
+    if n_points == "paper":
+        ns = [t * r for t in range(5, 10)]
+    elif n_points == "all":
+        ns = sorted(k + delta for k, _ in fam.nonzero_members())
+    else:
+        ns = list(n_points)
+    failures = []
+    for n in ns:
+        k = n - delta
+        if k < -2 * r:
+            continue  # before the initial block: nothing to check
+        if k > fam.kmax:
+            fam.extend(k)
+        res = build_operator(family_type, r, m, n).apply(fam[k])
+        if not res.is_zero():
+            failures.append({"r": r, "m": m, "n": n, "residual": res.to_strings()})
+    return {"r": r, "m": m, "delta": delta, "checked_n": ns,
+            "pass": not failures, "failures": failures}
 
-    cells = []
-    all_pass = True
-    for r in _parse_range(r_range):
-        for m in _parse_range(m_range):
-            j0 = -2 * r if family_type == 1 else -r
-            kmax = 12 * r
-            fam = generate(FamilyParams(r, m, j0), kmax)
-            delta = align_index(fam, family_type)
-            if n_points == "paper":
-                ns = [t * r for t in range(5, 10)]
-            elif n_points == "all":
-                ns = sorted(k + delta for k, _ in fam.nonzero_members(kmax))
-            else:
-                ns = _parse_range(n_points)
-            failures = []
-            for n in ns:
-                k = n - delta
-                if k < -2 * r:
-                    continue  # before the initial block: nothing to check
-                p = fam.polys.get(k)
-                if p is None:
-                    fam.extend(k)
-                    p = fam[k]
-                res = build_operator(family_type, r, m, n).apply(p)
-                if not res.is_zero():
-                    failures.append({"r": r, "m": m, "n": n,
-                                     "residual": res.to_strings()})
-            ok = not failures
-            all_pass = all_pass and ok
-            cells.append({"r": r, "m": m, "delta": delta, "checked_n": ns,
-                          "pass": ok, "failures": failures})
+
+def scan_report(family_type: FamilyType, cells: List[dict]) -> dict:
+    """The grid report over `scan_cell` results given in (r, m) order."""
+    if not cells:
+        raise ParameterError("empty (r, m) grid: nothing to verify")
     return {
         "family_type": family_type,
         "cells": cells,
-        "summary": {"cells": len(cells), "pass": all_pass},
+        "summary": {"cells": len(cells), "pass": all(cell["pass"] for cell in cells)},
     }
+
+
+def residual_scan(family_type: FamilyType, r_range: Sequence[int], m_range: Sequence[int],
+                  n_points="paper") -> dict:
+    """`scan_cell` over every (r, m) in r_range x m_range, r-major."""
+    return scan_report(family_type, [scan_cell(family_type, r, m, n_points)
+                                     for r in r_range for m in m_range])

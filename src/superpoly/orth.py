@@ -42,14 +42,10 @@ class ReindexedSequence:
                 Fraction(den))
 
 
-def reindex(fam: Family, kmax: int | None = None) -> ReindexedSequence:
-    """Enumerate the nonzero support members q_t with k <= kmax in increasing k.
-
-    kmax defaults to everything generated so far; callers whose result must
-    depend only on their arguments pass the kmax they generated at.
-    """
-    prof = support_profile(fam, kmax)
-    members = fam.nonzero_members(kmax)
+def reindex(fam: Family) -> ReindexedSequence:
+    """Enumerate the nonzero support members q_t in increasing k."""
+    prof = support_profile(fam)
+    members = fam.nonzero_members()
     return ReindexedSequence(
         source=fam,
         stride=prof.stride,
@@ -231,14 +227,13 @@ def identify_ultraspherical(seq: ReindexedSequence, shifts=range(-3, 4)) -> dict
 
 
 def orthogonality_report(fam: Family, N: int = 12, n_positive: int = 200,
-                         closed_form_n: int = 0, kmax: int | None = None) -> dict:
+                         closed_form_n: int = 0) -> dict:
     """The orth-lab summary for one family: positivity, Gram, identification.
 
     closed_form_n > 0 additionally compares extracted A_t, B_t against the
     closed forms at the identified (nu, c0, shift) for t <= closed_form_n.
-    Only members with k <= kmax are read (see `reindex`).
     """
-    seq = reindex(fam, kmax)
+    seq = reindex(fam)
     big = max(N, n_positive, closed_form_n)
     fd = favard(seq, big, gram_N=N)
     ident = identify_ultraspherical(seq)

@@ -9,18 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 NEG_INF = float("-inf")
-
-
-def rat_str(x: Fraction) -> str:
-    """Serialize a rational as "p/q" in lowest terms, "p" when q == 1."""
-    return str(x)
-
-
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
 
 
 class CPoly:
@@ -167,8 +156,8 @@ class CPoly:
 
     # -- serialization --------------------------------------------------
     def to_strings(self) -> list[str]:
-        """JSON form: array of rational strings, index = power of c."""
-        return [rat_str(a) for a in self.coeffs]
+        """JSON form: "p/q" in lowest terms ("p" when q = 1), index = power of c."""
+        return [str(a) for a in self.coeffs]
 
     @staticmethod
     def from_strings(strings: Iterable[str]) -> "CPoly":

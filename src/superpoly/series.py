@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Literal, Optional
 
 from .errors import ParameterError, TruncationError
-from .families import Family, FamilyParams, generate
+from .families import Family, FamilyParams, canonical_j0, generate
 from .poly import CPoly
 
 FamilyType = Literal[1, 2]
@@ -159,8 +159,7 @@ def pde_residual(family_type: FamilyType, r: int, m: int, K: int,
     """
     if K < 2 * r:
         raise ParameterError("K must be at least 2r")
-    j0 = -2 * r if family_type == 1 else -r
-    fam = generate(FamilyParams(r, m, j0), max(K - 2 * r, 12 * r))
+    fam = generate(FamilyParams(r, m, canonical_j0(family_type, r)), max(K - 2 * r, 12 * r))
     if offset is None:
         offset = certify_exponent_mapping(family_type, fam, min(K, 6 * r), corrected)
     residuals = []

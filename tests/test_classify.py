@@ -5,7 +5,6 @@ import pytest
 from superpoly import (CPoly, ParameterError, classification_report, classify,
                        family, gegenbauer, gegenbauer_ode_residual,
                        superposition_fit, verify_gegenbauer_reduction)
-from superpoly.families import clear_cache
 
 
 def test_classify_examples():
@@ -52,7 +51,6 @@ def test_superposition_ignores_deeper_cached_members():
     # members=10 at r = 3 reads k <= 48: 16 type-B members, the first two fit
     # (alpha, beta), the other 14 are findings.  A deeper generation of any of
     # the three families earlier in the process must not change that.
-    clear_cache()
     fresh = superposition_fit(3, 2, -4).to_json()
     for j0 in (-4, -6, -3):
         family(3, 2, j0, 300)
@@ -139,7 +137,6 @@ def test_reduction_m2_case4_pure_q():
 def test_reduction_ignores_deeper_cached_members():
     # kmax = 48 at r = 3 holds the 16 members k = 2, 5, ..., 47, fresh or
     # after the family was generated to k = 300
-    clear_cache()
     fresh = verify_gegenbauer_reduction(3, 2, -1, kmax=48)
     family(3, 2, -1, 300)
     deep = verify_gegenbauer_reduction(3, 2, -1, kmax=48)

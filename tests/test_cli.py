@@ -113,6 +113,44 @@ def test_jobs_parallel_matches_serial(capsys):
     assert serial["report"] == parallel["report"]
 
 
+def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    workers = []
+
+    class SerialPool:  # records max_workers, maps in this process
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("superpoly.cli.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("superpoly.cli.os.cpu_count", lambda: 3)
+    argv = ["verify-ode", "--type", "2", "--r-range", "2..3", "--m-range", "2..3"]
+    _, serial = capture(capsys, argv)
+    for jobs in ("0", "-5", "1"):
+        assert capture(capsys, argv + ["--jobs", jobs])[1]["report"] == serial["report"]
+    assert workers == []  # at most one worker: no pool at all
+    _, clamped = capture(capsys, argv + ["--jobs", "1000000"])
+    assert workers == [3]
+    assert clamped["report"] == serial["report"]
+
+
+@pytest.mark.parametrize("flag,value", [("--r-range", "5..2"), ("--r-range", "x..3"),
+                                        ("--m-range", "3..x"), ("--points", "x..3")])
+def test_bad_range_exits_2(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-ode", "--type", "2", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert value in err and "Traceback" not in err
+
+
 # sha256 of the stdout report, recorded before the modular-first elimination
 # replaced whole-matrix Bareiss inside linalg.nullspace
 GOLDEN_REPORTS = [

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from superpoly import (CPoly, FamilyParams, ParameterError, SupportError,
-                       family, generate, support_profile)
+                       canonical_j0, family, generate, reindex, support_profile)
 from superpoly.families import Family
 
 
@@ -80,12 +80,32 @@ def test_degree_growth_along_support():
         assert degs == list(range(len(degs)))
 
 
-def test_memoized_extension():
+def test_generate_returns_a_new_family():
     params = FamilyParams(3, 5, -6)
-    fam1 = generate(params, 6)
-    fam2 = generate(params, 12)
-    assert fam1 is fam2
-    assert fam2.kmax >= 12
+    deep = generate(params, 12)
+    shallow = generate(params, 6)
+    assert shallow is not deep
+    assert shallow.kmax == 6 and deep.kmax == 12
+    assert shallow.polys == {k: deep.polys[k] for k in shallow.polys}
+
+
+def test_results_independent_of_deeper_generation():
+    # k = -4..10 and the 23 support members k = 0, 2, ..., 44, before and
+    # after the same family was generated to k = 200
+    def observe():
+        return (family(2, 2, -4, 10).to_json(), len(reindex(family(2, 2, -4, 44)).q))
+
+    before = observe()
+    family(2, 2, -4, 200)
+    after = observe()
+    assert len(before[0]["polys"]) == 15 and before[1] == 23
+    assert after == before
+
+
+def test_canonical_j0():
+    assert [canonical_j0(t, r) for t in (1, 2) for r in (2, 5)] == [-4, -10, -2, -5]
+    with pytest.raises(ParameterError):
+        canonical_j0(3, 2)
 
 
 def test_parameter_domain_errors():

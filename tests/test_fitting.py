@@ -1,6 +1,6 @@
 import pytest
 
-from superpoly import (FitError, align_index, build_operator, clear_cache, family,
+from superpoly import (FitError, align_index, build_operator, family,
                        fit_ode, in_span, operator_vector)
 
 
@@ -66,16 +66,14 @@ def test_fit_type_c_family_candidate():
 def test_fit_ignores_deeper_cached_members():
     # kmax = 44 fits k = 0, 2, ..., 36 and holds out 38..44, fresh or after
     # the family was generated to k = 120
-    clear_cache()
-    fresh = fit_ode(family(2, 2, -4, 44), delta=4, kmax=44)
+    fresh = fit_ode(family(2, 2, -4, 44), delta=4)
     family(2, 2, -4, 120)
-    deep = fit_ode(family(2, 2, -4, 44), delta=4, kmax=44)
+    deep = fit_ode(family(2, 2, -4, 44), delta=4)
     assert fresh.fit_k[-1] == 36 and fresh.holdout_k == (38, 40, 42, 44)
     assert deep == fresh
 
 
 def test_fit_underdetermined_raises():
-    # constructed directly so the memoized cache cannot hold a longer prefix
     from superpoly.families import Family, FamilyParams
     fam = Family(FamilyParams(2, 11, -4)).extend(12)
     with pytest.raises(FitError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from superpoly import (AlignmentError, CPoly, align_index, build_operator,
-                       clear_cache, delta_correction, family, indicial,
+                       delta_correction, family, indicial,
                        indicial_value, is_resonant, leading_symbol,
                        polynomial_kernel, printed_indicial_factors,
                        residual_scan, resonant_pairs)
@@ -250,7 +250,6 @@ def test_scan_all_generated_points():
 
 def test_scan_all_ignores_deeper_cached_members():
     # "all" reads the members generated to k = 12r: k = 0, 2, ..., 24
-    clear_cache()
     fresh = residual_scan(2, [2], [3], "all")
     family(2, 3, -2, 200)
     deep = residual_scan(2, [2], [3], "all")

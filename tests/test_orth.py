@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from superpoly import (CPoly, clear_cache, closed_form_AB, family, favard,
+from superpoly import (CPoly, closed_form_AB, family, favard,
                        gram_check, identify_ultraspherical, orthogonality_report,
                        reindex)
 
@@ -8,10 +8,9 @@ from superpoly import (CPoly, clear_cache, closed_form_AB, family, favard,
 def test_reindex_ignores_deeper_cached_members():
     # kmax = 44 holds the 23 members k = 0, 2, ..., 44, fresh or after the
     # family was generated to k = 200
-    clear_cache()
-    fresh = reindex(family(2, 2, -4, 44), 44)
+    fresh = reindex(family(2, 2, -4, 44))
     family(2, 2, -4, 200)
-    deep = reindex(family(2, 2, -4, 44), 44)
+    deep = reindex(family(2, 2, -4, 44))
     assert fresh.k_of_t == list(range(0, 45, 2))
     assert deep.k_of_t == fresh.k_of_t and deep.q == fresh.q
 
@@ -130,9 +129,8 @@ def test_orthogonality_report_r3_records_no_match():
 def test_orthogonality_report_ignores_deeper_cached_members():
     # the relation is certified for t <= min(n_positive, len(q) - 2), so a
     # deeper cached generation would lengthen relation_certified_t
-    clear_cache()
-    fresh = orthogonality_report(family(2, 3, -4, 60), N=6, n_positive=50, kmax=60)
+    fresh = orthogonality_report(family(2, 3, -4, 60), N=6, n_positive=50)
     family(2, 3, -4, 200)
-    deep = orthogonality_report(family(2, 3, -4, 60), N=6, n_positive=50, kmax=60)
+    deep = orthogonality_report(family(2, 3, -4, 60), N=6, n_positive=50)
     assert fresh["relation_certified_t"] == list(range(1, 30))
     assert deep == fresh

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superpoly import CPoly, C, parse_rat, rat_str
+from superpoly import CPoly, C
 
 
 def test_difference_of_squares():
@@ -83,9 +83,8 @@ def test_serialization_roundtrip():
 
 
 def test_rational_string_forms():
-    assert rat_str(Fraction(3, 4)) == "3/4"
-    assert rat_str(Fraction(5, 1)) == "5"
-    assert parse_rat("-7/2") == Fraction(-7, 2)
+    assert CPoly((Fraction(3, 4), 5)).to_strings() == ["3/4", "5"]
+    assert CPoly.from_strings(["-7/2"]) == CPoly((Fraction(-7, 2),))
 
 
 def test_monomial_and_shift():

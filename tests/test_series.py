@@ -51,7 +51,6 @@ def test_first_order_residual_linear_in_initial_data():
 
 
 def test_truncation_error():
-    # constructed directly so the memoized cache cannot hold a longer prefix
     fam = Family(FamilyParams(2, 7, -4)).extend(4)
     with pytest.raises(TruncationError):
         ZSeries.from_family(fam, 40)
