@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Literal, Optional
+from typing import Dict, List, Literal, Optional, Tuple
 
 from .errors import FitError, ParameterError
-from .families import FamilyParams, canonical_j0, generate
-from .linalg import solve_exact
+from .families import Family, FamilyParams, canonical_j0, generate
+from .linalg import nullspace, solve_exact
 from .poly import CPoly
 
 Kind = Literal["A_type1", "A_prime_type2", "B_linear_combination", "C_case3", "C_new"]
@@ -72,7 +72,15 @@ class SuperpositionReport:
         }
 
 
-def superposition_fit(r: int, m: int, j0: int, members: int = 10) -> SuperpositionReport:
+def _canonical_pair(r: int, m: int, members: int) -> Tuple[Family, Family]:
+    """The type-1 and type-2 canonical families to the depth superposition_fit reads."""
+    return tuple(generate(FamilyParams(r, m, canonical_j0(t, r)), (members + 6) * r)
+                 for t in (1, 2))
+
+
+def superposition_fit(r: int, m: int, j0: int, members: int = 10,
+                      canonical: Optional[Tuple[Family, Family]] = None
+                      ) -> SuperpositionReport:
     """Fit (alpha, beta) with P_{j0,.} = alpha P_{-2r,.} + beta P_{-r,.} and certify.
 
     Degenerate cases: j0 = -2r -> (1, 0) and j0 = -r -> (0, 1), trivially
@@ -81,7 +89,8 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10) -> Superpositi
     parity-consistent pairing); the fit is solved exactly from the first two
     aligned members and certified on all the rest with k <= (members + 6) r.
     A failed certification is reported as a superposition-violation finding,
-    never patched.
+    never patched.  `canonical` is the (type-1, type-2) canonical pair to
+    that depth, for a caller that fits several seeds; None generates it.
     """
     kind = classify(r, m, j0).kind
     if kind == "A_type1":
@@ -93,10 +102,8 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10) -> Superpositi
     if kind not in ("B_linear_combination",):
         raise ParameterError(f"j0={j0} is not in the type-B range for r={r}")
 
-    kmax = (members + 6) * r
-    fam_b = generate(FamilyParams(r, m, j0), kmax)
-    fam_1 = generate(FamilyParams(r, m, canonical_j0(1, r)), kmax)
-    fam_2 = generate(FamilyParams(r, m, canonical_j0(2, r)), kmax)
+    fam_b = generate(FamilyParams(r, m, j0), (members + 6) * r)
+    fam_1, fam_2 = canonical or _canonical_pair(r, m, members)
     mem_b = fam_b.nonzero_members()
     by_degree_1 = {int(p.degree): (k, p) for k, p in fam_1.nonzero_members()}
     by_degree_2 = {int(p.degree): (k, p) for k, p in fam_2.nonzero_members()}
@@ -188,24 +195,19 @@ def gegenbauer(m: int, nmax: int) -> GegenbauerBasis:
 
 
 def _two_term_fit(p: CPoly, q: CPoly, cq: CPoly):
-    """Exact (x, y) with p = x*q + y*cq, or None."""
+    """Exact (x, y) with p = x*q + y*cq, or None.
+
+    Read off the kernel of the columns [q, cq, p]: p is in the span iff a
+    kernel vector v has v[2] != 0, and then (x, y) = (-v[0]/v[2], -v[1]/v[2]).
+    When q and cq are proportional (degree 1) the reduced-echelon basis puts
+    that vector on the free p column with v[1] = 0, so the fit is a single q.
+    """
     top = max(len(p), len(q), len(cq))
-    rows = [[q[i], cq[i]] for i in range(top)]
-    rhs = [p[i] for i in range(top)]
-    sol = solve_exact(rows, rhs)
-    if sol is None:
-        # the overdetermined system may be consistent but rank-1 (e.g. q and
-        # c*q_{n-1} of disjoint parity with p matching only one of them)
-        for basis_vec, label in (((Fraction(1), Fraction(0)), "q"),
-                                 ((Fraction(0), Fraction(1)), "cq")):
-            cand = q.scale(basis_vec[0]) + cq.scale(basis_vec[1])
-            if cand and not (p - cand.scale(p.leading() / cand.leading())).is_zero():
-                continue
-            if cand:
-                s = p.leading() / cand.leading()
-                return (basis_vec[0] * s, basis_vec[1] * s)
-        return None
-    return tuple(sol)
+    rows = [[q[i], cq[i], p[i]] for i in range(top)]
+    for v in nullspace(rows, 3):
+        if v[2] != 0:
+            return -v[0] / v[2], -v[1] / v[2]
+    return None
 
 
 def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = None) -> dict:
@@ -216,8 +218,9 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
     member and whether the member satisfies the printed second-order equation.
     Empirically j0 = -r-1 members are single Q_n multiples (and satisfy the
     equation) while j0 = -1 members are single c Q_{n-1} multiples (and do
-    not); the published reductions attribute these the other way around, which is
-    reported as a finding by the caller comparing against the printed claims.
+    not); the published reductions attribute these the other way around.  The
+    members that fail the printed equation are reported in one
+    printed-reduction-mismatch finding, which does not fail the reduction.
     Members with k <= kmax (default 14r) are examined.
     """
     if j0 not in (-1, -r - 1):
@@ -235,39 +238,43 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
         q = basis[d]
         cq = basis[d - 1].shift(1) if d >= 1 else CPoly.zero()
         fit = _two_term_fit(p, q, cq)
-        ok = fit is not None
-        if ok:
-            x, y = fit
-            ok = (p - q.scale(x) - cq.scale(y)).is_zero()
-        all_two_term = all_two_term and ok
+        all_two_term = all_two_term and fit is not None
         ode_zero = gegenbauer_ode_residual(m, d, p).is_zero()
         entries.append({
             "k": k, "degree": d,
-            "two_term": ok,
+            "two_term": fit is not None,
             "x": str(fit[0]) if fit else None,
             "y": str(fit[1]) if fit else None,
             "single_Q": bool(fit and fit[1] == 0),
             "single_cQ": bool(fit and fit[0] == 0 and d >= 1),
             "ode_zero": ode_zero,
         })
+    findings = [] if all_two_term else [
+        {"kind": "reduction-violation", "detail": "member outside span{Q_n, c Q_{n-1}}"}]
+    off_ode = [e["k"] for e in entries if not e["ode_zero"]]
+    if off_ode:
+        findings.append({
+            "kind": "printed-reduction-mismatch", "k": off_ode,
+            "detail": "members that fail the printed second-order equation at n = degree",
+        })
     return {
         "r": r, "m": m, "j0": j0, "lambda": str(basis.lam),
         "entries": entries,
         "all_two_term": all_two_term,
         "all_single_Q_with_ode": all(e["single_Q"] and e["ode_zero"] for e in entries),
-        "findings": [] if all_two_term else [
-            {"kind": "reduction-violation", "detail": "member outside span{Q_n, c Q_{n-1}}"}],
+        "findings": findings,
     }
 
 
 def classification_report(r: int, m: int, members: int = 10) -> dict:
     """Per-j0 classification with superposition data for the type-B range."""
     entries = []
+    canonical = _canonical_pair(r, m, members)
     for j0 in range(-2 * r, 0):
         kind = classify(r, m, j0).kind
         entry: Dict = {"j0": j0, "kind": kind}
         if kind in ("A_type1", "A_prime_type2", "B_linear_combination"):
-            rep = superposition_fit(r, m, j0, members=members)
+            rep = superposition_fit(r, m, j0, members=members, canonical=canonical)
             entry.update({
                 "alpha": None if rep.alpha is None else str(rep.alpha),
                 "beta": None if rep.beta is None else str(rep.beta),

@@ -3,7 +3,8 @@
 Reports go to stdout (or --out FILE) as JSON with sorted keys; a one-line
 human summary goes to stderr.  Exit codes: 0 all checks pass, 1 verification
 finding, 2 usage error.  Identical inputs produce byte-identical reports
-(wall time is kept outside the report object).
+(wall time is kept outside the report object).  The parser is built from
+two tables: FLAGS declares each flag once, COMMANDS each subcommand.
 """
 
 from __future__ import annotations
@@ -46,32 +47,51 @@ def parse_points(text: str):
     return text if text in ("paper", "all") else parse_span(text)
 
 
-def _seed(ns) -> int:
-    """The command's --j0 when it has one and it is given, else the canonical seed."""
+def parse_bounds(text: str) -> tuple[int, ...]:
+    """--bounds: one c-degree bound per derivative order, comma separated."""
+    try:
+        return tuple(int(b) for b in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _family(ns, kmax: int | None = None):
+    """The family of --r, --m to kmax; seeded at --j0 if given, else canonically."""
     j0 = getattr(ns, "j0", None)
-    return canonical_j0(ns.type, ns.r) if j0 is None else j0
+    j0 = canonical_j0(ns.type, ns.r) if j0 is None else j0
+    return generate(FamilyParams(ns.r, ns.m, j0), kmax)
 
 
-def _favard_kmax(ns) -> int:
-    """Generation depth of favard, gram and orth: k <= (N + 3) r, at least 12r."""
-    return max(12, ns.N + 3) * ns.r
+def _favard_family(ns):
+    """The family favard, gram and orth read: k <= (N + 3) r, at least 12r."""
+    return _family(ns, max(12, ns.N + 3) * ns.r)
+
+
+def _verdict(report: dict, *keys: str) -> tuple[dict, bool]:
+    """The report, passing when all the named keys of it are true."""
+    return report, all(report[key] for key in keys)
+
+
+def _result(rec) -> tuple[dict, bool]:
+    """A result record's JSON and its own verdict."""
+    return rec.to_json(), rec.ok
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (report_dict, ok)
+# runners that do more than call a library function: ns -> (report, ok)
 # ---------------------------------------------------------------------------
 
-def cmd_gen(ns) -> tuple[dict, bool]:
-    fam = generate(FamilyParams(ns.r, ns.m, ns.j0), ns.kmax)
-    report = fam.to_json()
+def _gen(ns) -> tuple[dict, bool]:
+    fam = _family(ns, ns.kmax)
     if ns.print_members:
         for k in sorted(fam.polys):
             if fam.polys[k]:
                 print(f"P_{k} = {fam.polys[k]!r}", file=sys.stderr)
-    return report, True
+    return fam.to_json(), True
 
 
-def cmd_verify_ode(ns) -> tuple[dict, bool]:
+def _verify_ode(ns) -> tuple[dict, bool]:
     rs, ms = zip(*product(ns.r_range, ns.m_range))
     tasks = (repeat(ns.type), rs, ms, repeat(ns.points))
     jobs = min(ns.jobs, os.cpu_count() or 1, len(rs))
@@ -84,7 +104,7 @@ def cmd_verify_ode(ns) -> tuple[dict, bool]:
     return report, report["summary"]["pass"]
 
 
-def cmd_indicial(ns) -> tuple[dict, bool]:
+def _indicial(ns) -> tuple[dict, bool]:
     data = indicial(ns.type, ns.r, ns.m, ns.n)
     report = data.to_json()
     report["findings"] = [] if data.matches_printed else [{
@@ -95,7 +115,7 @@ def cmd_indicial(ns) -> tuple[dict, bool]:
     return report, True  # the discrepancy is a documented finding, not a failure
 
 
-def cmd_kernel(ns) -> tuple[dict, bool]:
+def _kernel(ns) -> tuple[dict, bool]:
     op = build_operator(ns.type, ns.r, ns.m, ns.n)
     bound = ns.bound if ns.bound is not None else max(
         indicial(ns.type, ns.r, ns.m, ns.n).admissible_degrees, default=0) + 2
@@ -109,18 +129,7 @@ def cmd_kernel(ns) -> tuple[dict, bool]:
     return report, True
 
 
-def cmd_classify(ns) -> tuple[dict, bool]:
-    report = classification_report(ns.r, ns.m, members=ns.members)
-    ok = not any(e.get("findings") for e in report["entries"])
-    return report, ok
-
-
-def cmd_superpose(ns) -> tuple[dict, bool]:
-    rep = superposition_fit(ns.r, ns.m, ns.j0, members=ns.members)
-    return rep.to_json(), rep.ok
-
-
-def cmd_gegenbauer(ns) -> tuple[dict, bool]:
+def _gegenbauer(ns) -> tuple[dict, bool]:
     basis = gegenbauer(ns.m, ns.nmax)
     report = {
         "m": ns.m, "lambda": str(basis.lam),
@@ -130,46 +139,13 @@ def cmd_gegenbauer(ns) -> tuple[dict, bool]:
     return report, True
 
 
-def cmd_reduction(ns) -> tuple[dict, bool]:
-    report = verify_gegenbauer_reduction(ns.r, ns.m, ns.j0, ns.kmax)
-    return report, report["all_two_term"]
-
-
-def cmd_favard(ns) -> tuple[dict, bool]:
-    fam = generate(FamilyParams(ns.r, ns.m, _seed(ns)), _favard_kmax(ns))
-    fd = favard(reindex(fam), ns.N)
-    return fd.to_json(), fd.ok
-
-
-def cmd_gram(ns) -> tuple[dict, bool]:
-    fam = generate(FamilyParams(ns.r, ns.m, _seed(ns)), _favard_kmax(ns))
-    fd = favard(reindex(fam), ns.N)
-    report = gram_check(fd, ns.N)
-    return report, report["pass"]
-
-
-def cmd_identify(ns) -> tuple[dict, bool]:
-    fam = generate(FamilyParams(ns.r, ns.m, _seed(ns)))
-    report = identify_ultraspherical(reindex(fam))
-    return report, True  # no-match is a recorded result, not a failure
-
-
-def cmd_orth(ns) -> tuple[dict, bool]:
-    fam = generate(FamilyParams(ns.r, ns.m, _seed(ns)), _favard_kmax(ns))
-    report = orthogonality_report(fam, N=ns.N, n_positive=ns.n_positive,
-                                  closed_form_n=ns.closed_form_n)
-    ok = report["a_positive"] and report["gram_pass"]
-    return report, ok
-
-
-def cmd_series(ns) -> tuple[dict, bool]:
-    j0 = _seed(ns)
-    fam = generate(FamilyParams(ns.r, ns.m, j0), max(ns.K - 2 * ns.r, 12 * ns.r))
+def _series(ns) -> tuple[dict, bool]:
+    fam = _family(ns, max(ns.K - 2 * ns.r, 12 * ns.r))
     resid = first_order_residual(fam, ns.K)
     window = ns.K - 2 * ns.r
     bad = [k for k in range(window + 1) if resid[k]]
     report = {
-        "r": ns.r, "m": ns.m, "j0": j0, "K": ns.K,
+        "r": ns.r, "m": ns.m, "j0": fam.params.j0, "K": ns.K,
         "zero_through": window if not bad else min(bad) - 1,
         "pass": not bad,
         "findings": [{"kind": "series-residual", "exponent": k} for k in bad[:8]],
@@ -177,29 +153,108 @@ def cmd_series(ns) -> tuple[dict, bool]:
     return report, not bad
 
 
-def cmd_pde(ns) -> tuple[dict, bool]:
-    report = pde_residual(ns.type, ns.r, ns.m, ns.K, corrected=ns.corrected)
-    return report, report["pass"]
-
-
-def cmd_fit_ode(ns) -> tuple[dict, bool]:
-    j0 = _seed(ns)
-    fam = generate(FamilyParams(ns.r, ns.m, j0), ns.kmax)
+def _fit_ode(ns) -> tuple[dict, bool]:
+    fam = _family(ns, ns.kmax)
     delta = ns.delta
     if delta is None:
         try:
             delta = align_index(fam, ns.type)
         except SuperpolyError:
             delta = 0
-    bounds = tuple(int(b) for b in ns.bounds.split(","))
-    result = fit_ode(fam, order=len(bounds) - 1, coeff_degree_bounds=bounds,
+    result = fit_ode(fam, order=len(ns.bounds) - 1, coeff_degree_bounds=ns.bounds,
                      delta=delta, holdout=ns.holdout)
     report = result.to_json()
-    seed_type = {canonical_j0(t, ns.r): t for t in (1, 2)}.get(j0)
-    if seed_type is not None and bounds == (0, 1, 2, 3, 4):
-        target = operator_vector(build_operator, seed_type, ns.r, ns.m, bounds)
+    seed_type = {canonical_j0(t, ns.r): t for t in (1, 2)}.get(fam.params.j0)
+    if seed_type is not None and ns.bounds == (0, 1, 2, 3, 4):
+        target = operator_vector(build_operator, seed_type, ns.r, ns.m, ns.bounds)
         report["closed_operator_in_span"] = in_span(result.candidates, target)
     return report, bool(result.candidates)
+
+
+# every flag's argparse type, domain, dest and help, declared once
+FLAGS = {
+    **dict.fromkeys(("--r", "--m", "--j0", "--n", "--kmax", "--bound", "--members", "--nmax",
+                     "--N", "--n-positive", "--closed-form-n", "--K", "--holdout"),
+                    {"type": int}),
+    "--type": {"type": int, "choices": (1, 2)},
+    "--parity": {"choices": ("even", "odd", "both")},
+    "--r-range": {"type": parse_span},
+    "--m-range": {"type": parse_span},
+    "--points": {"type": parse_points, "help": '"paper" (n = 5r..9r), "all", or "a..b"'},
+    "--jobs": {"type": int, "help": "worker processes, clamped to 1..CPU count"},
+    "--print": {"dest": "print_members", "action": "store_true",
+                "help": "also pretty-print nonzero members to stderr"},
+    "--corrected": {"action": "store_true",
+                    "help": "apply the erratum terms to the type-1 reduction"},
+    "--bounds": {"type": parse_bounds,
+                 "help": "c-degree bound per derivative order, comma separated"},
+    "--delta": {"type": int, "help": "index map n = k + delta (default: aligned, else 0)"},
+}
+
+REQUIRED = object()  # a COMMANDS flag default: the flag must be given
+
+# (name, help, {flag: default or REQUIRED}, runner ns -> (report, ok))
+COMMANDS = [
+    ("gen", "generate a family and dump it as JSON",
+     {"--r": REQUIRED, "--m": REQUIRED, "--j0": REQUIRED, "--kmax": None, "--print": False},
+     _gen),
+    *((name, "verify the fourth-order operator annihilates the family "
+             f"(default points: {points})",
+       {"--type": REQUIRED, "--r-range": "2..8", "--m-range": "2..10", "--points": points,
+        "--jobs": 1},
+       _verify_ode)
+      for name, points in (("verify-ode", "paper"), ("scan", "all"))),
+    ("indicial", "indicial roots, admissible degrees, resonance",
+     {"--type": REQUIRED, "--r": REQUIRED, "--m": REQUIRED, "--n": REQUIRED},
+     _indicial),
+    ("kernel", "exact polynomial kernel of the operator",
+     {"--type": REQUIRED, "--r": REQUIRED, "--m": REQUIRED, "--n": REQUIRED,
+      "--bound": None, "--parity": "both"},
+     _kernel),
+    ("classify", "classify all 2r initial conditions",
+     {"--r": REQUIRED, "--m": REQUIRED, "--members": 10},
+     lambda ns: (rep := classification_report(ns.r, ns.m, members=ns.members),
+                 not any(e.get("findings") for e in rep["entries"]))),
+    ("superpose", "type-B superposition fit + certification",
+     {"--r": REQUIRED, "--m": REQUIRED, "--j0": REQUIRED, "--members": 10},
+     lambda ns: _result(superposition_fit(ns.r, ns.m, ns.j0, members=ns.members))),
+    ("gegenbauer", "ultraspherical basis certified against its equation",
+     {"--m": REQUIRED, "--nmax": 12},
+     _gegenbauer),
+    ("reduce", "Gegenbauer reduction of the j0=-1 / j0=-r-1 families",
+     {"--r": REQUIRED, "--m": REQUIRED, "--j0": REQUIRED, "--kmax": None},
+     lambda ns: _verdict(verify_gegenbauer_reduction(ns.r, ns.m, ns.j0, ns.kmax),
+                         "all_two_term")),
+    ("favard", "three-term coefficients, positivity, monic data",
+     {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--j0": None, "--N": 12},
+     lambda ns: _result(favard(reindex(_favard_family(ns)), ns.N))),
+    ("gram", "exact Gram-matrix orthogonality check",
+     {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--N": 12},
+     lambda ns: _verdict(gram_check(favard(reindex(_favard_family(ns)), ns.N), ns.N),
+                         "pass")),
+    ("identify", "associated-ultraspherical identification",
+     {"--type": 1, "--r": REQUIRED, "--m": REQUIRED},
+     # no match is a recorded result, not a failure
+     lambda ns: (identify_ultraspherical(reindex(_family(ns))), True)),
+    ("orth", "full orthogonality report for one family",
+     {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--N": 12, "--n-positive": 200,
+      "--closed-form-n": 0},
+     lambda ns: _verdict(orthogonality_report(_favard_family(ns), N=ns.N,
+                                              n_positive=ns.n_positive,
+                                              closed_form_n=ns.closed_form_n),
+                         "a_positive", "gram_pass")),
+    ("series", "first-order generating-function ODE residual",
+     {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--j0": None, "--K": 40},
+     _series),
+    ("pde", "per-exponent fourth-order PDE residuals",
+     {"--type": REQUIRED, "--r": REQUIRED, "--m": REQUIRED, "--K": 24, "--corrected": False},
+     lambda ns: _verdict(pde_residual(ns.type, ns.r, ns.m, ns.K, corrected=ns.corrected),
+                         "pass")),
+    ("fit-ode", "blind exact fit of annihilating operators",
+     {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--j0": None, "--kmax": None,
+      "--bounds": "0,1,2,3,4", "--delta": None, "--holdout": 4},
+     _fit_ode),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,121 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact verification of superelliptic orthogonal polynomial claims")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+    for name, help_text, flags, runner in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=runner)
         p.add_argument("--out", metavar="FILE", help="write the JSON report to FILE")
-        return p
-
-    p = add("gen", cmd_gen, help="generate a family and dump it as JSON")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--j0", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--print", dest="print_members", action="store_true",
-                   help="also pretty-print nonzero members to stderr")
-
-    for name, default_points in (("verify-ode", "paper"), ("scan", "all")):
-        p = add(name, cmd_verify_ode,
-                help=("verify the fourth-order operator annihilates the family "
-                      f"(default points: {default_points})"))
-        p.add_argument("--type", type=int, choices=(1, 2), required=True)
-        p.add_argument("--r-range", type=parse_span, default="2..8")
-        p.add_argument("--m-range", type=parse_span, default="2..10")
-        p.add_argument("--points", type=parse_points, default=default_points,
-                       help='"paper" (n = 5r..9r), "all", or "a..b"')
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, clamped to 1..CPU count")
-
-    p = add("indicial", cmd_indicial, help="indicial roots, admissible degrees, resonance")
-    p.add_argument("--type", type=int, choices=(1, 2), required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("kernel", cmd_kernel, help="exact polynomial kernel of the operator")
-    p.add_argument("--type", type=int, choices=(1, 2), required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--parity", choices=("even", "odd", "both"), default="both")
-
-    p = add("classify", cmd_classify, help="classify all 2r initial conditions")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--members", type=int, default=10)
-
-    p = add("superpose", cmd_superpose, help="type-B superposition fit + certification")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--j0", type=int, required=True)
-    p.add_argument("--members", type=int, default=10)
-
-    p = add("gegenbauer", cmd_gegenbauer, help="ultraspherical basis certified against its equation")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=12)
-
-    p = add("reduce", cmd_reduction, help="Gegenbauer reduction of the j0=-1 / j0=-r-1 families")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--j0", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=None)
-
-    p = add("favard", cmd_favard, help="three-term coefficients, positivity, monic data")
-    p.add_argument("--type", type=int, choices=(1, 2), default=1)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--j0", type=int, default=None)
-    p.add_argument("--N", type=int, default=12)
-
-    p = add("gram", cmd_gram, help="exact Gram-matrix orthogonality check")
-    p.add_argument("--type", type=int, choices=(1, 2), default=1)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--N", type=int, default=12)
-
-    p = add("identify", cmd_identify, help="associated-ultraspherical identification")
-    p.add_argument("--type", type=int, choices=(1, 2), default=1)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("orth", cmd_orth, help="full orthogonality report for one family")
-    p.add_argument("--type", type=int, choices=(1, 2), default=1)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--N", type=int, default=12)
-    p.add_argument("--n-positive", type=int, default=200)
-    p.add_argument("--closed-form-n", type=int, default=0)
-
-    p = add("series", cmd_series, help="first-order generating-function ODE residual")
-    p.add_argument("--type", type=int, choices=(1, 2), default=1)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--j0", type=int, default=None)
-    p.add_argument("--K", type=int, default=40)
-
-    p = add("pde", cmd_pde, help="per-exponent fourth-order PDE residuals")
-    p.add_argument("--type", type=int, choices=(1, 2), required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--K", type=int, default=24)
-    p.add_argument("--corrected", action="store_true",
-                   help="apply the erratum terms to the type-1 reduction")
-
-    p = add("fit-ode", cmd_fit_ode, help="blind exact fit of annihilating operators")
-    p.add_argument("--type", type=int, choices=(1, 2), default=1)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--j0", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--bounds", default="0,1,2,3,4",
-                   help="c-degree bound per derivative order, comma separated")
-    p.add_argument("--delta", type=int, default=None,
-                   help="index map n = k + delta (default: aligned, else 0)")
-    p.add_argument("--holdout", type=int, default=4)
-
+        for flag, default in flags.items():
+            required = default is REQUIRED
+            p.add_argument(flag, required=required, default=None if required else default,
+                           **FLAGS[flag])
     return ap
 
 

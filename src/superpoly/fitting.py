@@ -105,8 +105,10 @@ def fit_ode(fam: Family, order: int = 4,
     coeff_degree_bounds[i] is the c-degree bound of the coefficient of the
     i-th derivative (the shape of the closed fourth-order equations is
     (0, 1, 2, 3, 4)).  The last `holdout` nonzero members are excluded from
-    the fit and used to re-verify every kernel basis vector.
+    the fit and used to re-verify every kernel basis vector; at least one is.
     """
+    if holdout < 1:
+        raise FitError(f"need holdout >= 1 to re-verify the candidates, got {holdout}")
     bounds = tuple(coeff_degree_bounds)
     if len(bounds) != order + 1:
         raise FitError("need one degree bound per derivative order 0..order")

@@ -230,9 +230,13 @@ def orthogonality_report(fam: Family, N: int = 12, n_positive: int = 200,
                          closed_form_n: int = 0) -> dict:
     """The orth-lab summary for one family: positivity, Gram, identification.
 
-    closed_form_n > 0 additionally compares extracted A_t, B_t against the
-    closed forms at the identified (nu, c0, shift) for t <= closed_form_n.
+    a_positive covers a_1 .. a_{n_positive} (n_positive >= 1).  closed_form_n
+    > 0 additionally compares extracted A_t, B_t against the closed forms at
+    the identified (nu, c0, shift) for t <= closed_form_n; 0 skips it.
     """
+    if n_positive < 1 or closed_form_n < 0:
+        raise ParameterError(f"need n_positive >= 1 and closed_form_n >= 0, got "
+                             f"{n_positive} and {closed_form_n}")
     seq = reindex(fam)
     big = max(N, n_positive, closed_form_n)
     fd = favard(seq, big, gram_N=N)

@@ -52,9 +52,12 @@ def first_order_residual(fam: Family, K: int) -> ZSeries:
     where N collects the initial-condition sums; for a unit seed at j0,
     N = z^{j0} (m + 2r + j0 m) plus, when j0 < -r, the coupling term
     -2 (j0 m + m + r) c z^{j0 + r}.  The residual is exact for every exponent
-    <= K and must vanish identically (it encodes the recursion).
+    <= K and must vanish identically (it encodes the recursion).  K >= 2r, so
+    that at least the exponent 2r, where P_0 enters, is checked.
     """
     r, m = fam.params.r, fam.params.m
+    if K < 2 * r:
+        raise ParameterError("K must be at least 2r")
     series = ZSeries.from_family(fam, K)
     c = CPoly.monomial(1)
     resid: Dict[int, CPoly] = {}

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from superpoly import (CPoly, ParameterError, classification_report, classify,
                        family, gegenbauer, gegenbauer_ode_residual,
                        superposition_fit, verify_gegenbauer_reduction)
+from superpoly.classify import _two_term_fit
 
 
 def test_classify_examples():
@@ -57,6 +59,22 @@ def test_superposition_ignores_deeper_cached_members():
     deep = superposition_fit(3, 2, -4).to_json()
     assert len(fresh["findings"]) == 14
     assert deep == fresh
+
+
+def test_classification_report_generates_the_canonical_pair_once(monkeypatch):
+    classify_module = sys.modules["superpoly.classify"]  # the attribute is the function
+    seeds = []
+    generate = classify_module.generate
+
+    def counting(params, kmax=None):
+        seeds.append(params.j0)
+        return generate(params, kmax)
+
+    fresh = classification_report(4, 3, members=6)
+    monkeypatch.setattr(classify_module, "generate", counting)
+    assert classification_report(4, 3, members=6) == fresh
+    # the two canonical families, then the three type-B seeds
+    assert seeds == [-8, -4, -7, -6, -5]
 
 
 def test_classification_report_schema():
@@ -143,6 +161,26 @@ def test_reduction_ignores_deeper_cached_members():
     assert len(fresh["entries"]) == 16
     assert [e["k"] for e in fresh["entries"]] == list(range(2, 48, 3))
     assert deep == fresh
+
+
+def test_reduction_reports_the_printed_mismatch():
+    # j0 = -1: every member after the degree-1 one fails the printed equation,
+    # reported as one finding that does not fail the reduction
+    report = verify_gegenbauer_reduction(3, 2, -1)
+    assert report["all_two_term"]
+    assert [f["kind"] for f in report["findings"]] == ["printed-reduction-mismatch"]
+    assert report["findings"][0]["k"] == [e["k"] for e in report["entries"][1:]]
+    assert verify_gegenbauer_reduction(3, 2, -4)["findings"] == []
+
+
+def test_two_term_fit_is_exact():
+    basis = gegenbauer(2, 3)
+    c = CPoly.monomial(1)
+    # at degree 1, Q_1 and c Q_0 are proportional: the fit is a single Q_1
+    assert _two_term_fit(c.scale(3), basis[1], c * basis[0]) == (1, 0)
+    assert _two_term_fit(basis[2] + (c * basis[1]).scale(Fraction(1, 2)),
+                         basis[2], c * basis[1]) == (1, Fraction(1, 2))
+    assert _two_term_fit(basis[3], basis[2], c * basis[1]) is None
 
 
 def test_reduction_rejects_other_j0():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from superpoly.cli import main, parse_span
+from superpoly.cli import COMMANDS, main, parse_span
 
 
 def capture(capsys, argv):
@@ -142,34 +142,91 @@ def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flag,value", [("--r-range", "5..2"), ("--r-range", "x..3"),
-                                        ("--m-range", "3..x"), ("--points", "x..3")])
+                                        ("--m-range", "3..x"), ("--points", "x..3"),
+                                        ("--bounds", "0,x")])
 def test_bad_range_exits_2(capsys, flag, value):
+    command = (["fit-ode", "--type", "1", "--r", "2", "--m", "2"] if flag == "--bounds"
+               else ["verify-ode", "--type", "2"])
     with pytest.raises(SystemExit) as exc:
-        main(["verify-ode", "--type", "2", flag, value])
+        main(command + [flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert value in err and "Traceback" not in err
 
 
-# sha256 of the stdout report, recorded before the modular-first elimination
-# replaced whole-matrix Bareiss inside linalg.nullspace
+# inputs that would check nothing: an empty series window, no held-out
+# member, an empty positivity range, an empty closed-form range
+@pytest.mark.parametrize("argv", [
+    ["series", "--type", "2", "--r", "2", "--m", "3", "--K", "3"],
+    ["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--holdout", "0"],
+    ["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--holdout", "-1"],
+    ["orth", "--type", "2", "--r", "2", "--m", "4", "--n-positive", "0"],
+    ["orth", "--type", "2", "--r", "2", "--m", "4", "--closed-form-n", "-1"],
+], ids=" ".join)
+def test_vacuous_input_exits_2(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+# exit code and sha256 of the stdout report.  The first four were recorded
+# before the modular-first elimination replaced whole-matrix Bareiss inside
+# linalg.nullspace; the README examples after them were recorded before the
+# CLI became a command table.
 GOLDEN_REPORTS = [
-    (["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--kmax", "40"],
+    (["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--kmax", "40"], 0,
      "bab00f23ccb08451c24eef92e832b13bc357d2157be03e9b25c8f709690f8906"),
-    (["fit-ode", "--type", "2", "--r", "2", "--m", "3", "--kmax", "40"],
+    (["fit-ode", "--type", "2", "--r", "2", "--m", "3", "--kmax", "40"], 0,
      "ae273dbcf2cfc5fc700c060ff7972179bb6ace1a8449c1ac6fb5db53be5ada24"),
     # kernel_dim 18
-    (["fit-ode", "--type", "1", "--r", "2", "--m", "3", "--j0", "-3", "--kmax", "40"],
+    (["fit-ode", "--type", "1", "--r", "2", "--m", "3", "--j0", "-3", "--kmax", "40"], 0,
      "a4d18d067d456b23d7bf0406a0b5a7f731be9e8c39921aa4c4fe16ee0a4d54ad"),
-    (["kernel", "--type", "2", "--r", "4", "--m", "4", "--n", "40", "--bound", "80"],
+    (["kernel", "--type", "2", "--r", "4", "--m", "4", "--n", "40", "--bound", "80"], 0,
      "7642b0a6f4f9ee53e551336247d120bbc58bd8ecec4eff933ac327bb816408c1"),
+    # README examples
+    (["gen", "--r", "2", "--m", "2", "--j0", "-4", "--kmax", "8", "--print"], 0,
+     "7d06baa1cc43d1fc9a317e7fcec186f52fbbd2ce090339112aba0f6922ff3c0f"),
+    (["verify-ode", "--type", "2", "--r-range", "2..8", "--m-range", "2..10"], 0,
+     "8c65ddaa7950475d92c20f1be302d215d3e8e4df9a8e85f36d30052ad072bf5c"),
+    (["scan", "--type", "1", "--r-range", "2..4", "--m-range", "2..4"], 0,
+     "193fae52ef6cef68037d779a6cadb777aae9296e91afe56115966f7bd9134257"),
+    (["indicial", "--type", "2", "--r", "3", "--m", "4", "--n", "12"], 0,
+     "f245407c787a6698ef45b909d4ac7f84051d357eee448170d3e537cb1dabcb1b"),
+    (["kernel", "--type", "2", "--r", "2", "--m", "4", "--n", "6"], 0,
+     "e4e5073fbab15964caf46e2f4bc2effe799ff64e811169155ff13487004bc189"),
+    (["classify", "--r", "4", "--m", "3"], 1,
+     "8f2ddc46370ca1df424e80cc8a7e4157360331bcdff71aa14253b75a709c199d"),
+    (["superpose", "--r", "3", "--m", "2", "--j0", "-4"], 1,
+     "429f91e832f80c659717dfb80e33ca35ee821e6be1b9131c7360489df9aac144"),
+    (["gegenbauer", "--m", "3", "--nmax", "10"], 0,
+     "cc108ec932f2d27e49a74432e4155afd66d76b5790cfb3f75310e78d5d60a8ad"),
+    (["reduce", "--r", "3", "--m", "2", "--j0", "-4"], 0,
+     "80a022dbd49e7a860310a1b95a3aad0f628a6e23d0cab3ed520b97f976d7f553"),
+    (["favard", "--type", "2", "--r", "2", "--m", "4", "--N", "12"], 0,
+     "f10886133b704bd2104d732a7476a097d42229f7489efafff48f249dac793edd"),
+    (["gram", "--type", "2", "--r", "2", "--m", "4", "--N", "12"], 0,
+     "be11f60b60448747dfcaf05937ba74c0509944b49ad1395788f54b70dd0f24fc"),
+    (["identify", "--type", "1", "--r", "2", "--m", "2"], 0,
+     "d69e6dda78a7c022df752fec5cc8de93836df2a525740cdf6f79239078ec98a2"),
+    (["orth", "--type", "2", "--r", "2", "--m", "4", "--closed-form-n", "50"], 0,
+     "10b17c2effcefe64e0fa100958c1272705c5296810bd405e552a00ad86b7b393"),
+    (["series", "--type", "2", "--r", "2", "--m", "3", "--K", "40"], 0,
+     "4202a87d9e2084d8caf34ca1ead4092f825ca0607d03c4925c954f72ade9a351"),
+    (["pde", "--type", "1", "--r", "2", "--m", "2", "--K", "24"], 1,
+     "fbee58097d19e3427328e513597ec694fd442c657cc1034438635a46f5136ac1"),
+    (["pde", "--type", "1", "--r", "2", "--m", "2", "--K", "24", "--corrected"], 0,
+     "883ce61ead5169dae6f202ebdcc0cd1b0f671849b49e63bd7d4064b4a4847358"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_REPORTS,
-                         ids=[" ".join(a) for a, _ in GOLDEN_REPORTS])
-def test_elimination_reports_byte_identical(capsys, argv, digest):
+@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN_REPORTS,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN_REPORTS])
+def test_elimination_reports_byte_identical(capsys, argv, exit_code, digest):
     code = main(argv)
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_every_command_has_a_golden():
+    assert {name for name, *_ in COMMANDS} == {argv[0] for argv, _, _ in GOLDEN_REPORTS}
