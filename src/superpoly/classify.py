@@ -162,11 +162,13 @@ class GegenbauerBasis:
 
 
 def gegenbauer_ode_residual(m: int, n: int, y: CPoly) -> CPoly:
-    """(1 - c^2) y'' - c (2/m + 3) y' + n (2/m + n + 2) y."""
-    c = CPoly.monomial(1)
-    return (CPoly((1, 0, -1)) * y.derive(2)
-            - (c * y.derive(1)).scale(Fraction(2, m) + 3)
-            + y.scale(n * (Fraction(2, m) + n + 2)))
+    """(1 - c^2) y'' - c (2/m + 3) y' + n (2/m + n + 2) y.
+
+    On c^s: [n (2/m + n + 2) - s (s + 2 + 2/m)] c^s + s(s-1) c^(s-2).
+    """
+    mu = Fraction(2, m)
+    eig = n * (mu + n + 2)
+    return y.band(lambda s: eig - s * (s + 2 + mu), lambda s: s * (s - 1))
 
 
 def gegenbauer(m: int, nmax: int) -> GegenbauerBasis:
@@ -221,7 +223,8 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
     not); the published reductions attribute these the other way around.  The
     members that fail the printed equation are reported in one
     printed-reduction-mismatch finding, which does not fail the reduction.
-    Members with k <= kmax (default 14r) are examined.
+    Members with k <= kmax (default 14r) are examined; a kmax below the
+    first member raises ParameterError.
     """
     if j0 not in (-1, -r - 1):
         raise ParameterError("gegenbauer reduction applies to j0 in {-1, -r-1}")
@@ -229,7 +232,9 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
         kmax = 14 * r
     fam = generate(FamilyParams(r, m, j0), kmax)
     members = fam.nonzero_members()
-    degmax = max((int(p.degree) for _, p in members), default=0)
+    if not members:
+        raise ParameterError(f"no member with k <= kmax = {kmax}: nothing to reduce")
+    degmax = max(int(p.degree) for _, p in members)
     basis = gegenbauer(m, degmax + 1)
     entries = []
     all_two_term = True

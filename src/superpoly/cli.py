@@ -56,6 +56,19 @@ def parse_bounds(text: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def capped(cap: int):
+    """An argparse type: an integer no larger than cap."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"{value} is above the cap {cap}")
+        return value
+    return parse
+
+
 def _family(ns, kmax: int | None = None):
     """The family of --r, --m to kmax; seeded at --j0 if given, else canonically."""
     j0 = getattr(ns, "j0", None)
@@ -173,9 +186,14 @@ def _fit_ode(ns) -> tuple[dict, bool]:
 
 # every flag's argparse type, domain, dest and help, declared once
 FLAGS = {
-    **dict.fromkeys(("--r", "--m", "--j0", "--n", "--kmax", "--bound", "--members", "--nmax",
-                     "--N", "--n-positive", "--closed-form-n", "--K", "--holdout"),
+    **dict.fromkeys(("--r", "--m", "--j0", "--n", "--nmax", "--n-positive",
+                     "--closed-form-n", "--holdout"),
                     {"type": int}),
+    # caps bound the size of one run; each sits above the deep-index targets
+    # (k ~ 2000, N ~ 80) and every value the tests and benchmark use
+    **dict.fromkeys(("--kmax", "--K", "--bound"), {"type": capped(2500)}),
+    "--N": {"type": capped(100)},
+    "--members": {"type": capped(100)},
     "--type": {"type": int, "choices": (1, 2)},
     "--parity": {"choices": ("even", "odd", "both")},
     "--r-range": {"type": parse_span},

@@ -7,14 +7,17 @@ Both operators share the leading structure
 
 with (W, X, Y, Z) scalar in (r, m, n) per family type; the type-2 scalars
 carry the correction Delta = r^2 (r-2) m (2mn - 7mr + 2m + 4r), which
-vanishes for r = 2.
+vanishes for r = 2.  Each operator sends c^s to at most three monomials,
+c^s, c^(s-2) and c^(s-4) (`OdeOperator.band_symbols`); applying it, its
+leading symbol and its polynomial kernel are all read off that band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Literal, Sequence, Tuple
+from operator import mul
+from typing import Callable, List, Literal, Sequence, Tuple
 
 from .errors import AlignmentError, ParameterError
 from .families import Family, FamilyParams, canonical_j0, generate
@@ -79,23 +82,40 @@ class OdeOperator:
         return (int(self.coeff0[0]), int(self.coeff2[2]),
                 int(self.coeff2[0]), int(self.coeff1[1]))
 
+    def band_symbols(self) -> Tuple[Callable[[int], int], ...]:
+        """(I, J, K) with L_n(c^s) = I(s) c^s + J(s) c^(s-2) + K(s) c^(s-4).
+
+        With M = m^2 r^4 and f3 = s(s-1)(s-2), read off the coefficients:
+
+            K = M f3 (s-3),   J = -2 M f3 (s+2) + Y s(s-1),
+            I = M f3 (s+7) + X s(s-1) + Z s + W.
+        """
+        W, X, Y, Z = self.scalars
+        M = self.m * self.m * self.r ** 4
+
+        def diag(s):
+            return (M * (s - 2) * (s + 7) + X) * s * (s - 1) + Z * s + W
+
+        def sub2(s):
+            return (Y - 2 * M * (s - 2) * (s + 2)) * s * (s - 1)
+
+        def sub4(s):
+            return M * s * (s - 1) * (s - 2) * (s - 3)
+
+        return diag, sub2, sub4
+
     def apply(self, p: CPoly) -> CPoly:
         """Exact residual coeff4*p'''' + coeff3*p''' + coeff2*p'' + coeff1*p' + coeff0*p."""
-        return (self.coeff4 * p.derive(4)
-                + self.coeff3 * p.derive(3)
-                + self.coeff2 * p.derive(2)
-                + self.coeff1 * p.derive(1)
-                + self.coeff0 * p)
+        return p.band(*self.band_symbols())
 
 
 def build_operator(family_type: FamilyType, r: int, m: int, n: int) -> OdeOperator:
     W, X, Y, Z = scalar_coefficients(family_type, r, m, n)
-    mr4 = m * m * r ** 4
-    c2m1 = CPoly((-1, 0, 1))  # c^2 - 1
+    M = m * m * r ** 4
     return OdeOperator(
         family_type=family_type, r=r, m=m, n=n,
-        coeff4=(c2m1 * c2m1).scale(mr4),
-        coeff3=(CPoly((0, 1)) * c2m1).scale(10 * mr4),
+        coeff4=CPoly((M, 0, -2 * M, 0, M)),  # M (c^2 - 1)^2
+        coeff3=CPoly((0, -10 * M, 0, 10 * M)),  # 10 M c (c^2 - 1)
         coeff2=CPoly((Y, 0, X)),
         coeff1=CPoly((0, Z)),
         coeff0=CPoly((W,)),
@@ -164,11 +184,10 @@ def indicial_value(family_type: FamilyType, r: int, m: int, n: int, s: int) -> i
 
 
 def leading_symbol(op: OdeOperator, s: int) -> Fraction:
-    """Coefficient of c^s in op(c^s)."""
+    """Coefficient of c^s in op(c^s): the diagonal I(s) of the banded action."""
     if s < 0:
         raise ParameterError("s must be >= 0")
-    res = op.apply(CPoly.monomial(s))
-    return res[s]
+    return Fraction(op.band_symbols()[0](s))
 
 
 def is_resonant(r: int, m: int) -> bool:
@@ -226,27 +245,43 @@ def polynomial_kernel(op: OdeOperator, degree_bound: int,
                       parity: Literal["even", "odd", "both"] = "both") -> List[CPoly]:
     """Exact basis of {p : deg p <= bound, requested parity, op(p) = 0}.
 
-    The operator maps the degree-bounded space to itself, so the kernel is the
-    nullspace of its matrix on the monomial basis.
+    Coefficient t of op(p) is I(t) a_t + J(t+2) a_(t+2) + K(t+4) a_(t+4), so
+    the a_s are solved downward from the top power.  Where I(s) != 0, a_s is
+    fixed by the two above it.  Where I(s) = 0, a_s is a free parameter and
+    the equation at t = s constrains the parameters above it.  I has degree 4
+    in s, so the constraints have at most 4 columns; they go through
+    `nullspace`, the one elimination path.  Each parametric solution is 1 at
+    its own power, 0 at the other parameters and 0 above its own power, so a
+    constraint kernel vector maps to the reduced-echelon basis vector of the
+    operator's matrix on the monomials, up to the first-nonzero-is-1 scale.
     """
     if degree_bound < 0:
         raise ParameterError("degree_bound must be >= 0")
-    if parity == "even":
-        powers = list(range(0, degree_bound + 1, 2))
-    elif parity == "odd":
-        powers = list(range(1, degree_bound + 1, 2))
-    else:
-        powers = list(range(0, degree_bound + 1))
-    if not powers:
+    powers = range(1 if parity == "odd" else 0, degree_bound + 1,
+                   1 if parity == "both" else 2)
+    diag, sub2, sub4 = op.band_symbols()
+    params = [s for s in powers if diag(s) == 0]
+    if not params:
         return []
-    images = [op.apply(CPoly.monomial(j)) for j in powers]
-    rows = [[img[i] for img in images] for i in range(degree_bound + 1)]
+    zero = [Fraction(0)] * len(params)
+    coords = {}  # power s -> a_s as a vector over the parameters
+    constraints = []
+    for s in reversed(powers):
+        above = [-(sub2(s + 2) * x + sub4(s + 4) * y)
+                 for x, y in zip(coords.get(s + 2, zero), coords.get(s + 4, zero))]
+        if s in params:
+            constraints.append(above)
+            coords[s] = [Fraction(int(s == t)) for t in params]
+        else:
+            d = diag(s)
+            coords[s] = [x / d for x in above]
     out = []
-    for vec in nullspace(rows, len(powers)):
+    for u in nullspace(constraints, len(params)):
         coeffs = [Fraction(0)] * (degree_bound + 1)
-        for pw, v in zip(powers, vec):
-            coeffs[pw] = v
-        out.append(CPoly(coeffs))
+        for s in powers:
+            coeffs[s] = sum(map(mul, u, coords[s]), Fraction(0))
+        first = next(x for x in coeffs if x)
+        out.append(CPoly(x / first for x in coeffs))
     return out
 
 
@@ -270,17 +305,23 @@ def scan_cell(family_type: FamilyType, r: int, m: int, n_points="paper") -> dict
         ns = sorted(k + delta for k, _ in fam.nonzero_members())
     else:
         ns = list(n_points)
-    failures = []
+    checked, failures = [], []
     for n in ns:
         k = n - delta
         if k < -2 * r:
-            continue  # before the initial block: nothing to check
+            continue  # before the initial block: no member
         if k > fam.kmax:
             fam.extend(k)
+        if not fam[k]:
+            continue  # off the support lattice: nothing to check
+        checked.append(n)
         res = build_operator(family_type, r, m, n).apply(fam[k])
         if not res.is_zero():
             failures.append({"r": r, "m": m, "n": n, "residual": res.to_strings()})
-    return {"r": r, "m": m, "delta": delta, "checked_n": ns,
+    if not checked:
+        raise ParameterError(f"no nonzero member P_(n-{delta}) at the requested n "
+                             f"for r={r}, m={m}: nothing to verify")
+    return {"r": r, "m": m, "delta": delta, "checked_n": checked,
             "pass": not failures, "failures": failures}
 
 

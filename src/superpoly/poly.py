@@ -125,6 +125,22 @@ class CPoly:
                 break
         return CPoly(cs)
 
+    def band(self, diag, sub2, sub4=None) -> "CPoly":
+        """Image under c^s -> diag(s) c^s + sub2(s) c^(s-2) + sub4(s) c^(s-4).
+
+        diag, sub2 and sub4 are functions of the power s with exact values;
+        coefficient s of the result is diag(s) p[s] + sub2(s+2) p[s+2]
+        + sub4(s+4) p[s+4].  Every operator in the package has this shape.
+        """
+        cs = self.coeffs
+        out = [diag(s) * a if a else a for s, a in enumerate(cs)]
+        for f, lower in ((sub2, 2), (sub4, 4)):
+            if f is not None:
+                for s in range(lower, len(cs)):
+                    if cs[s]:
+                        out[s - lower] += f(s) * cs[s]
+        return CPoly(out)
+
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
         acc = Fraction(0)

@@ -85,19 +85,25 @@ def first_order_residual(fam: Family, K: int) -> ZSeries:
 # fourth-order PDE, reduced per z-exponent
 # ---------------------------------------------------------------------------
 
-def _bracket(family_type: FamilyType, r: int, m: int, v: int, g: CPoly) -> CPoly:
-    """m * [r^2((1-c^2) d^2 - 3c d) + v^2 + (2/m)(r+(1-2r)m) v + const] g.
+def _bracket(family_type: FamilyType, r: int, m: int, v: int):
+    """m * [r^2((1-c^2) d^2 - 3c d) + v^2 + (2/m)(r+(1-2r)m) v + const] as band symbols.
 
     Multiplied through by m so all coefficients stay integral; the constant is
-    (2r/m)(m(r-1)-r) for type 1 and -r^2 for type 2.
+    (2r/m)(m(r-1)-r) for type 1 and -r^2 for type 2.  With S the scalar part,
+    the bracket maps c^e to [S - m r^2 e(e+2)] c^e + m r^2 e(e-1) c^(e-2);
+    returns those two coefficients as functions of e.
     """
     const = 2 * r * (m * (r - 1) - r) if family_type == 1 else -m * r * r
-    s = m * v * v + 2 * (r + (1 - 2 * r) * m) * v + const
-    omc2 = CPoly((1, 0, -1))  # 1 - c^2
-    c = CPoly.monomial(1)
-    return ((omc2 * g.derive(2)).scale(m * r * r)
-            - (c * g.derive(1)).scale(3 * m * r * r)
-            + g.scale(s))
+    S = m * v * v + 2 * (r + (1 - 2 * r) * m) * v + const
+    mr2 = m * r * r
+
+    def diag(e):
+        return S - mr2 * e * (e + 2)
+
+    def sub2(e):
+        return mr2 * e * (e - 1)
+
+    return diag, sub2
 
 
 def pde_reduced(family_type: FamilyType, r: int, m: int, v: int, g: CPoly,
@@ -105,30 +111,43 @@ def pde_reduced(family_type: FamilyType, r: int, m: int, v: int, g: CPoly,
     """The per-exponent reduction of the printed fourth-order PDE applied to g.
 
     The PDE operators contain no multiplication by z, so d/dv acts diagonally
-    as the z-exponent v.  With corrected=True the type-1 reduction subtracts
-    the two terms the published statement is missing,
-    4 r^4 (m+1) d^2 + 24 r^2 (m^2 - 2m^2 r + 2mr - 2mr^2 + r^2) c d,
+    as the z-exponent v.  The reduction is the bracket applied twice plus
+    lower terms.  Type 1 subtracts 4 r^2 (m(r-1)-r)^2 g,
+    12 r^2 (-(m+r)^2 + mr(2r+m(r+2))) c g' and adds
+    4 r^2 ((m+r)^2 + mr(-2r+m(r-2))) (1-c^2) g''.  With corrected=True it also
+    subtracts the two terms the published statement is missing,
+    4 r^4 (m+1) g'' + 24 r^2 (m^2 - 2m^2 r + 2mr - 2mr^2 + r^2) c g',
     which makes it identical to the type-1 fourth-order operator at n = v.
-    The type-2 reduction equals the type-2 operator at n = v as printed.
+    Type 2 subtracts 4 r^2 (m+r-2mr)^2 (-(1-c^2) g'' + 3c g' + g) and
+    4 r^4 (m+1) g''; it equals the type-2 operator at n = v as printed.
+
+    On c^s the lower terms give -(q0 + q1 s + q2 s(s-1)) c^s + t s(s-1) c^(s-2),
+    and the bracket composed with itself gives a(s)^2 c^s
+    + b(s)(a(s) + a(s-2)) c^(s-2) + b(s) b(s-2) c^(s-4), so the whole
+    reduction is one band.
     """
-    omc2 = CPoly((1, 0, -1))
-    c = CPoly.monomial(1)
-    res = _bracket(family_type, r, m, v, _bracket(family_type, r, m, v, g))
+    a, b = _bracket(family_type, r, m, v)
     if family_type == 1:
-        res = res - g.scale(4 * r * r * (m * (r - 1) - r) ** 2)
-        res = res - (c * g.derive(1)).scale(
-            12 * r * r * (-(m + r) ** 2 + m * r * (2 * r + m * (r + 2))))
-        res = res + (omc2 * g.derive(2)).scale(
-            4 * r * r * ((m + r) ** 2 + m * r * (-2 * r + m * (r - 2))))
+        q0 = 4 * r * r * (m * (r - 1) - r) ** 2
+        q1 = 12 * r * r * (-(m + r) ** 2 + m * r * (2 * r + m * (r + 2)))
+        q2 = t = 4 * r * r * ((m + r) ** 2 + m * r * (-2 * r + m * (r - 2)))
         if corrected:
-            res = res - g.derive(2).scale(4 * r ** 4 * (m + 1))
-            res = res - (c * g.derive(1)).scale(
-                24 * r * r * (m * m - 2 * m * m * r + 2 * m * r - 2 * m * r * r + r * r))
+            q1 += 24 * r * r * (m * m - 2 * m * m * r + 2 * m * r - 2 * m * r * r + r * r)
+            t -= 4 * r ** 4 * (m + 1)
     else:
-        res = res - (omc2.scale(-1) * g.derive(2) + (c * g.derive(1)).scale(3) + g).scale(
-            4 * r * r * (m + r - 2 * m * r) ** 2)
-        res = res - g.derive(2).scale(4 * r ** 4 * (m + 1))
-    return res
+        q2 = 4 * r * r * (m + r - 2 * m * r) ** 2
+        q0, q1, t = q2, 3 * q2, q2 - 4 * r ** 4 * (m + 1)
+
+    def diag(s):
+        return a(s) ** 2 - q0 - q1 * s - q2 * s * (s - 1)
+
+    def sub2(s):
+        return b(s) * (a(s) + a(s - 2)) + t * s * (s - 1)
+
+    def sub4(s):
+        return b(s) * b(s - 2)
+
+    return g.band(diag, sub2, sub4)
 
 
 def certify_exponent_mapping(family_type: FamilyType, fam: Family, K: int,

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -88,6 +89,18 @@ def test_classification_report_schema():
 # ---------------------------------------------------------------------------
 # Gegenbauer basis
 # ---------------------------------------------------------------------------
+
+def test_banded_gegenbauer_residual_equals_derivative_composition():
+    rng = random.Random(5)
+    for _ in range(200):
+        m, n = rng.randint(2, 10), rng.randint(0, 30)
+        y = CPoly(Fraction(rng.randint(-99, 99), rng.randint(1, 40))
+                  for _ in range(rng.randint(1, 17)))
+        reference = (CPoly((1, 0, -1)) * y.derive(2)
+                     - (CPoly((0, 1)) * y.derive(1)).scale(Fraction(2, m) + 3)
+                     + y.scale(n * (Fraction(2, m) + n + 2)))
+        assert gegenbauer_ode_residual(m, n, y) == reference
+
 
 def test_gegenbauer_q0_q1():
     basis = gegenbauer(2, 5)

@@ -154,10 +154,31 @@ def test_bad_range_exits_2(capsys, flag, value):
     assert value in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--r", "2", "--m", "2", "--j0", "-4", "--kmax", "2501"],
+    ["reduce", "--r", "3", "--m", "2", "--j0", "-4", "--kmax", "2501"],
+    ["series", "--type", "2", "--r", "2", "--m", "3", "--K", "2501"],
+    ["kernel", "--type", "2", "--r", "2", "--m", "4", "--n", "6", "--bound", "2501"],
+    ["gram", "--type", "2", "--r", "2", "--m", "4", "--N", "101"],
+    ["classify", "--r", "4", "--m", "3", "--members", "101"],
+], ids=" ".join)
+def test_above_cap_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{argv[-1]} is above the cap" in err and "Traceback" not in err
+
+
 # inputs that would check nothing: an empty series window, no held-out
-# member, an empty positivity range, an empty closed-form range
+# member, an empty positivity range, an empty closed-form range, points with
+# no nonzero member, a reduction below the first member
 @pytest.mark.parametrize("argv", [
     ["series", "--type", "2", "--r", "2", "--m", "3", "--K", "3"],
+    ["verify-ode", "--type", "2", "--r-range", "2..2", "--m-range", "3..3",
+     "--points=-20..-12"],
+    ["scan", "--type", "2", "--r-range", "2..2", "--m-range", "3..3", "--points", "7"],
+    ["reduce", "--r", "3", "--m", "2", "--j0", "-4", "--kmax", "1"],
     ["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--holdout", "0"],
     ["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--holdout", "-1"],
     ["orth", "--type", "2", "--r", "2", "--m", "4", "--n-positive", "0"],

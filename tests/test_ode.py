@@ -3,11 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from superpoly import (AlignmentError, CPoly, align_index, build_operator,
+from superpoly import (AlignmentError, CPoly, ParameterError, align_index, build_operator,
                        delta_correction, family, indicial,
-                       indicial_value, is_resonant, leading_symbol,
+                       indicial_value, is_resonant, leading_symbol, nullspace,
                        polynomial_kernel, printed_indicial_factors,
-                       residual_scan, resonant_pairs)
+                       residual_scan, resonant_pairs, scalar_coefficients)
+
+
+def reference_apply(op, p):
+    """The operator as coefficient polynomials times derivatives, the reference
+    the banded action is checked against."""
+    return (op.coeff4 * p.derive(4) + op.coeff3 * p.derive(3) + op.coeff2 * p.derive(2)
+            + op.coeff1 * p.derive(1) + op.coeff0 * p)
+
+
+def random_poly(rng, degree):
+    return CPoly(Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(degree + 1))
 
 
 def test_build_operator_type1_hand_expansion():
@@ -16,6 +27,19 @@ def test_build_operator_type1_hand_expansion():
     assert op.scalars == (4096, 448, 320, -2496)
     assert op.coeff4 == CPoly((64, 0, -128, 0, 64))
     assert op.coeff3 == CPoly((0, -640, 0, 640))
+
+
+def test_build_operator_coefficients_equal_the_products():
+    c2m1 = CPoly((-1, 0, 1))
+    for tp in (1, 2):
+        for (r, m, n) in [(2, 2, 8), (3, 5, 0), (4, 4, 17), (7, 9, 70)]:
+            op = build_operator(tp, r, m, n)
+            W, X, Y, Z = scalar_coefficients(tp, r, m, n)
+            M = m * m * r ** 4
+            assert op.coeff4 == (c2m1 * c2m1).scale(M)
+            assert op.coeff3 == (CPoly((0, 1)) * c2m1).scale(10 * M)
+            assert (op.coeff2, op.coeff1, op.coeff0) == (CPoly((Y, 0, X)), CPoly((0, Z)),
+                                                         CPoly((W,)))
 
 
 def test_build_operator_type2_hand_expansion():
@@ -36,6 +60,18 @@ def test_apply_annihilates_hand_members():
     assert build_operator(1, 2, 2, 8).apply(CPoly((-5, 0, 32))).is_zero()
     # c^2 coefficient: -24192 + 19584 + 4608 = 0
     assert build_operator(2, 2, 4, 6).apply(CPoly((2, 0, -3))).is_zero()
+
+
+def test_banded_apply_equals_derivative_composition():
+    rng = random.Random(2026)
+    for _ in range(300):
+        tp = rng.choice((1, 2))
+        r = rng.randint(2, 8)
+        op = build_operator(tp, r, rng.randint(2, 10), rng.randint(0, 12 * r))
+        p = random_poly(rng, rng.randint(0, 16))
+        assert op.apply(p) == reference_apply(op, p)
+        s = rng.randint(0, 30)
+        assert leading_symbol(op, s) == reference_apply(op, CPoly.monomial(s))[s]
 
 
 def test_apply_linearity_on_zero():
@@ -191,6 +227,48 @@ def test_indicial_nr_minus_roots_always_present():
 # polynomial kernel
 # ---------------------------------------------------------------------------
 
+def reference_kernel(images, bound, parity):
+    """Nullspace of the operator's full matrix on the monomials of the requested
+    parity; images[j] is the reference image of c^j."""
+    powers = {"even": range(0, bound + 1, 2), "odd": range(1, bound + 1, 2),
+              "both": range(bound + 1)}[parity]
+    if not powers:
+        return []
+    out = []
+    for vec in nullspace([[images[j][i] for j in powers] for i in range(bound + 1)],
+                         len(powers)):
+        coeffs = [0] * (bound + 1)
+        for power, v in zip(powers, vec):
+            coeffs[power] = v
+        out.append(CPoly(coeffs))
+    return out
+
+
+def test_kernel_back_substitution_equals_full_matrix_nullspace():
+    # the resonant pairs (4,4), (3,6), (6,3) carry a kernel vector per parity;
+    # `killed` counts cases where a root of I carries no kernel vector, so the
+    # constraint system is exercised, not only the free parameters
+    dims, killed = set(), 0
+    for tp in (1, 2):
+        for (r, m) in [(2, 2), (2, 5), (3, 6), (4, 4), (6, 3), (5, 2)]:
+            for n in (0, r, 2 * r + 1, 4 * r, 7 * r - 1):
+                op = build_operator(tp, r, m, n)
+                images = [reference_apply(op, CPoly.monomial(j)) for j in range(26)]
+                for bound in (0, 3, 12, 25):
+                    roots = sum(1 for s in range(bound + 1) if leading_symbol(op, s) == 0)
+                    for parity in ("even", "odd", "both"):
+                        basis = polynomial_kernel(op, bound, parity)
+                        assert basis == reference_kernel(images, bound, parity)
+                        dims.add(len(basis))
+                    killed += len(basis) < roots
+    assert dims == {0, 1, 2} and killed
+
+
+def test_kernel_rejects_negative_bound():
+    with pytest.raises(ParameterError):
+        polynomial_kernel(build_operator(1, 2, 2, 8), -1)
+
+
 def test_kernel_type2_matches_member():
     basis = polynomial_kernel(build_operator(2, 2, 4, 6), 2, "both")
     assert len(basis) == 1
@@ -246,6 +324,16 @@ def test_scan_all_generated_points():
     report = residual_scan(1, [2], [3], "all")
     assert report["summary"]["pass"]
     assert len(report["cells"][0]["checked_n"]) >= 10
+
+
+def test_scan_lists_only_nonzero_members():
+    # type 2, r = 2: members live on even k = n - 4; n = 3 (k = -1) and odd n
+    # are off the lattice, n < 0 lies before the initial block
+    cell = residual_scan(2, [2], [3], list(range(-20, 9)))["cells"][0]
+    assert cell["checked_n"] == [2, 4, 6, 8] and cell["pass"]
+    for points in (list(range(-20, -11)), [7], [3, 5]):
+        with pytest.raises(ParameterError):
+            residual_scan(2, [2], [3], points)
 
 
 def test_scan_all_ignores_deeper_cached_members():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,48 @@ def test_zseries_convention():
 # ---------------------------------------------------------------------------
 # fourth-order PDE reductions
 # ---------------------------------------------------------------------------
+
+def reference_bracket(family_type, r, m, v, g):
+    const = 2 * r * (m * (r - 1) - r) if family_type == 1 else -m * r * r
+    s = m * v * v + 2 * (r + (1 - 2 * r) * m) * v + const
+    return ((CPoly((1, 0, -1)) * g.derive(2)).scale(m * r * r)
+            - (CPoly((0, 1)) * g.derive(1)).scale(3 * m * r * r)
+            + g.scale(s))
+
+
+def reference_pde_reduced(family_type, r, m, v, g, corrected):
+    """The printed reduction by derivatives and polynomial products, the
+    reference the banded reduction is checked against."""
+    omc2, c = CPoly((1, 0, -1)), CPoly((0, 1))
+    res = reference_bracket(family_type, r, m, v, reference_bracket(family_type, r, m, v, g))
+    if family_type == 1:
+        res = res - g.scale(4 * r * r * (m * (r - 1) - r) ** 2)
+        res = res - (c * g.derive(1)).scale(
+            12 * r * r * (-(m + r) ** 2 + m * r * (2 * r + m * (r + 2))))
+        res = res + (omc2 * g.derive(2)).scale(
+            4 * r * r * ((m + r) ** 2 + m * r * (-2 * r + m * (r - 2))))
+        if corrected:
+            res = res - g.derive(2).scale(4 * r ** 4 * (m + 1))
+            res = res - (c * g.derive(1)).scale(
+                24 * r * r * (m * m - 2 * m * m * r + 2 * m * r - 2 * m * r * r + r * r))
+    else:
+        res = res - (omc2.scale(-1) * g.derive(2) + (c * g.derive(1)).scale(3) + g).scale(
+            4 * r * r * (m + r - 2 * m * r) ** 2)
+        res = res - g.derive(2).scale(4 * r ** 4 * (m + 1))
+    return res
+
+
+def test_banded_pde_reduction_equals_derivative_composition():
+    rng = random.Random(77)
+    for _ in range(200):
+        tp, corrected = rng.choice((1, 2)), rng.choice((False, True))
+        r, m = rng.randint(2, 8), rng.randint(2, 10)
+        v = rng.randint(-2 * r, 14 * r)
+        g = CPoly(Fraction(rng.randint(-99, 99), rng.randint(1, 40))
+                  for _ in range(rng.randint(1, 17)))
+        assert pde_reduced(tp, r, m, v, g, corrected) \
+            == reference_pde_reduced(tp, r, m, v, g, corrected)
+
 
 def test_type2_pde_reduction_equals_operator():
     # the per-exponent reduction of the type-2 PDE is exactly L2 at n = exponent
