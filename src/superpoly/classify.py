@@ -182,12 +182,11 @@ def gegenbauer(m: int, nmax: int) -> GegenbauerBasis:
     if m < 2 or nmax < 0:
         raise ParameterError("need m >= 2 and nmax >= 0")
     lam = 1 + Fraction(1, m)
-    c = CPoly.monomial(1)
     polys = [CPoly.one()]
     if nmax >= 1:
-        polys.append(c.scale(2 * lam))
+        polys.append(CPoly.monomial(1, 2 * lam))
     for n in range(2, nmax + 1):
-        p = ((c * polys[n - 1]).scale(2 * (n + lam - 1))
+        p = (polys[n - 1].shift(1).scale(2 * (n + lam - 1))
              - polys[n - 2].scale(n + 2 * lam - 2)).scale(Fraction(1, n))
         polys.append(p)
     for n, q in enumerate(polys):

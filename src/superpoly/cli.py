@@ -29,22 +29,32 @@ from .orth import favard, gram_check, identify_ultraspherical, orthogonality_rep
 from .series import first_order_residual, pde_residual
 
 
-def parse_span(text: str) -> list[int]:
-    """Inclusive integer range "a..b", or a single integer; never empty."""
+INDEX_CAP = 2500  # largest member index, c-degree or n a run may ask for
+
+
+def parse_span(text: str, cap: int | None = None) -> list[int]:
+    """Inclusive integer range "a..b", or a single integer; never empty.
+
+    With a cap, an endpoint of absolute value above it is rejected before
+    the range is built.
+    """
     lo, dots, hi = text.partition("..")
     try:
-        span = list(range(int(lo), int(hi if dots else lo) + 1))
+        lo, hi = int(lo), int(hi if dots else lo)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer or a range a..b, got {text!r}") from None
+    if cap is not None and max(abs(lo), abs(hi)) > cap:
+        raise argparse.ArgumentTypeError(f"{text} is above the cap {cap} on |n|")
+    span = list(range(lo, hi + 1))
     if not span:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return span
 
 
 def parse_points(text: str):
-    """--points: "paper", "all", or a span of n as parse_span reads it."""
-    return text if text in ("paper", "all") else parse_span(text)
+    """--points: "paper", "all", or a span of n within INDEX_CAP, as parse_span reads it."""
+    return text if text in ("paper", "all") else parse_span(text, INDEX_CAP)
 
 
 def parse_bounds(text: str) -> tuple[int, ...]:
@@ -191,7 +201,7 @@ FLAGS = {
                     {"type": int}),
     # caps bound the size of one run; each sits above the deep-index targets
     # (k ~ 2000, N ~ 80) and every value the tests and benchmark use
-    **dict.fromkeys(("--kmax", "--K", "--bound"), {"type": capped(2500)}),
+    **dict.fromkeys(("--kmax", "--K", "--bound"), {"type": capped(INDEX_CAP)}),
     "--N": {"type": capped(100)},
     "--members": {"type": capped(100)},
     "--type": {"type": int, "choices": (1, 2)},

@@ -12,11 +12,11 @@ generation is total.  Nonzero members live on the lattice k == j0 (mod r).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Tuple
 
 from .errors import ParameterError, SupportError
-from .poly import C, CPoly
+from .poly import CPoly
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,23 @@ class Family:
                 self.polys[j] = CPoly.one() if j == self.params.j0 else CPoly.zero()
 
     def extend(self, kmax: int) -> "Family":
+        """Generate P_k for k <= kmax on integers.
+
+        P_k = (alpha P_{k-r}.shift(1) - beta P_{k-2r}) / (2r+m+km), with
+        alpha = 2(r+(1+k-r)m) and beta = (k-2r+1)m, is formed over
+        lcm(den_{k-r}, den_{k-2r}) (2r+m+km) and normalised once.
+        """
         r, m = self.params.r, self.params.m
         for k in range(self.kmax + 1, kmax + 1):
-            den = 2 * r + m + k * m
-            p = (C * self.polys[k - r]).scale(2 * (r + (1 + k - r) * m)) \
-                - self.polys[k - 2 * r].scale((k - (2 * r - 1)) * m)
-            self.polys[k] = p.scale(Fraction(1, den))
+            p, q = self.polys[k - r], self.polys[k - 2 * r]
+            den = lcm(p.den, q.den)
+            alpha = 2 * (r + (1 + k - r) * m) * (den // p.den)
+            beta = (k - (2 * r - 1)) * m * (den // q.den)
+            num = [0] + [alpha * a for a in p.num]
+            num.extend([0] * (len(q.num) - len(num)))
+            for i, b in enumerate(q.num):
+                num[i] -= beta * b
+            self.polys[k] = CPoly(num, den * (2 * r + m + k * m))
         self.kmax = max(self.kmax, kmax)
         return self
 
@@ -70,7 +81,7 @@ class Family:
         """(2r+m+km) P_k - 2c(r+(1+k-r)m) P_{k-r} + (k-(2r-1)) m P_{k-2r}; zero iff exact."""
         r, m = self.params.r, self.params.m
         return (self.polys[k].scale(2 * r + m + k * m)
-                - (C * self.polys[k - r]).scale(2 * (r + (1 + k - r) * m))
+                - self.polys[k - r].shift(1).scale(2 * (r + (1 + k - r) * m))
                 + self.polys[k - 2 * r].scale((k - (2 * r - 1)) * m))
 
     def to_json(self) -> dict:

@@ -121,26 +121,25 @@ def fit_ode(fam: Family, order: int = 4,
     hold_members = members[len(members) - holdout:]
 
     index, ncols = _unknown_layout(bounds)
-    rows: List[List[Fraction]] = []
+    rows: List[List[int]] = []
     for k, p in fit_members:
-        nval = Fraction(k + delta)
+        # the member's block times its den: integer rows with the same kernel
+        nval = k + delta
+        npows = [nval ** l for l in range(N_DEGREE + 1)]
         derivs = [p]
         for _ in range(order):
             derivs.append(derivs[-1].derive(1))
         height = max((len(derivs[i]) + bounds[i]) for i in range(order + 1) if derivs[i]) \
             if any(derivs) else 0
-        block = [[Fraction(0)] * ncols for _ in range(height)]
+        block = [[0] * ncols for _ in range(height)]
         for i in range(order + 1):
-            d = derivs[i]
-            if d.is_zero():
-                continue
-            npows = [nval ** l for l in range(N_DEGREE + 1)]
+            scale = p.den // derivs[i].den
+            coeffs = [a * scale for a in derivs[i].num]
             for j in range(bounds[i] + 1):
-                for t, a in enumerate(d.coeffs):
-                    if a == 0:
-                        continue
-                    for l in range(N_DEGREE + 1):
-                        block[t + j][index[(i, j, l)]] += a * npows[l]
+                for t, a in enumerate(coeffs):
+                    if a:
+                        for l in range(N_DEGREE + 1):
+                            block[t + j][index[(i, j, l)]] += a * npows[l]
         rows.extend(row for row in block if any(row))
 
     if len(rows) < ncols:

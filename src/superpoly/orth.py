@@ -127,9 +127,8 @@ def favard(seq: ReindexedSequence, N: int, gram_N: Optional[int] = None) -> Fava
         if a[t] <= 0:
             findings.append({"kind": "positivity-violation", "t": t, "a": str(a[t])})
     certified = []
-    c = CPoly.monomial(1)
     for t in range(1, min(N, len(seq.q) - 2) + 1):
-        lhs = c * seq.q[t]
+        lhs = seq.q[t].shift(1)
         rhs = seq.q[t + 1].scale(A[t]) + seq.q[t - 1].scale(B[t])
         if (lhs - rhs).is_zero():
             certified.append(t)
@@ -137,7 +136,7 @@ def favard(seq: ReindexedSequence, N: int, gram_N: Optional[int] = None) -> Fava
             findings.append({"kind": "recurrence-violation", "t": t})
     monic = [CPoly.one(), CPoly.monomial(1)]
     for t in range(1, gram_N):
-        monic.append(c * monic[t] - monic[t - 1].scale(a[t]))
+        monic.append(monic[t].shift(1) - monic[t - 1].scale(a[t]))
     moments = _moments(a, 2 * gram_N)
     return FavardData(A=A, B=B, a=a, monic=monic, moments=moments,
                       relation_certified_t=certified, findings=findings)
@@ -206,14 +205,13 @@ def identify_ultraspherical(seq: ReindexedSequence, shifts=range(-3, 4)) -> dict
     """
     r, m = seq.source.params.r, seq.source.params.m
     nu = Fraction(r, 2) * (1 + Fraction(1, m))
-    c = CPoly.monomial(1)
     tmax = len(seq.q) - 2
     for c0 in (Fraction(1, 2), Fraction(1)):
         for shift in shifts:
             count = 0
             ok = True
             for t in range(1, tmax + 1):
-                lhs = (c * seq.q[t]).scale(2 * (t + shift + nu + c0))
+                lhs = seq.q[t].shift(1).scale(2 * (t + shift + nu + c0))
                 rhs = (seq.q[t - 1].scale(t + shift + c0)
                        + seq.q[t + 1].scale(t + shift + 2 * nu + c0))
                 if not (lhs - rhs).is_zero():

@@ -1,13 +1,24 @@
 """Dense univariate polynomials in c over exact rationals.
 
-Coefficients are `fractions.Fraction`, index = power of c, no trailing zeros
-stored.  Everything is immutable and exact; there is no floating-point path.
+A CPoly is an integer vector over one denominator: coefficient i (index =
+power of c) is num[i] / den.  The form is canonical, so equal
+polynomials have equal state:
+
+    num is a tuple of ints with no trailing zeros,
+    den is an int > 0 with gcd(den, *num) = 1,
+    zero is ((), 1).
+
+Every operation runs on the integers and normalises its result with one
+content gcd, which starts from den and stops once it reaches 1.  `coeffs`
+gives the coefficients as `Fraction`s, built on first read.  Everything is
+immutable and exact; there is no floating-point path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable
 
 NEG_INF = float("-inf")
 
@@ -15,13 +26,32 @@ NEG_INF = float("-inf")
 class CPoly:
     """Polynomial in c with exact rational coefficients, canonical form."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den", "_coeffs")
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(a) for a in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs: Iterable = (), den: int = 1):
+        """The polynomial sum_i coeffs[i] c^i / den, for rational coeffs and int den > 0."""
+        if den <= 0:
+            raise ValueError(f"den must be a positive integer, got {den}")
+        num = list(coeffs)
+        if not all(isinstance(a, int) for a in num):
+            fracs = [Fraction(a) for a in num]
+            clear = lcm(*(a.denominator for a in fracs))
+            num = [a.numerator * (clear // a.denominator) for a in fracs]
+            den *= clear
+        while num and not num[-1]:
+            num.pop()
+        g = gcd(den, *num)  # gcd returns at once when it reaches 1
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+        self.num, self.den, self._coeffs = tuple(num), den, None
+
+    @classmethod
+    def _canonical(cls, num: tuple, den: int) -> "CPoly":
+        """Wrap a (num, den) pair that is already canonical."""
+        p = object.__new__(cls)
+        p.num, p.den, p._coeffs = num, den, None
+        return p
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -40,90 +70,98 @@ class CPoly:
 
     # -- basic queries ------------------------------------------------
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a tuple of Fraction, index = power of c."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(a, self.den) for a in self.num)
+        return self._coeffs
+
+    @property
     def degree(self):
         """Degree, -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) - 1 if self.num else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.num)
 
     def __getitem__(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
+        if 0 <= power < len(self.num):
             return self.coeffs[power]
         return Fraction(0)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def parity(self):
         """0 if even, 1 if odd, None if mixed or zero."""
-        if not self.coeffs:
+        if not self.num:
             return None
-        powers = {i % 2 for i, a in enumerate(self.coeffs) if a != 0}
+        powers = {i % 2 for i, a in enumerate(self.num) if a}
         return powers.pop() if len(powers) == 1 else None
 
     # -- arithmetic ---------------------------------------------------
+    def _plus(self, other: "CPoly", sign: int) -> "CPoly":
+        """self + sign * other over lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = [fa * a for a in self.num]
+        out.extend([0] * (len(other.num) - len(out)))
+        for i, b in enumerate(other.num):
+            out[i] += fb * b
+        return CPoly(out, den)
+
     def __add__(self, other: "CPoly") -> "CPoly":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return CPoly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                     for i in range(n))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "CPoly") -> "CPoly":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return CPoly((a[i] if i < len(a) else Fraction(0))
-                     - (b[i] if i < len(b) else Fraction(0))
-                     for i in range(n))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "CPoly":
-        return CPoly(-a for a in self.coeffs)
+        return CPoly._canonical(tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, CPoly):
-            if not self.coeffs or not other.coeffs:
+            if not self.num or not other.num:
                 return CPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
+            out = [0] * (len(self.num) + len(other.num) - 1)
+            for i, a in enumerate(self.num):
                 if a:
-                    for j, b in enumerate(other.coeffs):
+                    for j, b in enumerate(other.num):
                         out[i + j] += a * b
-            return CPoly(out)
+            return CPoly(out, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, s) -> "CPoly":
-        s = Fraction(s)
-        if s == 0:
-            return CPoly()
-        return CPoly(a * s for a in self.coeffs)
+        """s * self for a rational s; an int s builds no Fraction."""
+        if not isinstance(s, int):
+            s = Fraction(s)
+        return CPoly([a * s.numerator for a in self.num], self.den * s.denominator)
 
     def shift(self, powers: int) -> "CPoly":
         """Multiply by c**powers."""
-        if not self.coeffs:
-            return CPoly()
-        return CPoly([Fraction(0)] * powers + list(self.coeffs))
+        if not self.num:
+            return self
+        return CPoly._canonical((0,) * powers + self.num, self.den)
 
     def derive(self, order: int = 1) -> "CPoly":
         """Exact order-th derivative."""
         if order < 0:
             raise ValueError("order must be >= 0")
-        cs: Sequence[Fraction] = self.coeffs
+        cs = self.num
         for _ in range(order):
             cs = [cs[i] * i for i in range(1, len(cs))]
-            if not cs:
-                break
-        return CPoly(cs)
+        return CPoly(cs, self.den)
 
     def band(self, diag, sub2, sub4=None) -> "CPoly":
         """Image under c^s -> diag(s) c^s + sub2(s) c^(s-2) + sub4(s) c^(s-4).
@@ -131,32 +169,44 @@ class CPoly:
         diag, sub2 and sub4 are functions of the power s with exact values;
         coefficient s of the result is diag(s) p[s] + sub2(s+2) p[s+2]
         + sub4(s+4) p[s+4].  Every operator in the package has this shape.
+        Integer symbol values keep the result over den; rational ones are
+        cleared by their common denominator first.
         """
-        cs = self.coeffs
-        out = [diag(s) * a if a else a for s, a in enumerate(cs)]
-        for f, lower in ((sub2, 2), (sub4, 4)):
-            if f is not None:
-                for s in range(lower, len(cs)):
-                    if cs[s]:
-                        out[s - lower] += f(s) * cs[s]
-        return CPoly(out)
+        cs = self.num
+        bands = [(lower, [f(s) if cs[s] else 0 for s in range(lower, len(cs))])
+                 for f, lower in ((diag, 0), (sub2, 2), (sub4, 4)) if f is not None]
+        den = self.den
+        if not all(isinstance(v, int) for _, values in bands for v in values):
+            clear = lcm(*(Fraction(v).denominator for _, values in bands for v in values))
+            bands = [(lower, [int(v * clear) for v in values]) for lower, values in bands]
+            den *= clear
+        out = [0] * len(cs)
+        for lower, values in bands:
+            for s, v in enumerate(values, lower):
+                if v:
+                    out[s - lower] += v * cs[s]
+        return CPoly(out, den)
 
     def __call__(self, x) -> Fraction:
+        if not self.num:
+            return Fraction(0)
         x = Fraction(x)
-        acc = Fraction(0)
-        for a in reversed(self.coeffs):
-            acc = acc * x + a
-        return acc
+        p, q = x.numerator, x.denominator
+        acc, qpow = 0, 1  # Horner on sum num[i] p^i q^(n-1-i)
+        for a in reversed(self.num):
+            acc = acc * p + a * qpow
+            qpow *= q
+        return Fraction(acc, self.den * (qpow // q))
 
     # -- equality / hashing / display ----------------------------------
     def __eq__(self, other) -> bool:
-        return isinstance(other, CPoly) and self.coeffs == other.coeffs
+        return isinstance(other, CPoly) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "CPoly(0)"
         terms = []
         for i, a in enumerate(self.coeffs):
@@ -173,7 +223,14 @@ class CPoly:
     # -- serialization --------------------------------------------------
     def to_strings(self) -> list[str]:
         """JSON form: "p/q" in lowest terms ("p" when q = 1), index = power of c."""
-        return [str(a) for a in self.coeffs]
+        den = self.den
+        if den == 1:
+            return [str(a) for a in self.num]
+        out = []
+        for a in self.num:
+            g = gcd(a, den)
+            out.append(str(a // g) if g == den else f"{a // g}/{den // g}")
+        return out
 
     @staticmethod
     def from_strings(strings: Iterable[str]) -> "CPoly":

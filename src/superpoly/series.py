@@ -59,12 +59,11 @@ def first_order_residual(fam: Family, K: int) -> ZSeries:
     if K < 2 * r:
         raise ParameterError("K must be at least 2r")
     series = ZSeries.from_family(fam, K)
-    c = CPoly.monomial(1)
     resid: Dict[int, CPoly] = {}
     for j in range(K + 1):
         g0, g1, g2 = series[j], series[j - r], series[j - 2 * r]
         res = (g0.scale(m * j + 2 * r + (1 - 2 * r) * m)
-               - (c * g1).scale(2 * m * (j - r) + 2 * r + 2 * (1 - 2 * r) * m)
+               - g1.shift(1).scale(2 * m * (j - r) + 2 * r + 2 * (1 - 2 * r) * m)
                + g2.scale(m * (j - 2 * r) + (1 - 2 * r) * m))
         # subtract z^{2r} N(z)
         jj = j - 2 * r
@@ -76,7 +75,7 @@ def first_order_residual(fam: Family, K: int) -> ZSeries:
         if -2 * r <= jj < -r:
             init = fam.polys[jj]
             if init:
-                res = res + (c * init).scale(2 * (jj * m + m + r))
+                res = res + init.shift(1).scale(2 * (jj * m + m + r))
         resid[j] = res
     return ZSeries(params=fam.params, truncation=K, coeffs=resid)
 

@@ -161,13 +161,19 @@ def test_bad_range_exits_2(capsys, flag, value):
     ["kernel", "--type", "2", "--r", "2", "--m", "4", "--n", "6", "--bound", "2501"],
     ["gram", "--type", "2", "--r", "2", "--m", "4", "--N", "101"],
     ["classify", "--r", "4", "--m", "3", "--members", "101"],
+    ["verify-ode", "--type", "2", "--r-range", "2..2", "--m-range", "3..3", "--points", "2501"],
+    ["scan", "--type", "1", "--r-range", "2..2", "--m-range", "3..3",
+     "--points", "0..1000000000"],
+    ["verify-ode", "--type", "2", "--r-range", "2..2", "--m-range", "3..3",
+     "--points=-2501..0"],
 ], ids=" ".join)
 def test_above_cap_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"{argv[-1]} is above the cap" in err and "Traceback" not in err
+    value = argv[-1].rpartition("=")[2]
+    assert f"{value} is above the cap" in err and "Traceback" not in err
 
 
 # inputs that would check nothing: an empty series window, no held-out

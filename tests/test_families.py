@@ -133,3 +133,42 @@ def test_json_dump_schema():
     entry = {e["k"]: e["coeffs"] for e in dump["polys"]}
     assert entry[4] == ["-1/7", "0", "32/35"]
     json.dumps(dump)  # must be serializable as-is
+
+
+def reference_members(r, m, j0, kmax):
+    """P_k for k <= kmax by the recursion over plain Fraction coefficient lists."""
+    polys = {j: [Fraction(1)] if j == j0 else [] for j in range(-2 * r, 0)}
+    for k in range(kmax + 1):
+        alpha, beta = 2 * (r + (1 + k - r) * m), (k - (2 * r - 1)) * m
+        shifted, lower = [Fraction(0)] + polys[k - r], polys[k - 2 * r]
+        out = [Fraction(0)] * max(len(shifted), len(lower))
+        for i, a in enumerate(shifted):
+            out[i] += alpha * a
+        for i, b in enumerate(lower):
+            out[i] -= beta * b
+        out = [x / (2 * r + m + k * m) for x in out]
+        while out and out[-1] == 0:
+            out.pop()
+        polys[k] = out
+    return polys
+
+
+@pytest.mark.parametrize("r,m,j0", [(2, 3, -4), (2, 5, -2), (3, 2, -5), (4, 7, -1),
+                                    (5, 4, -3)])
+def test_members_match_fraction_recursion_to_k_200(r, m, j0):
+    fam = family(r, m, j0, 200)
+    reference = reference_members(r, m, j0, 200)
+    for k in range(-2 * r, 201):
+        assert fam[k].coeffs == tuple(reference[k])
+        assert fam[k].to_strings() == [str(x) for x in reference[k]]
+
+
+def test_generation_and_strings_build_no_fraction(monkeypatch):
+    import superpoly.poly as poly
+
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+    monkeypatch.setattr(poly, "Fraction", refuse)
+    # 14 P_1 = 16 P_-5 and 26 P_4 = 22 c P_1 + 4 P_-2
+    coeffs = {e["k"]: e["coeffs"] for e in family(3, 4, -5, 60).to_json()["polys"]}
+    assert coeffs[1] == ["8/7"] and coeffs[4] == ["0", "88/91"]

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from superpoly import (FitError, align_index, build_operator, family,
-                       fit_ode, in_span, operator_vector)
+                       fit_ode, in_span, nullspace, operator_vector)
 
 
 def proportional(fitted, paper):
@@ -106,3 +108,49 @@ def test_in_span_rejects_foreign_operator():
     # the type-2 operator of a different cell is not in the type-1 fit's span
     target = operator_vector(build_operator, 2, 2, 4)
     assert not in_span(result.candidates, target)
+
+
+def fraction_rows(fam, delta, holdout=4, bounds=(0, 1, 2, 3, 4)):
+    """The fit rows assembled with Fraction arithmetic, as a reference."""
+    from superpoly.fitting import N_DEGREE, _unknown_layout
+    index, ncols = _unknown_layout(bounds)
+    members = fam.nonzero_members()
+    rows = []
+    for k, p in members[:len(members) - holdout]:
+        npows = [Fraction(k + delta) ** l for l in range(N_DEGREE + 1)]
+        derivs = [p.derive(i) for i in range(len(bounds))]
+        height = max(len(d) + b for d, b in zip(derivs, bounds) if d)
+        block = [[Fraction(0)] * ncols for _ in range(height)]
+        for i, d in enumerate(derivs):
+            for j in range(bounds[i] + 1):
+                for t, a in enumerate(d.coeffs):
+                    for l in range(N_DEGREE + 1):
+                        block[t + j][index[(i, j, l)]] += a * npows[l]
+        rows.extend(row for row in block if any(row))
+    return rows, ncols
+
+
+@pytest.mark.parametrize("family_type,r,m,j0,kmax", [(1, 2, 2, -4, 80), (2, 2, 3, -2, 60)])
+def test_integer_rows_give_the_fraction_kernel(monkeypatch, family_type, r, m, j0, kmax):
+    # the fits of `fit-ode --type 1 --r 2 --m 2 --kmax 80` and
+    # `fit-ode --type 2 --r 2 --m 3 --kmax 60`
+    import superpoly.fitting as fitting
+    fam = family(r, m, j0, kmax)
+    delta = align_index(fam, family_type)
+    seen = []
+
+    def recording_nullspace(rows, ncols):
+        seen.append(rows)
+        return nullspace(rows, ncols)
+    monkeypatch.setattr(fitting, "nullspace", recording_nullspace)
+    result = fit_ode(fam, delta=delta)
+    reference, ncols = fraction_rows(fam, delta)
+    assert all(type(x) is int for row in seen[0] for x in row)
+    assert len(seen[0]) == len(reference)
+    for row, ref in zip(seen[0], reference):  # each row a positive multiple of its reference
+        ratio = next(x / y for x, y in zip(row, ref) if y)
+        assert ratio > 0 and [x * ratio for x in ref] == row
+    kernel = nullspace(reference, ncols)
+    assert result.kernel_dim == len(kernel)
+    assert [[w for row in c.table for jpoly in row for w in jpoly]
+            for c in result.candidates] == kernel

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -92,3 +93,142 @@ def test_monomial_and_shift():
     assert C.shift(2) == CPoly.monomial(3)
     with pytest.raises(ValueError):
         CPoly.monomial(-1)
+
+
+# -- the integer representation against a plain-Fraction reference ---------
+# Each reference below works on tuples of Fraction, low power first, with no
+# trailing zeros; it is the arithmetic CPoly replaced, kept here to check it.
+
+def ref_trim(cs):
+    cs = [Fraction(a) for a in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    return ref_trim((a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0)
+                    for i in range(n))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_derive(a, order):
+    for _ in range(order):
+        a = [a[i] * i for i in range(1, len(a))]
+    return ref_trim(a)
+
+
+def ref_band(a, diag, sub2, sub4=None):
+    out = [diag(s) * x for s, x in enumerate(a)]
+    for f, lower in ((sub2, 2), (sub4, 4)):
+        if f is not None:
+            for s in range(lower, len(a)):
+                out[s - lower] += f(s) * a[s]
+    return ref_trim(out)
+
+
+def ref_call(a, x):
+    return sum((c * Fraction(x) ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def random_rational_coeffs(rng, length=None, big=False):
+    length = rng.randint(0, 7) if length is None else length
+    top = 10 ** 30 if big else 12
+
+    def entry():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randint(-top, top), rng.randint(1, top))
+    return [entry() for _ in range(length)]
+
+
+def assert_canonical(p, reference):
+    """p is in canonical form and holds exactly the reference coefficients."""
+    assert isinstance(p.num, tuple) and all(type(a) is int for a in p.num)
+    assert type(p.den) is int and p.den > 0
+    assert not p.num or p.num[-1] != 0
+    assert gcd(p.den, *p.num) == 1
+    if not p.num:
+        assert p.den == 1
+    assert p.coeffs == reference
+    assert all(Fraction(a, p.den) == c for a, c in zip(p.num, reference))
+    assert p.to_strings() == [str(c) for c in reference]
+    built = CPoly(reference)
+    assert built == p and hash(built) == hash(p)
+    assert CPoly.from_strings(p.to_strings()) == p
+
+
+def test_integer_representation_matches_fraction_reference():
+    rng = random.Random(20261018)
+    for trial in range(300):
+        big = trial % 3 == 0
+        ca, cb = random_rational_coeffs(rng, big=big), random_rational_coeffs(rng, big=big)
+        a, b = CPoly(ca), CPoly(cb)
+        ra, rb = ref_trim(ca), ref_trim(cb)
+        assert_canonical(a, ra)
+        assert_canonical(b, rb)
+        assert_canonical(a + b, ref_add(ra, rb))
+        assert_canonical(a - b, ref_add(ra, rb, -1))
+        assert_canonical(a - a, ())
+        assert_canonical(-a, ref_trim(-x for x in ra))
+        assert_canonical(a * b, ref_mul(ra, rb))
+        s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        assert_canonical(a.scale(s), ref_trim(x * s for x in ra))
+        assert_canonical(a.scale(int(s.numerator)), ref_trim(x * s.numerator for x in ra))
+        assert_canonical(s * a, ref_trim(x * s for x in ra))
+        k = rng.randint(0, 3)
+        assert_canonical(a.shift(k), ref_trim([0] * k + list(ra)) if ra else ())
+        order = rng.randint(0, 5)
+        assert_canonical(a.derive(order), ref_derive(ra, order))
+        x = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        assert a(x) == ref_call(ra, x)
+        n = rng.randint(-5, 5)
+        assert a(n) == ref_call(ra, n)
+
+
+def test_band_with_int_and_fraction_symbols():
+    rng = random.Random(4)
+    lam = Fraction(7, 3)
+    symbol_sets = [
+        # integer symbols, as every operator band in ode and series has
+        (lambda s: 3 * s * s - 5, lambda s: s * (s - 1), lambda s: -2 * s),
+        (lambda s: s + 1, lambda s: 4, None),
+        # rational symbols, as the Gegenbauer band in classify has
+        (lambda s: lam * s - 1, lambda s: s * (s - 1), None),
+        (lambda s: Fraction(1, s + 2), lambda s: Fraction(s, 5), lambda s: lam),
+    ]
+    for _ in range(60):
+        coeffs = random_rational_coeffs(rng, length=rng.randint(0, 9))
+        p, ref = CPoly(coeffs), ref_trim(coeffs)
+        for diag, sub2, sub4 in symbol_sets:
+            assert_canonical(p.band(diag, sub2, sub4), ref_band(ref, diag, sub2, sub4))
+
+
+def test_integer_input_builds_no_fraction(monkeypatch):
+    import superpoly.poly as poly
+
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+    monkeypatch.setattr(poly, "Fraction", refuse)
+    p = CPoly((6, 0, -4, 0, 2))
+    assert (p.num, p.den) == ((6, 0, -4, 0, 2), 1)
+    q = CPoly([4, 6], 8)
+    assert (q.num, q.den) == ((2, 3), 4)
+    assert q.shift(1) + p.scale(5) - q.derive(1) == CPoly([117, 2, -77, 0, 40], 4)
+    assert (p * q).to_strings() == ["3", "9/2", "-2", "-3", "1", "3/2"]
+    assert p.band(lambda s: s, lambda s: 1) == CPoly((-4, 0, -6, 0, 8))
+
+
+def test_constructor_rejects_nonpositive_den():
+    with pytest.raises(ValueError):
+        CPoly((1,), 0)
+    with pytest.raises(ValueError):
+        CPoly((1,), -3)
