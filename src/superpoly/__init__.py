@@ -8,7 +8,7 @@ Gegenbauer reductions, Favard orthogonality) with no approximation anywhere.
 
 from .errors import (AlignmentError, FitError, ParameterError, SuperpolyError,
                      SupportError, TruncationError)
-from .poly import C, CPoly
+from .poly import CPoly
 from .linalg import matvec, nullspace, rank, solve_exact
 from .families import (Family, FamilyParams, SupportProfile, canonical_j0,
                        family, generate, support_profile)

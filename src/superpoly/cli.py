@@ -32,11 +32,11 @@ from .series import first_order_residual, pde_residual
 INDEX_CAP = 2500  # largest member index, c-degree or n a run may ask for
 
 
-def parse_span(text: str, cap: int | None = None) -> list[int]:
+def parse_span(text: str) -> list[int]:
     """Inclusive integer range "a..b", or a single integer; never empty.
 
-    With a cap, an endpoint of absolute value above it is rejected before
-    the range is built.
+    An endpoint above INDEX_CAP in absolute value is rejected before the
+    range is built.
     """
     lo, dots, hi = text.partition("..")
     try:
@@ -44,8 +44,9 @@ def parse_span(text: str, cap: int | None = None) -> list[int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer or a range a..b, got {text!r}") from None
-    if cap is not None and max(abs(lo), abs(hi)) > cap:
-        raise argparse.ArgumentTypeError(f"{text} is above the cap {cap} on |n|")
+    if max(abs(lo), abs(hi)) > INDEX_CAP:
+        raise argparse.ArgumentTypeError(
+            f"{text} is above the cap {INDEX_CAP} in absolute value")
     span = list(range(lo, hi + 1))
     if not span:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
@@ -53,8 +54,8 @@ def parse_span(text: str, cap: int | None = None) -> list[int]:
 
 
 def parse_points(text: str):
-    """--points: "paper", "all", or a span of n within INDEX_CAP, as parse_span reads it."""
-    return text if text in ("paper", "all") else parse_span(text, INDEX_CAP)
+    """--points: "paper", "all", or a span of n, as parse_span reads it."""
+    return text if text in ("paper", "all") else parse_span(text)
 
 
 def parse_bounds(text: str) -> tuple[int, ...]:
@@ -285,13 +286,24 @@ COMMANDS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The superpoly parser; with `only`, just that subcommand is added.
+
+    A process parses one command, and adding the flags of all sixteen
+    subcommands costs several milliseconds, so `run` adds only the one named
+    first on its command line.  The usage line still lists
+    every command, so each message matches the full parser's.
+    """
     ap = argparse.ArgumentParser(
         prog="superpoly",
         description="exact verification of superelliptic orthogonal polynomial claims")
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    names = [row[0] for row in COMMANDS]
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar=None if only is None else "{" + ",".join(names) + "}")
     for name, help_text, flags, runner in COMMANDS:
+        if only is not None and name != only:
+            continue
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=runner)
         p.add_argument("--out", metavar="FILE", help="write the JSON report to FILE")
@@ -303,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> tuple[dict, int]:
-    ap = build_parser()
+    ap = build_parser(argv[0] if argv and any(argv[0] == row[0] for row in COMMANDS)
+                      else None)
     ns = ap.parse_args(argv)
     started = time.monotonic()
     try:

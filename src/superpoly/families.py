@@ -12,7 +12,6 @@ generation is total.  Nonzero members live on the lattice k == j0 (mod r).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 from typing import Dict, List, Tuple
 
 from .errors import ParameterError, SupportError
@@ -53,20 +52,13 @@ class Family:
         """Generate P_k for k <= kmax on integers.
 
         P_k = (alpha P_{k-r}.shift(1) - beta P_{k-2r}) / (2r+m+km), with
-        alpha = 2(r+(1+k-r)m) and beta = (k-2r+1)m, is formed over
-        lcm(den_{k-r}, den_{k-2r}) (2r+m+km) and normalised once.
+        alpha = 2(r+(1+k-r)m) and beta = (k-2r+1)m, as one CPoly.combine.
         """
         r, m = self.params.r, self.params.m
         for k in range(self.kmax + 1, kmax + 1):
-            p, q = self.polys[k - r], self.polys[k - 2 * r]
-            den = lcm(p.den, q.den)
-            alpha = 2 * (r + (1 + k - r) * m) * (den // p.den)
-            beta = (k - (2 * r - 1)) * m * (den // q.den)
-            num = [0] + [alpha * a for a in p.num]
-            num.extend([0] * (len(q.num) - len(num)))
-            for i, b in enumerate(q.num):
-                num[i] -= beta * b
-            self.polys[k] = CPoly(num, den * (2 * r + m + k * m))
+            self.polys[k] = self.polys[k - r].shift(1).combine(
+                self.polys[k - 2 * r], 2 * (r + (1 + k - r) * m), -(k - (2 * r - 1)) * m,
+                2 * r + m + k * m)
         self.kmax = max(self.kmax, kmax)
         return self
 

@@ -108,21 +108,24 @@ class CPoly:
         return powers.pop() if len(powers) == 1 else None
 
     # -- arithmetic ---------------------------------------------------
-    def _plus(self, other: "CPoly", sign: int) -> "CPoly":
-        """self + sign * other over lcm of the two denominators."""
+    def combine(self, other: "CPoly", a: int, b: int, div: int = 1) -> "CPoly":
+        """(a * self + b * other) / div for ints a, b and div > 0.
+
+        Formed over lcm of the two denominators times div, normalised once.
+        """
         den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        out = [fa * a for a in self.num]
+        fa, fb = a * (den // self.den), b * (den // other.den)
+        out = [fa * x for x in self.num]
         out.extend([0] * (len(other.num) - len(out)))
-        for i, b in enumerate(other.num):
-            out[i] += fb * b
-        return CPoly(out, den)
+        for i, y in enumerate(other.num):
+            out[i] += fb * y
+        return CPoly(out, den * div)
 
     def __add__(self, other: "CPoly") -> "CPoly":
-        return self._plus(other, 1)
+        return self.combine(other, 1, 1)
 
     def __sub__(self, other: "CPoly") -> "CPoly":
-        return self._plus(other, -1)
+        return self.combine(other, 1, -1)
 
     def __neg__(self) -> "CPoly":
         return CPoly._canonical(tuple(-a for a in self.num), self.den)
@@ -235,7 +238,3 @@ class CPoly:
     @staticmethod
     def from_strings(strings: Iterable[str]) -> "CPoly":
         return CPoly(Fraction(s) for s in strings)
-
-
-#: the polynomial c itself
-C = CPoly.monomial(1)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from superpoly.cli import COMMANDS, main, parse_span
+from superpoly.cli import COMMANDS, build_parser, main, parse_span
 
 
 def capture(capsys, argv):
@@ -166,6 +166,8 @@ def test_bad_range_exits_2(capsys, flag, value):
      "--points", "0..1000000000"],
     ["verify-ode", "--type", "2", "--r-range", "2..2", "--m-range", "3..3",
      "--points=-2501..0"],
+    ["verify-ode", "--type", "2", "--m-range", "3..3", "--r-range", "2..1000000000"],
+    ["scan", "--type", "1", "--r-range", "2..2", "--m-range", "2501"],
 ], ids=" ".join)
 def test_above_cap_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -174,6 +176,27 @@ def test_above_cap_exits_2(capsys, argv):
     err = capsys.readouterr().err
     value = argv[-1].rpartition("=")[2]
     assert f"{value} is above the cap" in err and "Traceback" not in err
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        ns = vars(parser.parse_args(argv))
+        code = None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    return ns, code, capsys.readouterr()
+
+
+# run builds only the subcommand it is given; every outcome must match the full parser
+@pytest.mark.parametrize("name", [row[0] for row in COMMANDS])
+@pytest.mark.parametrize("extra", [[], ["-h"], ["--r", "x"], ["--type", "2", "--r", "2",
+                                                              "--m", "3", "--n", "9",
+                                                              "--j0", "-4"]],
+                         ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(capsys, name, extra):
+    argv = [name] + extra
+    assert (_parse_outcome(build_parser(name), argv, capsys)
+            == _parse_outcome(build_parser(), argv, capsys))
 
 
 # inputs that would check nothing: an empty series window, no held-out

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from superpoly import CPoly, C
+from superpoly import CPoly
 
 
 def test_difference_of_squares():
@@ -90,7 +90,7 @@ def test_rational_string_forms():
 
 def test_monomial_and_shift():
     assert CPoly.monomial(3) == CPoly((0, 0, 0, 1))
-    assert C.shift(2) == CPoly.monomial(3)
+    assert CPoly.monomial(1).shift(2) == CPoly.monomial(3)
     with pytest.raises(ValueError):
         CPoly.monomial(-1)
 
