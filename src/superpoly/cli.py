@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product, repeat
 
 from . import __version__
@@ -68,14 +67,15 @@ def parse_bounds(text: str) -> tuple[int, ...]:
 
 
 def capped(cap: int):
-    """An argparse type: an integer no larger than cap."""
+    """An argparse type: an integer no larger than cap in absolute value."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value > cap:
-            raise argparse.ArgumentTypeError(f"{value} is above the cap {cap}")
+        if abs(value) > cap:
+            raise argparse.ArgumentTypeError(
+                f"{value} is above the cap {cap} in absolute value")
         return value
     return parse
 
@@ -120,6 +120,8 @@ def _verify_ode(ns) -> tuple[dict, bool]:
     tasks = (repeat(ns.type), rs, ms, repeat(ns.points))
     jobs = min(ns.jobs, os.cpu_count() or 1, len(rs))
     if jobs > 1:
+        # imported here, as it loads multiprocessing: one worker needs no pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(scan_cell, *tasks))  # map keeps task order
     else:
@@ -185,24 +187,22 @@ def _fit_ode(ns) -> tuple[dict, bool]:
             delta = align_index(fam, ns.type)
         except SuperpolyError:
             delta = 0
-    result = fit_ode(fam, order=len(ns.bounds) - 1, coeff_degree_bounds=ns.bounds,
-                     delta=delta, holdout=ns.holdout)
+    result = fit_ode(fam, coeff_degree_bounds=ns.bounds, delta=delta, holdout=ns.holdout)
     report = result.to_json()
     seed_type = {canonical_j0(t, ns.r): t for t in (1, 2)}.get(fam.params.j0)
     if seed_type is not None and ns.bounds == (0, 1, 2, 3, 4):
-        target = operator_vector(build_operator, seed_type, ns.r, ns.m, ns.bounds)
+        target = operator_vector(seed_type, ns.r, ns.m, ns.bounds)
         report["closed_operator_in_span"] = in_span(result.candidates, target)
     return report, bool(result.candidates)
 
 
 # every flag's argparse type, domain, dest and help, declared once
 FLAGS = {
-    **dict.fromkeys(("--r", "--m", "--j0", "--n", "--nmax", "--n-positive",
-                     "--closed-form-n", "--holdout"),
-                    {"type": int}),
+    **dict.fromkeys(("--j0", "--holdout"), {"type": int}),
     # caps bound the size of one run; each sits above the deep-index targets
     # (k ~ 2000, N ~ 80) and every value the tests and benchmark use
-    **dict.fromkeys(("--kmax", "--K", "--bound"), {"type": capped(INDEX_CAP)}),
+    **dict.fromkeys(("--r", "--m", "--n", "--nmax", "--n-positive", "--closed-form-n",
+                     "--kmax", "--K", "--bound"), {"type": capped(INDEX_CAP)}),
     "--N": {"type": capped(100)},
     "--members": {"type": capped(100)},
     "--type": {"type": int, "choices": (1, 2)},
@@ -318,6 +318,10 @@ def run(argv) -> tuple[dict, int]:
     ap = build_parser(argv[0] if argv and any(argv[0] == row[0] for row in COMMANDS)
                       else None)
     ns = ap.parse_args(argv)
+    # argv is parsed under the interpreter's digit limit (Python >= 3.10.7);
+    # a report may hold longer integers, and the caps already bound its size
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     started = time.monotonic()
     try:
         report, ok = ns.fn(ns)

@@ -21,7 +21,8 @@ from typing import List, Sequence, Tuple
 
 from .errors import FitError
 from .families import Family
-from .linalg import nullspace
+from .linalg import nullspace, solve_exact
+from .ode import build_operator
 from .poly import CPoly
 
 N_DEGREE = 4  # degree cap of the unknown scalars as polynomials in n
@@ -97,21 +98,22 @@ def _unknown_layout(bounds: Sequence[int]):
     return index, pos
 
 
-def fit_ode(fam: Family, order: int = 4,
-            coeff_degree_bounds: Sequence[int] = (0, 1, 2, 3, 4),
+def fit_ode(fam: Family, coeff_degree_bounds: Sequence[int] = (0, 1, 2, 3, 4),
             delta: int = 0, holdout: int = 4) -> FitResult:
     """Fit annihilating operators to the generated members of a family.
 
     coeff_degree_bounds[i] is the c-degree bound of the coefficient of the
-    i-th derivative (the shape of the closed fourth-order equations is
-    (0, 1, 2, 3, 4)).  The last `holdout` nonzero members are excluded from
-    the fit and used to re-verify every kernel basis vector; at least one is.
+    i-th derivative, so the fitted order is len(coeff_degree_bounds) - 1 (the
+    shape of the closed fourth-order equations is (0, 1, 2, 3, 4)).  The last
+    `holdout` nonzero members are excluded from the fit and used to re-verify
+    every kernel basis vector; at least one is.
     """
     if holdout < 1:
         raise FitError(f"need holdout >= 1 to re-verify the candidates, got {holdout}")
     bounds = tuple(coeff_degree_bounds)
-    if len(bounds) != order + 1:
-        raise FitError("need one degree bound per derivative order 0..order")
+    if not bounds:
+        raise FitError("need a degree bound for at least derivative order 0")
+    order = len(bounds) - 1
     members = fam.nonzero_members()
     if len(members) < holdout + 6:
         raise FitError(
@@ -165,7 +167,7 @@ def fit_ode(fam: Family, order: int = 4,
     )
 
 
-def operator_vector(op_builder, family_type, r: int, m: int,
+def operator_vector(family_type, r: int, m: int,
                     bounds: Sequence[int] = (0, 1, 2, 3, 4)) -> List[Fraction]:
     """The closed operator as a vector in the fit's unknown coordinates.
 
@@ -173,13 +175,10 @@ def operator_vector(op_builder, family_type, r: int, m: int,
     is exact; used to certify span membership of a fitted kernel.
     """
     # interpolate each (i, j) entry from N_DEGREE+1 sample values of n
-    from .linalg import solve_exact
-
     index, ncols = _unknown_layout(bounds)
     samples = list(range(N_DEGREE + 1))
-    ops = [op_builder(family_type, r, m, n) for n in samples]
     vec = [Fraction(0)] * ncols
-    coeff_lists = [[op.coeff0, op.coeff1, op.coeff2, op.coeff3, op.coeff4] for op in ops]
+    coeff_lists = [build_operator(family_type, r, m, n).coefficients for n in samples]
     vrows = [[Fraction(n) ** l for l in range(N_DEGREE + 1)] for n in samples]
     for i in range(len(bounds)):
         for j in range(bounds[i] + 1):

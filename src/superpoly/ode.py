@@ -66,21 +66,22 @@ def scalar_coefficients(family_type: FamilyType, r: int, m: int, n: int) -> Tupl
 
 @dataclass(frozen=True)
 class OdeOperator:
+    """L_n, fixed by its four integer scalars (W, X, Y, Z) in (r, m, n)."""
+
     family_type: FamilyType
     r: int
     m: int
     n: int
-    coeff4: CPoly
-    coeff3: CPoly
-    coeff2: CPoly
-    coeff1: CPoly
-    coeff0: CPoly
+    scalars: Tuple[int, int, int, int]  # (W, X, Y, Z) of scalar_coefficients
 
     @property
-    def scalars(self) -> Tuple[int, int, int, int]:
-        """(W, X, Y, Z)."""
-        return (int(self.coeff0[0]), int(self.coeff2[2]),
-                int(self.coeff2[0]), int(self.coeff1[1]))
+    def coefficients(self) -> Tuple[CPoly, ...]:
+        """(coeff0, ..., coeff4): the c-polynomial multiplying d^i/dc^i."""
+        W, X, Y, Z = self.scalars
+        M = self.m * self.m * self.r ** 4
+        return (CPoly((W,)), CPoly((0, Z)), CPoly((Y, 0, X)),
+                CPoly((0, -10 * M, 0, 10 * M)),  # 10 M c (c^2 - 1)
+                CPoly((M, 0, -2 * M, 0, M)))  # M (c^2 - 1)^2
 
     def band_symbols(self) -> Tuple[Callable[[int], int], ...]:
         """(I, J, K) with L_n(c^s) = I(s) c^s + J(s) c^(s-2) + K(s) c^(s-4).
@@ -105,21 +106,12 @@ class OdeOperator:
         return diag, sub2, sub4
 
     def apply(self, p: CPoly) -> CPoly:
-        """Exact residual coeff4*p'''' + coeff3*p''' + coeff2*p'' + coeff1*p' + coeff0*p."""
+        """Exact residual: the sum over i of coefficients[i] times the i-th derivative of p."""
         return p.band(*self.band_symbols())
 
 
 def build_operator(family_type: FamilyType, r: int, m: int, n: int) -> OdeOperator:
-    W, X, Y, Z = scalar_coefficients(family_type, r, m, n)
-    M = m * m * r ** 4
-    return OdeOperator(
-        family_type=family_type, r=r, m=m, n=n,
-        coeff4=CPoly((M, 0, -2 * M, 0, M)),  # M (c^2 - 1)^2
-        coeff3=CPoly((0, -10 * M, 0, 10 * M)),  # 10 M c (c^2 - 1)
-        coeff2=CPoly((Y, 0, X)),
-        coeff1=CPoly((0, Z)),
-        coeff0=CPoly((W,)),
-    )
+    return OdeOperator(family_type, r, m, n, scalar_coefficients(family_type, r, m, n))
 
 
 def align_index(fam: Family, family_type: FamilyType) -> int:

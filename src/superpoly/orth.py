@@ -26,30 +26,25 @@ from .poly import CPoly
 class ReindexedSequence:
     source: Family
     stride: int
-    offset: int
     k_of_t: List[int]          # support index of q_t
     q: List[CPoly]
 
-    def recurrence_ABC(self, t: int) -> Tuple[Fraction, Fraction, Fraction]:
-        """(A_t, B_t, divisor 2B(k)) of c q_t = A_t q_{t+1} + B_t q_{t-1}."""
+    def recurrence_AB(self, t: int) -> Tuple[Fraction, Fraction]:
+        """(A_t, B_t) of c q_t = A_t q_{t+1} + B_t q_{t-1}."""
         r, m = self.source.params.r, self.source.params.m
         k = self.k_of_t[0] + (t + 1) * self.stride
         den = 2 * (r + (1 + k - r) * m)
         if den == 0:
             raise SupportError(f"recurrence coefficient 2B({k}) vanishes")
-        return (Fraction(2 * r + m + k * m, den),
-                Fraction((k - 2 * r + 1) * m, den),
-                Fraction(den))
+        return Fraction(2 * r + m + k * m, den), Fraction((k - 2 * r + 1) * m, den)
 
 
 def reindex(fam: Family) -> ReindexedSequence:
     """Enumerate the nonzero support members q_t in increasing k."""
-    prof = support_profile(fam)
     members = fam.nonzero_members()
     return ReindexedSequence(
         source=fam,
-        stride=prof.stride,
-        offset=prof.offset,
+        stride=support_profile(fam).stride,
         k_of_t=[k for k, _ in members],
         q=[p for _, p in members],
     )
@@ -119,8 +114,7 @@ def favard(seq: ReindexedSequence, N: int, gram_N: Optional[int] = None) -> Fava
     if gram_N is None:
         gram_N = N
     gram_N = min(gram_N, N)
-    A = [seq.recurrence_ABC(t)[0] for t in range(N + 1)]
-    B = [seq.recurrence_ABC(t)[1] for t in range(N + 1)]
+    A, B = (list(x) for x in zip(*(seq.recurrence_AB(t) for t in range(N + 1))))
     a = [Fraction(0)] + [B[t] * A[t - 1] for t in range(1, N + 1)]
     findings = []
     for t in range(1, N + 1):
@@ -192,11 +186,11 @@ def closed_form_AB(nu: Fraction, c0: Fraction, n: Fraction) -> Tuple[Fraction, F
     return Fraction(n + 2 * nu + c0, 1) / den, Fraction(n + c0, 1) / den
 
 
-def identify_ultraspherical(seq: ReindexedSequence, shifts=range(-3, 4)) -> dict:
+def identify_ultraspherical(seq: ReindexedSequence) -> dict:
     """Match the shifted ultraspherical recurrence against the stored sequence.
 
     nu is pinned to (r/2)(1 + 1/m); c0 is searched in {1/2, 1} and the integer
-    index shift in `shifts`.  A match certifies, for every available t >= 1,
+    index shift in -3..3.  A match certifies, for every available t >= 1,
 
         2c (t + shift + nu + c0) q_t
             = (t + shift + c0) q_{t-1} + (t + shift + 2 nu + c0) q_{t+1}
@@ -207,7 +201,7 @@ def identify_ultraspherical(seq: ReindexedSequence, shifts=range(-3, 4)) -> dict
     nu = Fraction(r, 2) * (1 + Fraction(1, m))
     tmax = len(seq.q) - 2
     for c0 in (Fraction(1, 2), Fraction(1)):
-        for shift in shifts:
+        for shift in range(-3, 4):
             count = 0
             ok = True
             for t in range(1, tmax + 1):

@@ -172,23 +172,17 @@ class CPoly:
         diag, sub2 and sub4 are functions of the power s with exact values;
         coefficient s of the result is diag(s) p[s] + sub2(s+2) p[s+2]
         + sub4(s+4) p[s+4].  Every operator in the package has this shape.
-        Integer symbol values keep the result over den; rational ones are
-        cleared by their common denominator first.
+        Integer symbol values keep the result over den; the constructor
+        clears rational ones.
         """
         cs = self.num
-        bands = [(lower, [f(s) if cs[s] else 0 for s in range(lower, len(cs))])
-                 for f, lower in ((diag, 0), (sub2, 2), (sub4, 4)) if f is not None]
-        den = self.den
-        if not all(isinstance(v, int) for _, values in bands for v in values):
-            clear = lcm(*(Fraction(v).denominator for _, values in bands for v in values))
-            bands = [(lower, [int(v * clear) for v in values]) for lower, values in bands]
-            den *= clear
         out = [0] * len(cs)
-        for lower, values in bands:
-            for s, v in enumerate(values, lower):
-                if v:
-                    out[s - lower] += v * cs[s]
-        return CPoly(out, den)
+        for f, lower in ((diag, 0), (sub2, 2), (sub4, 4)):
+            if f is not None:
+                for s in range(lower, len(cs)):
+                    if cs[s]:
+                        out[s - lower] += f(s) * cs[s]
+        return CPoly(out, self.den)
 
     def __call__(self, x) -> Fraction:
         if not self.num:

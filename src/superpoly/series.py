@@ -9,7 +9,7 @@ exact CPoly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Optional
+from typing import Dict, Literal, Optional
 
 from .errors import ParameterError, TruncationError
 from .families import Family, FamilyParams, canonical_j0, generate
@@ -36,9 +36,6 @@ class ZSeries:
         if 0 <= k <= self.truncation:
             return self.coeffs[k]
         return CPoly.zero()
-
-    def nonzero_exponents(self) -> List[int]:
-        return [k for k in range(self.truncation + 1) if self.coeffs[k]]
 
 
 def first_order_residual(fam: Family, K: int) -> ZSeries:
@@ -171,18 +168,17 @@ def certify_exponent_mapping(family_type: FamilyType, fam: Family, K: int,
 
 
 def pde_residual(family_type: FamilyType, r: int, m: int, K: int,
-                 corrected: bool = False, offset: Optional[int] = None) -> dict:
+                 corrected: bool = False) -> dict:
     """Per-exponent residuals of the fourth-order PDE on the canonical family.
 
     Returns a report with the certified exponent mapping (searched on a small
-    prefix when not given), one residual per exponent, and the overall verdict.
+    prefix), one residual per exponent, and the overall verdict.
     A failing mapping is reported as a finding, never patched.
     """
     if K < 2 * r:
         raise ParameterError("K must be at least 2r")
     fam = generate(FamilyParams(r, m, canonical_j0(family_type, r)), max(K - 2 * r, 12 * r))
-    if offset is None:
-        offset = certify_exponent_mapping(family_type, fam, min(K, 6 * r), corrected)
+    offset = certify_exponent_mapping(family_type, fam, min(K, 6 * r), corrected)
     residuals = []
     all_zero = offset is not None
     if offset is not None:

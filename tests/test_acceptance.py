@@ -392,7 +392,8 @@ def test_criterion_8_fit_recovery():
         for n in (8, 14, 20):
             op = build_operator(1, 2, 2, n)
             fitted = cand.materialize(n)
-            paper = [op.coeff0, op.coeff1, op.coeff2, op.coeff3, op.coeff4]
+            paper = [op.coefficients[0], op.coefficients[1], op.coefficients[2],
+                     op.coefficients[3], op.coefficients[4]]
             ratios = set()
             for f, p in zip(fitted, paper):
                 ok = ok and f.is_zero() == p.is_zero()
@@ -404,7 +405,7 @@ def test_criterion_8_fit_recovery():
     fam2 = family(2, 4, -2, 44)
     res2 = fit_ode(fam2, delta=align_index(fam2, 2), holdout=4)
     ok = ok and len(res2.candidates) >= 1
-    ok = ok and in_span(res2.candidates, operator_vector(build_operator, 2, 2, 4))
+    ok = ok and in_span(res2.candidates, operator_vector(2, 2, 4))
     assert report("8 blind ODE recovery", ok,
                   f"type-1 kernel dim {res1.kernel_dim} (proportional); "
                   f"type-2 closed operator in fitted span (dim {res2.kernel_dim})")

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,7 +133,7 @@ def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr("superpoly.cli.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("superpoly.cli.os.cpu_count", lambda: 3)
     argv = ["verify-ode", "--type", "2", "--r-range", "2..3", "--m-range", "2..3"]
     _, serial = capture(capsys, argv)
@@ -168,6 +172,13 @@ def test_bad_range_exits_2(capsys, flag, value):
      "--points=-2501..0"],
     ["verify-ode", "--type", "2", "--m-range", "3..3", "--r-range", "2..1000000000"],
     ["scan", "--type", "1", "--r-range", "2..2", "--m-range", "2501"],
+    ["kernel", "--type", "1", "--r", "2", "--m", "2", "--n", "8000"],
+    ["kernel", "--type", "1", "--r", "2", "--m", "2", "--n=-8000"],
+    ["gen", "--m", "2", "--j0", "-1", "--kmax", "0", "--r", "3000000"],
+    ["indicial", "--type", "1", "--r", "2", "--n", "8", "--m", "2501"],
+    ["gegenbauer", "--m", "3", "--nmax", "2501"],
+    ["orth", "--type", "2", "--r", "2", "--m", "4", "--n-positive", "200000"],
+    ["orth", "--type", "2", "--r", "2", "--m", "4", "--closed-form-n", "2501"],
 ], ids=" ".join)
 def test_above_cap_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -176,6 +187,34 @@ def test_above_cap_exits_2(capsys, argv):
     err = capsys.readouterr().err
     value = argv[-1].rpartition("=")[2]
     assert f"{value} is above the cap" in err and "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int <-> str digit limit")
+def test_report_integers_longer_than_the_digit_limit(capsys):
+    # the members hold coefficients of more than 640 digits, the lowest limit
+    # Python allows on int <-> str conversion
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(["gen", "--r", "2", "--m", "2500", "--j0", "-2", "--kmax", "400"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert code == 0 and "Traceback" not in err
+    polys = json.loads(out)["report"]["polys"]
+    assert max(len(x.lstrip("-")) for e in polys for c in e["coeffs"]
+               for x in c.split("/")) > 640
+
+
+def test_import_loads_no_process_pool():
+    # a pool is only built for --jobs > 1; importing one loads multiprocessing
+    code = ("import sys, superpoly.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def _parse_outcome(parser, argv, capsys):

@@ -23,15 +23,15 @@ def proportional(fitted, paper):
 def test_fit_recovers_type1_operator():
     fam = family(2, 2, -4, 40)
     delta = align_index(fam, 1)
-    result = fit_ode(fam, order=4, coeff_degree_bounds=(0, 1, 2, 3, 4),
-                     delta=delta, holdout=4)
+    result = fit_ode(fam, coeff_degree_bounds=(0, 1, 2, 3, 4), delta=delta, holdout=4)
     assert result.kernel_dim == 1
     assert len(result.candidates) == 1
     cand = result.candidates[0]
     for n in (8, 12, 16):
         fitted = cand.materialize(n)
         op = build_operator(1, 2, 2, n)
-        paper = [op.coeff0, op.coeff1, op.coeff2, op.coeff3, op.coeff4]
+        paper = [op.coefficients[0], op.coefficients[1], op.coefficients[2],
+                 op.coefficients[3], op.coefficients[4]]
         assert proportional(fitted, paper)
 
 
@@ -41,11 +41,10 @@ def test_fit_type2_kernel_contains_operator():
     # dimension; the closed operator must still lie exactly in the fitted span
     fam = family(2, 4, -2, 40)
     delta = align_index(fam, 2)
-    result = fit_ode(fam, order=4, coeff_degree_bounds=(0, 1, 2, 3, 4),
-                     delta=delta, holdout=4)
+    result = fit_ode(fam, coeff_degree_bounds=(0, 1, 2, 3, 4), delta=delta, holdout=4)
     assert result.kernel_dim >= 1
     assert len(result.candidates) == result.kernel_dim
-    target = operator_vector(build_operator, 2, 2, 4)
+    target = operator_vector(2, 2, 4)
     assert in_span(result.candidates, target)
 
 
@@ -84,7 +83,7 @@ def test_fit_underdetermined_raises():
 
 def test_operator_vector_roundtrip():
     # the embedding evaluated back at concrete n reproduces the operator
-    vec = operator_vector(build_operator, 1, 3, 5)
+    vec = operator_vector(1, 3, 5)
     from superpoly.fitting import FitCandidate, N_DEGREE
     bounds = (0, 1, 2, 3, 4)
     pos = 0
@@ -98,15 +97,16 @@ def test_operator_vector_roundtrip():
     cand = FitCandidate(order=4, bounds=bounds, delta=0, table=tuple(table))
     for n in (6, 9, 15):
         op = build_operator(1, 3, 5, n)
-        assert cand.materialize(n) == [op.coeff0, op.coeff1, op.coeff2,
-                                       op.coeff3, op.coeff4]
+        assert cand.materialize(n) == [op.coefficients[0], op.coefficients[1],
+                                       op.coefficients[2], op.coefficients[3],
+                                       op.coefficients[4]]
 
 
 def test_in_span_rejects_foreign_operator():
     fam = family(2, 2, -4, 40)
     result = fit_ode(fam, delta=4)
     # the type-2 operator of a different cell is not in the type-1 fit's span
-    target = operator_vector(build_operator, 2, 2, 4)
+    target = operator_vector(2, 2, 4)
     assert not in_span(result.candidates, target)
 
 

@@ -13,8 +13,9 @@ from superpoly import (AlignmentError, CPoly, ParameterError, align_index, build
 def reference_apply(op, p):
     """The operator as coefficient polynomials times derivatives, the reference
     the banded action is checked against."""
-    return (op.coeff4 * p.derive(4) + op.coeff3 * p.derive(3) + op.coeff2 * p.derive(2)
-            + op.coeff1 * p.derive(1) + op.coeff0 * p)
+    return (op.coefficients[4] * p.derive(4) + op.coefficients[3] * p.derive(3)
+            + op.coefficients[2] * p.derive(2) + op.coefficients[1] * p.derive(1)
+            + op.coefficients[0] * p)
 
 
 def random_poly(rng, degree):
@@ -25,8 +26,8 @@ def test_build_operator_type1_hand_expansion():
     # hand expansion of the four closed scalar formulas at (r=2, m=2, n=8)
     op = build_operator(1, 2, 2, 8)
     assert op.scalars == (4096, 448, 320, -2496)
-    assert op.coeff4 == CPoly((64, 0, -128, 0, 64))
-    assert op.coeff3 == CPoly((0, -640, 0, 640))
+    assert op.coefficients[4] == CPoly((64, 0, -128, 0, 64))
+    assert op.coefficients[3] == CPoly((0, -640, 0, 640))
 
 
 def test_build_operator_coefficients_equal_the_products():
@@ -36,10 +37,10 @@ def test_build_operator_coefficients_equal_the_products():
             op = build_operator(tp, r, m, n)
             W, X, Y, Z = scalar_coefficients(tp, r, m, n)
             M = m * m * r ** 4
-            assert op.coeff4 == (c2m1 * c2m1).scale(M)
-            assert op.coeff3 == (CPoly((0, 1)) * c2m1).scale(10 * M)
-            assert (op.coeff2, op.coeff1, op.coeff0) == (CPoly((Y, 0, X)), CPoly((0, Z)),
-                                                         CPoly((W,)))
+            assert op.coefficients[4] == (c2m1 * c2m1).scale(M)
+            assert op.coefficients[3] == (CPoly((0, 1)) * c2m1).scale(10 * M)
+            assert ((op.coefficients[2], op.coefficients[1], op.coefficients[0])
+                    == (CPoly((Y, 0, X)), CPoly((0, Z)), CPoly((W,))))
 
 
 def test_build_operator_type2_hand_expansion():
