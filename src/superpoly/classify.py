@@ -175,24 +175,22 @@ def gegenbauer(m: int, nmax: int) -> GegenbauerBasis:
     """Ultraspherical Q_0..Q_nmax with lambda = 1 + 1/m.
 
     Generated by the standard three-term recurrence
-    n Q_n = 2c (n + lambda - 1) Q_{n-1} - (n + 2 lambda - 2) Q_{n-2}
-    and certified member-by-member against the second-order equation, which
-    is the anchor the construction must reproduce.
+    n Q_n = 2c (n + lambda - 1) Q_{n-1} - (n + 2 lambda - 2) Q_{n-2},
+    times m: nm Q_n = 2(nm + 1) c Q_{n-1} - (nm + 2) Q_{n-2}, one integer
+    `combine` per member (Q_{-1} = 0).  Each member is certified against the
+    second-order equation, which is the anchor the construction must reproduce.
     """
     if m < 2 or nmax < 0:
         raise ParameterError("need m >= 2 and nmax >= 0")
-    lam = 1 + Fraction(1, m)
     polys = [CPoly.one()]
-    if nmax >= 1:
-        polys.append(CPoly.monomial(1, 2 * lam))
-    for n in range(2, nmax + 1):
-        p = (polys[n - 1].shift(1).scale(2 * (n + lam - 1))
-             - polys[n - 2].scale(n + 2 * lam - 2)).scale(Fraction(1, n))
-        polys.append(p)
+    for n in range(1, nmax + 1):
+        nm = n * m
+        below = polys[n - 2] if n >= 2 else CPoly.zero()
+        polys.append(polys[n - 1].shift(1).combine(below, 2 * (nm + 1), -(nm + 2), nm))
     for n, q in enumerate(polys):
         if not gegenbauer_ode_residual(m, n, q).is_zero():
             raise FitError(f"generated Q_{n} fails its own defining equation")
-    return GegenbauerBasis(m=m, lam=lam, polys=polys)
+    return GegenbauerBasis(m=m, lam=1 + Fraction(1, m), polys=polys)
 
 
 def _two_term_fit(p: CPoly, q: CPoly, cq: CPoly):

@@ -57,13 +57,25 @@ def parse_points(text: str):
     return text if text in ("paper", "all") else parse_span(text)
 
 
+BOUNDS_CAP = 6  # most --bounds entries, and largest entry
+
+
 def parse_bounds(text: str) -> tuple[int, ...]:
-    """--bounds: one c-degree bound per derivative order, comma separated."""
+    """--bounds: one c-degree bound per derivative order, comma separated.
+
+    At most BOUNDS_CAP entries, each in 0..BOUNDS_CAP: the fit has
+    5 * sum(b_i + 1) unknowns, and every member's rows are built before the
+    system's size is checked.
+    """
     try:
-        return tuple(int(b) for b in text.split(","))
+        bounds = tuple(int(b) for b in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+    if len(bounds) > BOUNDS_CAP or not all(0 <= b <= BOUNDS_CAP for b in bounds):
+        raise argparse.ArgumentTypeError(
+            f"{text} needs at most {BOUNDS_CAP} entries, each in 0..{BOUNDS_CAP}")
+    return bounds
 
 
 def capped(cap: int):
@@ -201,8 +213,9 @@ FLAGS = {
     **dict.fromkeys(("--j0", "--holdout"), {"type": int}),
     # caps bound the size of one run; each sits above the deep-index targets
     # (k ~ 2000, N ~ 80) and every value the tests and benchmark use
-    **dict.fromkeys(("--r", "--m", "--n", "--nmax", "--n-positive", "--closed-form-n",
+    **dict.fromkeys(("--r", "--m", "--n", "--n-positive", "--closed-form-n",
                      "--kmax", "--K", "--bound"), {"type": capped(INDEX_CAP)}),
+    "--nmax": {"type": capped(600)},  # the report grows as nmax^3: 52 MB at 600
     "--N": {"type": capped(100)},
     "--members": {"type": capped(100)},
     "--type": {"type": int, "choices": (1, 2)},

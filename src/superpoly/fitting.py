@@ -3,8 +3,10 @@
 The ansatz annihilates members P_k simultaneously under an affine index map
 n(k) = k + delta: each coefficient of each c-power of each derivative order is
 an unknown polynomial in n of degree <= 4.  The exact nullspace of the
-resulting linear system is the candidate space; candidates are re-verified on
-held-out members.
+resulting linear system is the candidate space; each candidate is re-verified
+on held-out members.  A member's rows (`_member_rows`) are the one place a
+fitted operator acts: the fit stacks them, and the re-verification takes
+their dot products with each kernel vector.
 
 For the type-1 family the kernel is one-dimensional and recovers the closed
 operator up to scale.  Type-2 families admit a genuinely multi-dimensional
@@ -17,6 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .errors import FitError
@@ -30,40 +35,32 @@ N_DEGREE = 4  # degree cap of the unknown scalars as polynomials in n
 
 @dataclass(frozen=True)
 class FitCandidate:
-    """One fitted operator: per derivative order, per c-power, an n-polynomial."""
+    """One fitted operator: a kernel vector in the fit's unknown coordinates."""
 
-    order: int
     bounds: Tuple[int, ...]
     delta: int
-    # table[i][j] = coefficients (low n-power first) of the n-polynomial
-    # multiplying c^j d^i/dc^i
-    table: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
+    vector: Tuple[Fraction, ...]  # laid out by _unknown_layout(bounds)
+
+    @property
+    def order(self) -> int:
+        return len(self.bounds) - 1
+
+    def _n_polys(self) -> List[List[List[Fraction]]]:
+        """[i][j]: coefficients (low n-power first) of the n-polynomial at c^j d^i/dc^i."""
+        it = iter(self.vector)
+        return [[list(islice(it, N_DEGREE + 1)) for _ in range(b + 1)] for b in self.bounds]
 
     def materialize(self, n: int) -> List[CPoly]:
         """Concrete c-coefficient polynomials [order 0 .. order] at index n."""
-        out = []
-        for i in range(self.order + 1):
-            coeffs = []
-            for j in range(self.bounds[i] + 1):
-                coeffs.append(sum((w * Fraction(n) ** l
-                                   for l, w in enumerate(self.table[i][j])), Fraction(0)))
-            out.append(CPoly(coeffs))
-        return out
-
-    def apply(self, p: CPoly, n: int) -> CPoly:
-        res = CPoly.zero()
-        d = p
-        for i, coeff in enumerate(self.materialize(n)):
-            res = res + coeff * d
-            d = d.derive(1)
-        return res
+        return [CPoly(sum(w * n ** l for l, w in enumerate(npoly)) for npoly in row)
+                for row in self._n_polys()]
 
     def to_json(self) -> dict:
         return {
             "order": self.order,
             "bounds": list(self.bounds),
             "delta": self.delta,
-            "n_polys": [[[str(w) for w in jpoly] for jpoly in row] for row in self.table],
+            "n_polys": [[[str(w) for w in npoly] for npoly in row] for row in self._n_polys()],
         }
 
 
@@ -98,6 +95,30 @@ def _unknown_layout(bounds: Sequence[int]):
     return index, pos
 
 
+def _member_rows(p: CPoly, n: int, bounds: Sequence[int]) -> List[List[int]]:
+    """How the fitted operators act on the member p at index n, as integer rows.
+
+    Row t is den(p) times the c^t coefficient of sum w_(i,j,l) n^l c^j d^i p/dc^i,
+    linear in the unknowns w; zero rows are dropped.  The fit stacks these
+    rows, and a kernel vector annihilates p iff it is orthogonal to each.
+    """
+    index, ncols = _unknown_layout(bounds)
+    npows = [n ** l for l in range(N_DEGREE + 1)]
+    derivs = [p]
+    for _ in bounds[1:]:
+        derivs.append(derivs[-1].derive(1))
+    block = [[0] * ncols for _ in range(max(len(d) + b for d, b in zip(derivs, bounds)))]
+    for i, (d, b) in enumerate(zip(derivs, bounds)):
+        scale = p.den // d.den
+        coeffs = [a * scale for a in d.num]
+        for j in range(b + 1):
+            for t, a in enumerate(coeffs):
+                if a:
+                    for l in range(N_DEGREE + 1):
+                        block[t + j][index[(i, j, l)]] += a * npows[l]
+    return [row for row in block if any(row)]
+
+
 def fit_ode(fam: Family, coeff_degree_bounds: Sequence[int] = (0, 1, 2, 3, 4),
             delta: int = 0, holdout: int = 4) -> FitResult:
     """Fit annihilating operators to the generated members of a family.
@@ -113,7 +134,6 @@ def fit_ode(fam: Family, coeff_degree_bounds: Sequence[int] = (0, 1, 2, 3, 4),
     bounds = tuple(coeff_degree_bounds)
     if not bounds:
         raise FitError("need a degree bound for at least derivative order 0")
-    order = len(bounds) - 1
     members = fam.nonzero_members()
     if len(members) < holdout + 6:
         raise FitError(
@@ -122,41 +142,19 @@ def fit_ode(fam: Family, coeff_degree_bounds: Sequence[int] = (0, 1, 2, 3, 4),
     fit_members = members[:len(members) - holdout]
     hold_members = members[len(members) - holdout:]
 
-    index, ncols = _unknown_layout(bounds)
-    rows: List[List[int]] = []
-    for k, p in fit_members:
-        # the member's block times its den: integer rows with the same kernel
-        nval = k + delta
-        npows = [nval ** l for l in range(N_DEGREE + 1)]
-        derivs = [p]
-        for _ in range(order):
-            derivs.append(derivs[-1].derive(1))
-        height = max((len(derivs[i]) + bounds[i]) for i in range(order + 1) if derivs[i]) \
-            if any(derivs) else 0
-        block = [[0] * ncols for _ in range(height)]
-        for i in range(order + 1):
-            scale = p.den // derivs[i].den
-            coeffs = [a * scale for a in derivs[i].num]
-            for j in range(bounds[i] + 1):
-                for t, a in enumerate(coeffs):
-                    if a:
-                        for l in range(N_DEGREE + 1):
-                            block[t + j][index[(i, j, l)]] += a * npows[l]
-        rows.extend(row for row in block if any(row))
-
+    _, ncols = _unknown_layout(bounds)
+    rows = [row for k, p in fit_members for row in _member_rows(p, k + delta, bounds)]
     if len(rows) < ncols:
         raise FitError(f"fitting system underdetermined: {len(rows)} equations "
                        f"for {ncols} unknowns")
     basis = nullspace(rows, ncols)
+    held = [row for k, p in hold_members for row in _member_rows(p, k + delta, bounds)]
     candidates = []
     for vec in basis:
-        table = tuple(
-            tuple(tuple(vec[index[(i, j, l)]] for l in range(N_DEGREE + 1))
-                  for j in range(bounds[i] + 1))
-            for i in range(order + 1))
-        cand = FitCandidate(order=order, bounds=bounds, delta=delta, table=table)
-        if all(cand.apply(p, k + delta).is_zero() for k, p in hold_members):
-            candidates.append(cand)
+        den = lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (den // x.denominator) for x in vec]
+        if not any(sum(map(mul, row, ints)) for row in held):
+            candidates.append(FitCandidate(bounds=bounds, delta=delta, vector=tuple(vec)))
     return FitResult(
         candidates=tuple(candidates),
         kernel_dim=len(basis),
@@ -195,10 +193,7 @@ def in_span(candidates: Sequence[FitCandidate], target: Sequence[Fraction]) -> b
     """Exact membership of the target vector in the span of fitted candidates."""
     if not candidates:
         return False
-    vecs = []
-    for cand in candidates:
-        flat = [w for row in cand.table for jpoly in row for w in jpoly]
-        vecs.append(flat)
+    vecs = [cand.vector for cand in candidates]
     ncols = len(vecs) + 1
     rows = [[v[j] for v in vecs] + [Fraction(t)] for j, t in enumerate(target)]
     for ker in nullspace(rows, ncols):

@@ -7,9 +7,10 @@ Both operators share the leading structure
 
 with (W, X, Y, Z) scalar in (r, m, n) per family type; the type-2 scalars
 carry the correction Delta = r^2 (r-2) m (2mn - 7mr + 2m + 4r), which
-vanishes for r = 2.  Each operator sends c^s to at most three monomials,
-c^s, c^(s-2) and c^(s-4) (`OdeOperator.band_symbols`); applying it, its
-leading symbol and its polynomial kernel are all read off that band.
+vanishes for r = 2 and wherever 2mn - 7mr + 2m + 4r = 0.  Each operator
+sends c^s to at most three monomials, c^s, c^(s-2) and c^(s-4)
+(`OdeOperator.band_symbols`); applying it, its leading symbol and its
+polynomial kernel are all read off that band.
 """
 
 from __future__ import annotations
@@ -140,14 +141,17 @@ def align_index(fam: Family, family_type: FamilyType) -> int:
 def indicial_factors(family_type: FamilyType, r: int, m: int, n: int) -> List[Tuple[int, int]]:
     """The four linear factors (slope, intercept) of I(s), slope*s + intercept.
 
-    Type 1 is the printed factorization; for type 2 the printed one holds only
-    for r = 2, so the factors certified against the operator are used:
+    Type 1 is the printed factorization; for type 2 the printed one holds iff
+    Delta = 0, so the factors certified against the operator are used:
 
         type 1: (sr+n)(sr-n+2r)(smr-mn+4mr-2m-2r)(smr+mn-2mr+2m+2r)
         type 2: (sr-n+r)(sr+n+r)(smr-mn+5mr-2m-2r)(smr+mn-3mr+2m+2r)
 
-    (the type-2 printed middle factors smr-mn+4mr-2r and smr+mn-2mr+2r agree
-    with these exactly when r = 2).
+    (the type-2 printed middle factors smr-mn+4mr-2r and smr+mn-2mr+2r are
+    these shifted by -/+ m(r-2), so the printed product is
+    I(s) - (Delta / r^2)(sr-n+r)(sr+n+r): the two agree iff Delta = 0, at
+    r = 2, where the factors coincide, or where 2mn - 7mr + 2m + 4r = 0,
+    where the shifts swap them).
     """
     _check_rm(r, m)
     if family_type == 1:
@@ -160,7 +164,7 @@ def indicial_factors(family_type: FamilyType, r: int, m: int, n: int) -> List[Tu
 
 
 def printed_indicial_factors(family_type: FamilyType, r: int, m: int, n: int) -> List[Tuple[int, int]]:
-    """The published factorizations (which for type 2 hold only at r = 2)."""
+    """The published factorizations (which for type 2 hold iff Delta = 0)."""
     if family_type == 1:
         return indicial_factors(1, r, m, n)
     return [(r, -n + r), (r, n + r),
@@ -168,11 +172,15 @@ def printed_indicial_factors(family_type: FamilyType, r: int, m: int, n: int) ->
             (m * r, m * n - 2 * m * r + 2 * r)]
 
 
-def indicial_value(family_type: FamilyType, r: int, m: int, n: int, s: int) -> int:
+def _factor_product(factors: Sequence[Tuple[int, int]], s: int) -> int:
     v = 1
-    for slope, intercept in indicial_factors(family_type, r, m, n):
+    for slope, intercept in factors:
         v *= slope * s + intercept
     return v
+
+
+def indicial_value(family_type: FamilyType, r: int, m: int, n: int, s: int) -> int:
+    return _factor_product(indicial_factors(family_type, r, m, n), s)
 
 
 def leading_symbol(op: OdeOperator, s: int) -> Fraction:
@@ -213,9 +221,23 @@ class IndicialData:
 
 
 def indicial(family_type: FamilyType, r: int, m: int, n: int) -> IndicialData:
-    """Roots of I(s) with multiplicity, admissible polynomial degrees, resonance."""
+    """Roots of I(s) with multiplicity, admissible polynomial degrees, resonance.
+
+    I(s) and both factorized products have degree 4 in s, so their values at
+    s = 0..4 decide whether they are equal: the certified factors must
+    reproduce I, and the printed ones match it iff Delta = 0.
+    """
+    diag = build_operator(family_type, r, m, n).band_symbols()[0]
+    symbol = [diag(s) for s in range(5)]
+
+    def is_symbol(factors) -> bool:
+        return [_factor_product(factors, s) for s in range(5)] == symbol
+    factors = indicial_factors(family_type, r, m, n)
+    if not is_symbol(factors):
+        raise ArithmeticError(f"indicial factors of type {family_type} at "
+                              f"(r, m, n) = ({r}, {m}, {n}) disagree with the operator")
     roots: dict = {}
-    for slope, intercept in indicial_factors(family_type, r, m, n):
+    for slope, intercept in factors:
         root = Fraction(-intercept, slope)
         roots[root] = roots.get(root, 0) + 1
     admissible = sorted(int(root) for root in roots
@@ -225,7 +247,7 @@ def indicial(family_type: FamilyType, r: int, m: int, n: int) -> IndicialData:
         roots=tuple(sorted(roots.items())),
         admissible_degrees=tuple(admissible),
         resonant=is_resonant(r, m),
-        matches_printed=(family_type == 1 or r == 2),
+        matches_printed=is_symbol(printed_indicial_factors(family_type, r, m, n)),
     )
 
 

@@ -51,6 +51,15 @@ def test_indicial_subcommand(capsys):
     assert doc["report"]["admissible_degrees"] == [2]
 
 
+def test_indicial_printed_factorization_without_finding(capsys):
+    # type 2 at r = 3: the printed product is right here, as Delta = 0 at n = 8
+    code, doc = capture(capsys, ["indicial", "--type", "2", "--r", "3",
+                                 "--m", "4", "--n", "8"])
+    assert code == 0
+    assert doc["report"]["matches_printed_factorization"]
+    assert doc["report"]["findings"] == []
+
+
 def test_superpose_finding_exits_1(capsys):
     code, doc = capture(capsys, ["superpose", "--r", "3", "--m", "2",
                                  "--j0", "-4"])
@@ -147,7 +156,8 @@ def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
 
 @pytest.mark.parametrize("flag,value", [("--r-range", "5..2"), ("--r-range", "x..3"),
                                         ("--m-range", "3..x"), ("--points", "x..3"),
-                                        ("--bounds", "0,x")])
+                                        ("--bounds", "0,x"), ("--bounds", "0,1,2,3,4,5,6"),
+                                        ("--bounds", "0,1,7"), ("--bounds", "0,-1")])
 def test_bad_range_exits_2(capsys, flag, value):
     command = (["fit-ode", "--type", "1", "--r", "2", "--m", "2"] if flag == "--bounds"
                else ["verify-ode", "--type", "2"])
@@ -177,6 +187,7 @@ def test_bad_range_exits_2(capsys, flag, value):
     ["gen", "--m", "2", "--j0", "-1", "--kmax", "0", "--r", "3000000"],
     ["indicial", "--type", "1", "--r", "2", "--n", "8", "--m", "2501"],
     ["gegenbauer", "--m", "3", "--nmax", "2501"],
+    ["gegenbauer", "--m", "3", "--nmax", "601"],
     ["orth", "--type", "2", "--r", "2", "--m", "4", "--n-positive", "200000"],
     ["orth", "--type", "2", "--r", "2", "--m", "4", "--closed-form-n", "2501"],
 ], ids=" ".join)

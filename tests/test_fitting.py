@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superpoly import (FitError, align_index, build_operator, family,
+from superpoly import (CPoly, FitError, align_index, build_operator, family,
                        fit_ode, in_span, nullspace, operator_vector)
 
 
@@ -48,12 +48,39 @@ def test_fit_type2_kernel_contains_operator():
     assert in_span(result.candidates, target)
 
 
+def residual(cand, p, n):
+    """Reference action of a fitted operator: sum_i materialize(n)[i] * p^(i)."""
+    return sum((coeff * p.derive(i) for i, coeff in enumerate(cand.materialize(n))),
+               CPoly.zero())
+
+
 def test_fit_candidates_annihilate_holdout():
     fam = family(2, 4, -2, 40)
     result = fit_ode(fam, delta=4)
     for cand in result.candidates:
         for k in result.holdout_k:
-            assert cand.apply(fam[k], k + 4).is_zero()
+            assert residual(cand, fam[k], k + 4).is_zero()
+
+
+def test_holdout_drops_kernel_vectors_that_miss_a_held_out_member(monkeypatch):
+    # one held-out member rejects 6 of the 7 kernel vectors of the fit rows
+    import superpoly.fitting as fitting
+    from superpoly.fitting import FitCandidate
+    fam = family(2, 2, -4, 24)
+    kernels = []
+
+    def recording_nullspace(rows, ncols):
+        kernels.append(nullspace(rows, ncols))
+        return kernels[-1]
+    monkeypatch.setattr(fitting, "nullspace", recording_nullspace)
+    result = fit_ode(fam, delta=4, holdout=1)
+    assert result.kernel_dim == 7 and len(kernels) == 1
+    assert len(result.candidates) == 1
+    (k,) = result.holdout_k
+    kept = [list(c.vector) for c in result.candidates]
+    for vec in kernels[0]:
+        cand = FitCandidate(bounds=(0, 1, 2, 3, 4), delta=4, vector=tuple(vec))
+        assert residual(cand, fam[k], k + 4).is_zero() == (vec in kept)
 
 
 def test_fit_type_c_family_candidate():
@@ -84,17 +111,8 @@ def test_fit_underdetermined_raises():
 def test_operator_vector_roundtrip():
     # the embedding evaluated back at concrete n reproduces the operator
     vec = operator_vector(1, 3, 5)
-    from superpoly.fitting import FitCandidate, N_DEGREE
-    bounds = (0, 1, 2, 3, 4)
-    pos = 0
-    table = []
-    for i, b in enumerate(bounds):
-        row = []
-        for j in range(b + 1):
-            row.append(tuple(vec[pos:pos + N_DEGREE + 1]))
-            pos += N_DEGREE + 1
-        table.append(tuple(row))
-    cand = FitCandidate(order=4, bounds=bounds, delta=0, table=tuple(table))
+    from superpoly.fitting import FitCandidate
+    cand = FitCandidate(bounds=(0, 1, 2, 3, 4), delta=0, vector=tuple(vec))
     for n in (6, 9, 15):
         op = build_operator(1, 3, 5, n)
         assert cand.materialize(n) == [op.coefficients[0], op.coefficients[1],
@@ -152,5 +170,4 @@ def test_integer_rows_give_the_fraction_kernel(monkeypatch, family_type, r, m, j
         assert ratio > 0 and [x * ratio for x in ref] == row
     kernel = nullspace(reference, ncols)
     assert result.kernel_dim == len(kernel)
-    assert [[w for row in c.table for jpoly in row for w in jpoly]
-            for c in result.candidates] == kernel
+    assert [list(c.vector) for c in result.candidates] == kernel

@@ -211,6 +211,23 @@ def test_indicial_type2_r3_flags_printed_mismatch():
     assert 3 in data.admissible_degrees  # n/r - 1 stays a root
 
 
+def test_indicial_printed_factorization_holds_where_delta_vanishes():
+    # Delta = r^2 (r-2) m (2mn - 7mr + 2m + 4r) is 0 at these r >= 3 points
+    for r, m, n in [(3, 4, 8), (4, 2, 9), (5, 4, 14)]:
+        assert delta_correction(r, m, n) == 0
+        assert indicial(2, r, m, n).matches_printed
+        assert all(prod_printed(2, r, m, n, s) == indicial_value(2, r, m, n, s)
+                   for s in range(30))
+
+
+def test_indicial_raises_when_the_factors_miss_the_operator(monkeypatch):
+    import superpoly.ode as ode
+    monkeypatch.setattr(ode, "indicial_factors",
+                        lambda tp, r, m, n: ode.printed_indicial_factors(2, r, m, n))
+    with pytest.raises(ArithmeticError):
+        indicial(2, 3, 4, 12)
+
+
 def test_resonant_pairs():
     assert resonant_pairs(range(2, 11), range(2, 11)) == [(3, 6), (4, 4), (6, 3)]
     assert is_resonant(4, 4) and not is_resonant(2, 2)
