@@ -9,22 +9,21 @@ Gegenbauer reductions, Favard orthogonality) with no approximation anywhere.
 from .errors import (AlignmentError, FitError, ParameterError, SuperpolyError,
                      SupportError, TruncationError)
 from .poly import CPoly
-from .linalg import matvec, nullspace, rank, solve_exact
-from .families import (Family, FamilyParams, SupportProfile, canonical_j0,
-                       family, generate, support_profile)
+from .linalg import nullspace, solve_exact
+from .families import (Family, FamilyParams, canonical_j0, family, generate,
+                       support_profile)
 from .ode import (IndicialData, OdeOperator, align_index, build_operator,
                   delta_correction, indicial, indicial_factors, indicial_value,
                   is_resonant, leading_symbol, polynomial_kernel,
                   printed_indicial_factors, residual_scan, resonant_pairs,
                   scalar_coefficients, scan_cell, scan_report)
 from .fitting import FitCandidate, FitResult, fit_ode, in_span, operator_vector
-from .series import (ZSeries, certify_exponent_mapping, first_order_residual,
-                     pde_reduced, pde_residual)
-from .classify import (GegenbauerBasis, InitialClass, classification_report,
-                       classify, gegenbauer, gegenbauer_ode_residual,
-                       superposition_fit, verify_gegenbauer_reduction)
-from .orth import (FavardData, ReindexedSequence, closed_form_AB, favard,
-                   gram_check, identify_ultraspherical, orthogonality_report,
-                   reindex)
+from .series import (certify_exponent_mapping, first_order_residual, pde_reduced,
+                     pde_residual)
+from .classify import (GegenbauerBasis, classification_report, classify, gegenbauer,
+                       gegenbauer_ode_residual, superposition_fit,
+                       verify_gegenbauer_reduction)
+from .orth import (FavardData, closed_form_AB, favard, gram_check,
+                   identify_ultraspherical, orthogonality_report, recurrence_AB)
 
 __version__ = "0.1.0"

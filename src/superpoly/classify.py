@@ -17,31 +17,23 @@ from typing import Dict, List, Literal, Optional, Tuple
 
 from .errors import FitError, ParameterError
 from .families import Family, FamilyParams, canonical_j0, generate
-from .linalg import nullspace, solve_exact
+from .linalg import solve_exact
 from .poly import CPoly
 
 Kind = Literal["A_type1", "A_prime_type2", "B_linear_combination", "C_case3", "C_new"]
 
 
-@dataclass(frozen=True)
-class InitialClass:
-    j0: int
-    kind: Kind
-
-
-def classify(r: int, m: int, j0: int) -> InitialClass:
+def classify(r: int, m: int, j0: int) -> Kind:
     FamilyParams(r, m, j0)  # validates the domain
     if j0 == -2 * r:
-        kind: Kind = "A_type1"
-    elif j0 == -r:
-        kind = "A_prime_type2"
-    elif -2 * r + 1 <= j0 <= -r - 1:
-        kind = "B_linear_combination"
-    elif j0 == -1:
-        kind = "C_case3"
-    else:
-        kind = "C_new"
-    return InitialClass(j0=j0, kind=kind)
+        return "A_type1"
+    if j0 == -r:
+        return "A_prime_type2"
+    if j0 < -r:
+        return "B_linear_combination"
+    if j0 == -1:
+        return "C_case3"
+    return "C_new"
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +84,14 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10,
     never patched.  `canonical` is the (type-1, type-2) canonical pair to
     that depth, for a caller that fits several seeds; None generates it.
     """
-    kind = classify(r, m, j0).kind
+    kind = classify(r, m, j0)
     if kind == "A_type1":
         return SuperpositionReport(r, m, j0, Fraction(1), Fraction(0),
                                    certified_k=[], findings=[])
     if kind == "A_prime_type2":
         return SuperpositionReport(r, m, j0, Fraction(0), Fraction(1),
                                    certified_k=[], findings=[])
-    if kind not in ("B_linear_combination",):
+    if kind != "B_linear_combination":
         raise ParameterError(f"j0={j0} is not in the type-B range for r={r}")
 
     fam_b = generate(FamilyParams(r, m, j0), (members + 6) * r)
@@ -128,7 +120,7 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10,
         return SuperpositionReport(
             r, m, j0, None, None, certified_k=[],
             findings=[{"kind": "fit-degeneracy",
-                       "detail": "singular 2x2 system fitting (alpha, beta)"}])
+                       "detail": "the first two aligned members admit no (alpha, beta)"}])
     alpha, beta = sol
     certified, findings = [], []
     for k, p, q1, q2 in triples[2:]:
@@ -193,31 +185,18 @@ def gegenbauer(m: int, nmax: int) -> GegenbauerBasis:
     return GegenbauerBasis(m=m, lam=1 + Fraction(1, m), polys=polys)
 
 
-def _two_term_fit(p: CPoly, q: CPoly, cq: CPoly):
-    """Exact (x, y) with p = x*q + y*cq, or None.
-
-    Read off the kernel of the columns [q, cq, p]: p is in the span iff a
-    kernel vector v has v[2] != 0, and then (x, y) = (-v[0]/v[2], -v[1]/v[2]).
-    When q and cq are proportional (degree 1) the reduced-echelon basis puts
-    that vector on the free p column with v[1] = 0, so the fit is a single q.
-    """
-    top = max(len(p), len(q), len(cq))
-    rows = [[q[i], cq[i], p[i]] for i in range(top)]
-    for v in nullspace(rows, 3):
-        if v[2] != 0:
-            return -v[0] / v[2], -v[1] / v[2]
-    return None
-
-
 def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = None) -> dict:
     """Certify the Gegenbauer structure of the j0 = -1 and j0 = -r-1 families.
 
     Both cases decompose exactly in span{Q_n, c Q_{n-1}} with n = degree; the
     engine additionally certifies which single basis element carries each
     member and whether the member satisfies the printed second-order equation.
-    Empirically j0 = -r-1 members are single Q_n multiples (and satisfy the
-    equation) while j0 = -1 members are single c Q_{n-1} multiples (and do
-    not); the published reductions attribute these the other way around.  The
+    A member's (x, y) with p = x Q_n + y c Q_{n-1} is `solve_exact` on the
+    columns [Q_n, c Q_{n-1}]; where they are dependent (degree <= 1), the
+    free y is 0 and the fit is a single Q_n.  Empirically j0 = -r-1 members
+    are single Q_n multiples (and satisfy the equation) while j0 = -1
+    members are single c Q_{n-1} multiples (and do not); the published
+    reductions attribute these the other way around.  The
     members that fail the printed equation are reported in one
     printed-reduction-mismatch finding, which does not fail the reduction.
     Members with k <= kmax (default 14r) are examined; a kmax below the
@@ -239,7 +218,8 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
         d = int(p.degree)
         q = basis[d]
         cq = basis[d - 1].shift(1) if d >= 1 else CPoly.zero()
-        fit = _two_term_fit(p, q, cq)
+        top = max(len(p), len(q), len(cq))
+        fit = solve_exact([[q[i], cq[i]] for i in range(top)], [p[i] for i in range(top)])
         all_two_term = all_two_term and fit is not None
         ode_zero = gegenbauer_ode_residual(m, d, p).is_zero()
         entries.append({
@@ -273,7 +253,7 @@ def classification_report(r: int, m: int, members: int = 10) -> dict:
     entries = []
     canonical = _canonical_pair(r, m, members)
     for j0 in range(-2 * r, 0):
-        kind = classify(r, m, j0).kind
+        kind = classify(r, m, j0)
         entry: Dict = {"j0": j0, "kind": kind}
         if kind in ("A_type1", "A_prime_type2", "B_linear_combination"):
             rep = superposition_fit(r, m, j0, members=members, canonical=canonical)

@@ -24,7 +24,7 @@ from .families import FamilyParams, canonical_j0, generate
 from .fitting import fit_ode, in_span, operator_vector
 from .ode import (align_index, build_operator, indicial, polynomial_kernel, scan_cell,
                   scan_report)
-from .orth import favard, gram_check, identify_ultraspherical, orthogonality_report, reindex
+from .orth import favard, gram_check, identify_ultraspherical, orthogonality_report
 from .series import first_order_residual, pde_residual
 
 
@@ -230,7 +230,8 @@ FLAGS = {
                     "help": "apply the erratum terms to the type-1 reduction"},
     "--bounds": {"type": parse_bounds,
                  "help": "c-degree bound per derivative order, comma separated"},
-    "--delta": {"type": int, "help": "index map n = k + delta (default: aligned, else 0)"},
+    "--delta": {"type": capped(INDEX_CAP),
+                "help": "index map n = k + delta (default: aligned, else 0)"},
 }
 
 REQUIRED = object()  # a COMMANDS flag default: the flag must be given
@@ -269,15 +270,15 @@ COMMANDS = [
                          "all_two_term")),
     ("favard", "three-term coefficients, positivity, monic data",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--j0": None, "--N": 12},
-     lambda ns: _result(favard(reindex(_favard_family(ns)), ns.N))),
+     lambda ns: _result(favard(_favard_family(ns), ns.N))),
     ("gram", "exact Gram-matrix orthogonality check",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--N": 12},
-     lambda ns: _verdict(gram_check(favard(reindex(_favard_family(ns)), ns.N), ns.N),
+     lambda ns: _verdict(gram_check(favard(_favard_family(ns), ns.N), ns.N),
                          "pass")),
     ("identify", "associated-ultraspherical identification",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED},
      # no match is a recorded result, not a failure
-     lambda ns: (identify_ultraspherical(reindex(_family(ns))), True)),
+     lambda ns: (identify_ultraspherical(_family(ns)), True)),
     ("orth", "full orthogonality report for one family",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--N": 12, "--n-positive": 200,
       "--closed-form-n": 0},

@@ -106,32 +106,18 @@ def canonical_j0(family_type: int, r: int) -> int:
     return -2 * r if family_type == 1 else -r
 
 
-@dataclass(frozen=True)
-class SupportProfile:
-    stride: int
-    offset: int
-    degree_map: Tuple[Tuple[int, int], ...]  # (k, degree) for nonzero members
-
-
-def support_profile(fam: Family) -> SupportProfile:
-    """Detect the arithmetic progression carrying the nonzero members (0 <= k <= kmax).
+def support_profile(fam: Family) -> int:
+    """Stride of the arithmetic progression carrying the nonzero members, 0 <= k <= kmax.
 
     The recursion couples indices in steps of r, so the stride divides r;
     what is detected is whatever the generated data shows.
     """
-    members = fam.nonzero_members()
-    if not members:
+    ks = [k for k, _ in fam.nonzero_members()]
+    if not ks:
         raise SupportError(f"family {fam.params} has no nonzero members up to kmax={fam.kmax}")
-    ks = [k for k, _ in members]
     if len(ks) == 1:
-        stride = fam.params.r
-    else:
-        gaps = {b - a for a, b in zip(ks, ks[1:])}
-        if len(gaps) != 1:
-            raise SupportError(f"support of {fam.params} is not an arithmetic progression: {ks}")
-        stride = gaps.pop()
-    return SupportProfile(
-        stride=stride,
-        offset=ks[0] % stride,
-        degree_map=tuple((k, int(p.degree)) for k, p in members),
-    )
+        return fam.params.r
+    gaps = {b - a for a, b in zip(ks, ks[1:])}
+    if len(gaps) != 1:
+        raise SupportError(f"support of {fam.params} is not an arithmetic progression: {ks}")
+    return gaps.pop()

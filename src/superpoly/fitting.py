@@ -191,12 +191,6 @@ def operator_vector(family_type, r: int, m: int,
 
 def in_span(candidates: Sequence[FitCandidate], target: Sequence[Fraction]) -> bool:
     """Exact membership of the target vector in the span of fitted candidates."""
-    if not candidates:
-        return False
-    vecs = [cand.vector for cand in candidates]
-    ncols = len(vecs) + 1
-    rows = [[v[j] for v in vecs] + [Fraction(t)] for j, t in enumerate(target)]
-    for ker in nullspace(rows, ncols):
-        if ker[-1] != 0:
-            return True
-    return False
+    # the candidates are the columns: one row per coordinate
+    rows = [[cand.vector[j] for cand in candidates] for j in range(len(target))]
+    return solve_exact(rows, target) is not None

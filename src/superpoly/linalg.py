@@ -116,14 +116,12 @@ def _kernel_of_rows(M: List[List[int]], ncols: int) -> List[List[Fraction]]:
     """Reduced-echelon kernel basis of the integer rows M, by Bareiss."""
     M = [list(row) for row in M]
     piv_cols = _bareiss_echelon(M, ncols)
-    rank = len(piv_cols)
     free_cols = [j for j in range(ncols) if j not in piv_cols]
     basis = []
     for fc in free_cols:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for i in range(rank - 1, -1, -1):
-            pc = piv_cols[i]
+        for i, pc in reversed(list(enumerate(piv_cols))):
             s = Fraction(0)
             for j in range(pc + 1, ncols):
                 if vec[j]:
@@ -162,8 +160,8 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None):
 def _nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
     """The three steps of the module docstring.
 
-    `rank` and `solve_exact` call this rather than `nullspace`, so a tracer
-    wrapping the public functions sees each call once.
+    `solve_exact` calls this rather than `nullspace`, so a tracer wrapping
+    the public functions sees each call once.
     """
     M = _integer_rows(rows)
     picked = _independent_rows_mod_p(M, ncols)
@@ -175,34 +173,23 @@ def _nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Frac
         picked = sorted(picked + [bad])
 
 
-def rank(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> int:
-    rows = list(rows)
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not rows or ncols == 0:
-        return 0
-    return ncols - len(_nullspace(rows, ncols))
-
-
 def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Unique exact solution of an (over)determined consistent system.
+    """The reduced-echelon solution x of rows * x = rhs, or None if there is none.
 
-    Returns the solution vector, or None if the system is inconsistent or
-    underdetermined (callers treat both as fit degeneracy).  The solution is
-    unique iff the kernel of [A | b] is one-dimensional with a nonzero last
-    entry v[n]; then x = -v[:n] / v[n].
+    Every free unknown (a column in the span of the columns before it) is 0,
+    so the solution depends only on the system.  None means exactly that rhs
+    lies outside the column span.  The kernel of [A | b] has a vector with a
+    nonzero last entry v[n] iff b is in the span; that vector is the
+    reduced-echelon basis vector of the free column n, the last of the basis,
+    which is 0 at every other free column, so x = -v[:n] / v[n].
     """
     rows = [list(r) for r in rows]
     if not rows:
-        return None
+        raise ValueError("solve_exact needs at least one row")
     ncols = len(rows[0])
     aug = [r + [Fraction(b)] for r, b in zip(rows, rhs)]
     basis = _nullspace(aug, ncols + 1)
-    if len(basis) != 1 or basis[0][ncols] == 0:
+    if not basis or basis[-1][ncols] == 0:
         return None
-    v = basis[0]
+    v = basis[-1]
     return [-x / v[ncols] for x in v[:ncols]]
-
-
-def matvec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]):
-    return [sum((Fraction(a) * v for a, v in zip(row, vec)), Fraction(0)) for row in rows]

@@ -1,6 +1,7 @@
 """Favard-form analysis and associated-ultraspherical identification.
 
-Along the detected support stride, the recursion at k = k_{t+1} rearranges to
+The nonzero members q_0, q_1, ... of a family sit at k_t = k_0 + t * stride,
+along the detected support stride.  The recursion at k = k_{t+1} rearranges to
 
     c q_t = A_t q_{t+1} + B_t q_{t-1},
     A_t = (2r + m + k_{t+1} m) / (2 (r + (1 + k_{t+1} - r) m)),
@@ -22,32 +23,12 @@ from .families import Family, support_profile
 from .poly import CPoly
 
 
-@dataclass
-class ReindexedSequence:
-    source: Family
-    stride: int
-    k_of_t: List[int]          # support index of q_t
-    q: List[CPoly]
-
-    def recurrence_AB(self, t: int) -> Tuple[Fraction, Fraction]:
-        """(A_t, B_t) of c q_t = A_t q_{t+1} + B_t q_{t-1}."""
-        r, m = self.source.params.r, self.source.params.m
-        k = self.k_of_t[0] + (t + 1) * self.stride
-        den = 2 * (r + (1 + k - r) * m)
-        if den == 0:
-            raise SupportError(f"recurrence coefficient 2B({k}) vanishes")
-        return Fraction(2 * r + m + k * m, den), Fraction((k - 2 * r + 1) * m, den)
-
-
-def reindex(fam: Family) -> ReindexedSequence:
-    """Enumerate the nonzero support members q_t in increasing k."""
-    members = fam.nonzero_members()
-    return ReindexedSequence(
-        source=fam,
-        stride=support_profile(fam).stride,
-        k_of_t=[k for k, _ in members],
-        q=[p for _, p in members],
-    )
+def recurrence_AB(r: int, m: int, k: int) -> Tuple[Fraction, Fraction]:
+    """(A_t, B_t) of c q_t = A_t q_{t+1} + B_t q_{t-1}, where k = k_{t+1}."""
+    den = 2 * (r + (1 + k - r) * m)
+    if den == 0:
+        raise SupportError(f"recurrence coefficient 2B({k}) vanishes")
+    return Fraction(2 * r + m + k * m, den), Fraction((k - 2 * r + 1) * m, den)
 
 
 @dataclass
@@ -100,30 +81,34 @@ def _moments(a: List[Fraction], order: int) -> List[Fraction]:
     return out
 
 
-def favard(seq: ReindexedSequence, N: int, gram_N: Optional[int] = None) -> FavardData:
+def favard(fam: Family, N: int, gram_N: Optional[int] = None) -> FavardData:
     """Extract A_t, B_t, a_t for t <= N, certify the relation, build moments.
 
-    The three-term relation is certified on stored members for 1 <= t (the
+    q_t is the t-th nonzero member of fam, at k_t = k_0 + t * stride.  The
+    three-term relation is certified on stored members for 1 <= t (the
     t = 0 relation reads a seed initial value for the type-2 family and is
     not a pure three-term statement).  a_t must be positive for 1 <= t <= N;
     a violation is reported as a finding.  The monic sequence and the moments
-    (to order 2*gram_N) only need the Gram depth, which defaults to N.
+    (to order 2*gram_N) only need the Gram depth, which defaults to N; both
+    must be at least 1.
     """
-    if N < 1:
-        raise ParameterError("N must be >= 1")
-    if gram_N is None:
-        gram_N = N
-    gram_N = min(gram_N, N)
-    A, B = (list(x) for x in zip(*(seq.recurrence_AB(t) for t in range(N + 1))))
+    gram_N = N if gram_N is None else min(gram_N, N)
+    if gram_N < 1:
+        raise ParameterError(f"N must be >= 1, got {gram_N}")
+    r, m = fam.params.r, fam.params.m
+    stride = support_profile(fam)
+    ks, q = zip(*fam.nonzero_members())
+    A, B = (list(x) for x in zip(*(recurrence_AB(r, m, ks[0] + (t + 1) * stride)
+                                    for t in range(N + 1))))
     a = [Fraction(0)] + [B[t] * A[t - 1] for t in range(1, N + 1)]
     findings = []
     for t in range(1, N + 1):
         if a[t] <= 0:
             findings.append({"kind": "positivity-violation", "t": t, "a": str(a[t])})
     certified = []
-    for t in range(1, min(N, len(seq.q) - 2) + 1):
-        lhs = seq.q[t].shift(1)
-        rhs = seq.q[t + 1].scale(A[t]) + seq.q[t - 1].scale(B[t])
+    for t in range(1, min(N, len(q) - 2) + 1):
+        lhs = q[t].shift(1)
+        rhs = q[t + 1].scale(A[t]) + q[t - 1].scale(B[t])
         if (lhs - rhs).is_zero():
             certified.append(t)
         else:
@@ -186,8 +171,8 @@ def closed_form_AB(nu: Fraction, c0: Fraction, n: Fraction) -> Tuple[Fraction, F
     return Fraction(n + 2 * nu + c0, 1) / den, Fraction(n + c0, 1) / den
 
 
-def identify_ultraspherical(seq: ReindexedSequence) -> dict:
-    """Match the shifted ultraspherical recurrence against the stored sequence.
+def identify_ultraspherical(fam: Family) -> dict:
+    """Match the shifted ultraspherical recurrence against the nonzero members q_t.
 
     nu is pinned to (r/2)(1 + 1/m); c0 is searched in {1/2, 1} and the integer
     index shift in -3..3.  A match certifies, for every available t >= 1,
@@ -197,17 +182,18 @@ def identify_ultraspherical(seq: ReindexedSequence) -> dict:
 
     exactly.  No match is a recorded result, not an error.
     """
-    r, m = seq.source.params.r, seq.source.params.m
+    r, m = fam.params.r, fam.params.m
+    q = [p for _, p in fam.nonzero_members()]
     nu = Fraction(r, 2) * (1 + Fraction(1, m))
-    tmax = len(seq.q) - 2
+    tmax = len(q) - 2
     for c0 in (Fraction(1, 2), Fraction(1)):
         for shift in range(-3, 4):
             count = 0
             ok = True
             for t in range(1, tmax + 1):
-                lhs = seq.q[t].shift(1).scale(2 * (t + shift + nu + c0))
-                rhs = (seq.q[t - 1].scale(t + shift + c0)
-                       + seq.q[t + 1].scale(t + shift + 2 * nu + c0))
+                lhs = q[t].shift(1).scale(2 * (t + shift + nu + c0))
+                rhs = (q[t - 1].scale(t + shift + c0)
+                       + q[t + 1].scale(t + shift + 2 * nu + c0))
                 if not (lhs - rhs).is_zero():
                     ok = False
                     break
@@ -229,10 +215,9 @@ def orthogonality_report(fam: Family, N: int = 12, n_positive: int = 200,
     if n_positive < 1 or closed_form_n < 0:
         raise ParameterError(f"need n_positive >= 1 and closed_form_n >= 0, got "
                              f"{n_positive} and {closed_form_n}")
-    seq = reindex(fam)
     big = max(N, n_positive, closed_form_n)
-    fd = favard(seq, big, gram_N=N)
-    ident = identify_ultraspherical(seq)
+    fd = favard(fam, big, gram_N=N)
+    ident = identify_ultraspherical(fam)
     closed_ok = None
     if closed_form_n and ident["identified"]:
         nu = Fraction(ident["identified"]["nu"])

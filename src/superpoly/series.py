@@ -1,15 +1,14 @@
 """Truncated-series verification of the generating-function identities.
 
-The generating function is P(c, z) = sum_{k>=0} z^k P_{k-2r}(c); a ZSeries
-stores coeffs[k] = P_{k-2r}.  All rational functions of z are cleared to
+The generating function is P(c, z) = sum_{k>=0} z^k P_{k-2r}(c), so the
+coefficient of z^k is P_{k-2r}.  All rational functions of z are cleared to
 polynomial operators before application, so every residual coefficient is an
 exact CPoly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Literal, Optional
+from typing import List, Literal, Optional
 
 from .errors import ParameterError, TruncationError
 from .families import Family, FamilyParams, canonical_j0, generate
@@ -18,27 +17,7 @@ from .poly import CPoly
 FamilyType = Literal[1, 2]
 
 
-@dataclass
-class ZSeries:
-    params: FamilyParams
-    truncation: int
-    coeffs: Dict[int, CPoly]
-
-    @staticmethod
-    def from_family(fam: Family, truncation: int) -> "ZSeries":
-        if fam.kmax < truncation - 2 * fam.params.r:
-            raise TruncationError(
-                f"need kmax >= {truncation - 2 * fam.params.r}, family has {fam.kmax}")
-        coeffs = {k: fam.polys[k - 2 * fam.params.r] for k in range(truncation + 1)}
-        return ZSeries(params=fam.params, truncation=truncation, coeffs=coeffs)
-
-    def __getitem__(self, k: int) -> CPoly:
-        if 0 <= k <= self.truncation:
-            return self.coeffs[k]
-        return CPoly.zero()
-
-
-def first_order_residual(fam: Family, K: int) -> ZSeries:
+def first_order_residual(fam: Family, K: int) -> List[CPoly]:
     """Residual of the first-order ODE in z, cleared by z m (1 - 2cz^r + z^{2r}).
 
     The cleared identity is
@@ -49,16 +28,19 @@ def first_order_residual(fam: Family, K: int) -> ZSeries:
     where N collects the initial-condition sums; for a unit seed at j0,
     N = z^{j0} (m + 2r + j0 m) plus, when j0 < -r, the coupling term
     -2 (j0 m + m + r) c z^{j0 + r}.  The residual is exact for every exponent
-    <= K and must vanish identically (it encodes the recursion).  K >= 2r, so
-    that at least the exponent 2r, where P_0 enters, is checked.
+    <= K and must vanish identically (it encodes the recursion); entry j of
+    the returned list is the residual at z^j.  K >= 2r, so that at least the
+    exponent 2r, where P_0 enters, is checked.
     """
     r, m = fam.params.r, fam.params.m
     if K < 2 * r:
         raise ParameterError("K must be at least 2r")
-    series = ZSeries.from_family(fam, K)
-    resid: Dict[int, CPoly] = {}
+    if fam.kmax < K - 2 * r:
+        raise TruncationError(f"need kmax >= {K - 2 * r}, family has {fam.kmax}")
+    zero = CPoly.zero()
+    resid = []
     for j in range(K + 1):
-        g0, g1, g2 = series[j], series[j - r], series[j - 2 * r]
+        g0, g1, g2 = (fam.polys.get(e - 2 * r, zero) for e in (j, j - r, j - 2 * r))
         res = (g0.scale(m * j + 2 * r + (1 - 2 * r) * m)
                - g1.shift(1).scale(2 * m * (j - r) + 2 * r + 2 * (1 - 2 * r) * m)
                + g2.scale(m * (j - 2 * r) + (1 - 2 * r) * m))
@@ -73,8 +55,8 @@ def first_order_residual(fam: Family, K: int) -> ZSeries:
             init = fam.polys[jj]
             if init:
                 res = res + init.shift(1).scale(2 * (jj * m + m + r))
-        resid[j] = res
-    return ZSeries(params=fam.params, truncation=K, coeffs=resid)
+        resid.append(res)
+    return resid
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,20 @@ import pytest
 from superpoly import (CPoly, ParameterError, classification_report, classify,
                        family, gegenbauer, gegenbauer_ode_residual,
                        superposition_fit, verify_gegenbauer_reduction)
-from superpoly.classify import _two_term_fit
+from superpoly.linalg import solve_exact
 
 
 def test_classify_examples():
-    assert classify(4, 2, -8).kind == "A_type1"
-    assert classify(4, 2, -5).kind == "B_linear_combination"
-    assert classify(4, 2, -2).kind == "C_new"
-    assert classify(4, 2, -4).kind == "A_prime_type2"
-    assert classify(4, 2, -1).kind == "C_case3"
+    assert classify(4, 2, -8) == "A_type1"
+    assert classify(4, 2, -5) == "B_linear_combination"
+    assert classify(4, 2, -2) == "C_new"
+    assert classify(4, 2, -4) == "A_prime_type2"
+    assert classify(4, 2, -1) == "C_case3"
 
 
 def test_taxonomy_partitions():
     for r in range(2, 8):
-        kinds = [classify(r, 2, j0).kind for j0 in range(-2 * r, 0)]
+        kinds = [classify(r, 2, j0) for j0 in range(-2 * r, 0)]
         assert len(kinds) == 2 * r
         assert kinds.count("A_type1") == 1
         assert kinds.count("A_prime_type2") == 1
@@ -187,13 +187,18 @@ def test_reduction_reports_the_printed_mismatch():
 
 
 def test_two_term_fit_is_exact():
+    # the fit verify_gegenbauer_reduction makes: solve_exact on the columns [q, cq]
+    def two_term_fit(p, q, cq):
+        top = max(len(p), len(q), len(cq))
+        return solve_exact([[q[i], cq[i]] for i in range(top)], [p[i] for i in range(top)])
+
     basis = gegenbauer(2, 3)
     c = CPoly.monomial(1)
     # at degree 1, Q_1 and c Q_0 are proportional: the fit is a single Q_1
-    assert _two_term_fit(c.scale(3), basis[1], c * basis[0]) == (1, 0)
-    assert _two_term_fit(basis[2] + (c * basis[1]).scale(Fraction(1, 2)),
-                         basis[2], c * basis[1]) == (1, Fraction(1, 2))
-    assert _two_term_fit(basis[3], basis[2], c * basis[1]) is None
+    assert two_term_fit(c.scale(3), basis[1], c * basis[0]) == [1, 0]
+    assert two_term_fit(basis[2] + (c * basis[1]).scale(Fraction(1, 2)),
+                        basis[2], c * basis[1]) == [1, Fraction(1, 2)]
+    assert two_term_fit(basis[3], basis[2], c * basis[1]) is None
 
 
 def test_reduction_rejects_other_j0():

@@ -157,13 +157,19 @@ def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
 @pytest.mark.parametrize("flag,value", [("--r-range", "5..2"), ("--r-range", "x..3"),
                                         ("--m-range", "3..x"), ("--points", "x..3"),
                                         ("--bounds", "0,x"), ("--bounds", "0,1,2,3,4,5,6"),
-                                        ("--bounds", "0,1,7"), ("--bounds", "0,-1")])
+                                        ("--bounds", "0,1,7"), ("--bounds", "0,-1"),
+                                        ("--N", "0"), ("--N", "-1")])
 def test_bad_range_exits_2(capsys, flag, value):
-    command = (["fit-ode", "--type", "1", "--r", "2", "--m", "2"] if flag == "--bounds"
-               else ["verify-ode", "--type", "2"])
-    with pytest.raises(SystemExit) as exc:
-        main(command + [flag, value])
-    assert exc.value.code == 2
+    command = {"--bounds": ["fit-ode", "--type", "1", "--r", "2", "--m", "2"],
+               "--N": ["orth", "--type", "2", "--r", "2", "--m", "4"]}.get(
+                   flag, ["verify-ode", "--type", "2"])
+    argv = command + [f"{flag}={value}"]
+    if flag == "--N":  # a domain error, reported by run
+        assert main(argv) == 2
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     err = capsys.readouterr().err
     assert value in err and "Traceback" not in err
 
@@ -190,6 +196,7 @@ def test_bad_range_exits_2(capsys, flag, value):
     ["gegenbauer", "--m", "3", "--nmax", "601"],
     ["orth", "--type", "2", "--r", "2", "--m", "4", "--n-positive", "200000"],
     ["orth", "--type", "2", "--r", "2", "--m", "4", "--closed-form-n", "2501"],
+    ["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--delta", "2501"],
 ], ids=" ".join)
 def test_above_cap_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -302,6 +309,9 @@ GOLDEN_REPORTS = [
      "cc108ec932f2d27e49a74432e4155afd66d76b5790cfb3f75310e78d5d60a8ad"),
     (["reduce", "--r", "3", "--m", "2", "--j0", "-4"], 0,
      "80a022dbd49e7a860310a1b95a3aad0f628a6e23d0cab3ed520b97f976d7f553"),
+    # the 5b finding; at degree 1, Q_1 and c Q_0 are dependent columns
+    (["reduce", "--r", "3", "--m", "2", "--j0", "-1"], 0,
+     "378a8c9ee8a1edc57cf4b3bedb0fdaf7e282ecbcbb3673305795ced60c80bdf9"),
     (["favard", "--type", "2", "--r", "2", "--m", "4", "--N", "12"], 0,
      "f10886133b704bd2104d732a7476a097d42229f7489efafff48f249dac793edd"),
     (["gram", "--type", "2", "--r", "2", "--m", "4", "--N", "12"], 0,
@@ -312,6 +322,9 @@ GOLDEN_REPORTS = [
      "10b17c2effcefe64e0fa100958c1272705c5296810bd405e552a00ad86b7b393"),
     (["series", "--type", "2", "--r", "2", "--m", "3", "--K", "40"], 0,
      "4202a87d9e2084d8caf34ca1ead4092f825ca0607d03c4925c954f72ade9a351"),
+    # the j0 < -r coupling term of the generating-function numerator
+    (["series", "--type", "1", "--r", "3", "--m", "4", "--j0", "-5"], 0,
+     "f8c674a74c13a1e540339671129697cb1e422e2c7b004db412b0bd435c0ff787"),
     (["pde", "--type", "1", "--r", "2", "--m", "2", "--K", "24"], 1,
      "fbee58097d19e3427328e513597ec694fd442c657cc1034438635a46f5136ac1"),
     (["pde", "--type", "1", "--r", "2", "--m", "2", "--K", "24", "--corrected"], 0,

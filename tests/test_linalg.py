@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from superpoly import linalg, matvec, nullspace, rank, solve_exact
+from superpoly import linalg, nullspace, solve_exact
 
 P = linalg._P
 
@@ -43,8 +43,8 @@ def test_kernel_vectors_annihilate_fuzz():
               for _ in range(ncols)] for _ in range(nrows)]
         basis = nullspace(M, ncols)
         for vec in basis:
-            assert all(x == 0 for x in matvec(M, vec))
-        assert rank(M, ncols) + len(basis) == ncols
+            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in M)
+        assert ncols - len(rref_nullspace(M, ncols)) + len(basis) == ncols
 
 
 def test_nullspace_deterministic():
@@ -64,7 +64,16 @@ def test_solve_exact_inconsistent():
 
 
 def test_solve_exact_underdetermined():
-    assert solve_exact([[F(1), F(1)]], [F(2)]) is None
+    # the reduced-echelon solution: the free unknown is 0
+    assert solve_exact([[1, 1]], [2]) == [2, 0]
+
+
+def test_solve_exact_dependent_columns():
+    # column 1 is twice column 0, so it is free and set to 0; column 2 is a pivot
+    rows = [[F(1), F(2), F(0)], [F(2), F(4), F(1)], [F(3), F(6), F(1)]]
+    assert solve_exact(rows, [F(3), F(10), F(13)]) == [F(3), F(0), F(4)]
+    # the same columns, with the right-hand side outside their span
+    assert solve_exact(rows, [F(3), F(10), F(14)]) is None
 
 
 def test_solve_exact_rational_entries():
@@ -120,7 +129,8 @@ def count_solves(monkeypatch):
 def test_rows_vanishing_mod_p():
     assert nullspace([[F(P), F(0)], [F(0), F(1)]]) == []
     assert nullspace([[F(P), F(2 * P)], [F(3 * P), F(6 * P)]]) == [[F(1), Fraction(-1, 2)]]
-    assert rank([[F(P), F(0)], [F(0), F(P * P)]]) == 2
+    M = [[F(P), F(0)], [F(0), F(P * P)]]
+    assert 2 - len(nullspace(M, 2)) == 2
 
 
 def test_rows_equal_mod_p_are_added_back(monkeypatch):
@@ -141,14 +151,14 @@ def test_unlucky_prime_loop_reaches_true_kernel(monkeypatch):
     calls = count_solves(monkeypatch)
     assert nullspace(M) == rref_nullspace(M, 4) == []
     assert calls == [2, 3, 4]
-    assert rank(M) == 4
+    assert 4 - len(nullspace(M, 4)) == 4
     assert solve_exact(M[:4], [F(1), F(2), F(3 + P), F(2)]) == [F(1), F(2), F(1), F(0)]
 
 
 def test_tall_matrix_only_last_row_independent():
     M = [[F(0)] * 6 for _ in range(199)]
     M.append([F(0), Fraction(3, 7), F(-1), F(0), F(2), Fraction(5, 3)])
-    assert rank(M) == 1
+    assert 6 - len(nullspace(M, 6)) == 1
     assert nullspace(M) == rref_nullspace(M, 6)
     assert len(nullspace(M)) == 5
 
@@ -168,4 +178,4 @@ def test_random_tall_matrices_match_reference():
               for j in range(ncols)] for row in left]
         expected = rref_nullspace(M, ncols)
         assert nullspace(M, ncols) == expected
-        assert rank(M, ncols) == ncols - len(expected)
+        assert ncols - len(nullspace(M, ncols)) == ncols - len(expected)

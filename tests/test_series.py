@@ -7,7 +7,6 @@ from superpoly import (CPoly, FamilyParams, TruncationError, build_operator,
                        certify_exponent_mapping, family, first_order_residual,
                        generate, pde_reduced, pde_residual)
 from superpoly.families import Family
-from superpoly.series import ZSeries
 
 
 def zero_through(resid, bound):
@@ -54,14 +53,17 @@ def test_first_order_residual_linear_in_initial_data():
 def test_truncation_error():
     fam = Family(FamilyParams(2, 7, -4)).extend(4)
     with pytest.raises(TruncationError):
-        ZSeries.from_family(fam, 40)
+        first_order_residual(fam, 40)
 
 
 def test_zseries_convention():
+    # the coefficient of z^k is P_{k-2r}: a change to P_4 first shows in the
+    # residual at z^8, then where it enters as P_{j-r-2r} and P_{j-2r-2r}
     fam = family(2, 2, -4, 8)
-    series = ZSeries.from_family(fam, 8)
-    assert series[0] == fam[-4] == CPoly.one()
-    assert series[8] == fam[4]
+    assert fam[-4] == CPoly.one()
+    fam.polys[4] = fam.polys[4] + CPoly.one()
+    resid = first_order_residual(fam, 12)
+    assert [j for j in range(13) if resid[j]] == [8, 10, 12]
 
 
 # ---------------------------------------------------------------------------
