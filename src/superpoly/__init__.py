@@ -10,17 +10,15 @@ from .errors import (AlignmentError, FitError, ParameterError, SuperpolyError,
                      SupportError, TruncationError)
 from .poly import CPoly
 from .linalg import nullspace, solve_exact
-from .families import (Family, FamilyParams, canonical_j0, family, generate,
-                       support_profile)
-from .ode import (IndicialData, OdeOperator, align_index, build_operator,
-                  delta_correction, indicial, indicial_factors, indicial_value,
-                  is_resonant, leading_symbol, polynomial_kernel,
-                  printed_indicial_factors, residual_scan, resonant_pairs,
-                  scalar_coefficients, scan_cell, scan_report)
-from .fitting import FitCandidate, FitResult, fit_ode, in_span, operator_vector
+from .families import Family, canonical_j0, generate, support_profile
+from .ode import (OdeOperator, align_index, build_operator, delta_correction, indicial,
+                  indicial_factors, indicial_value, is_resonant, leading_symbol,
+                  polynomial_kernel, printed_indicial_factors, residual_scan,
+                  resonant_pairs, scalar_coefficients, scan_cell)
+from .fitting import FitResult, fit_ode, in_span, operator_vector
 from .series import (certify_exponent_mapping, first_order_residual, pde_reduced,
                      pde_residual)
-from .classify import (GegenbauerBasis, classification_report, classify, gegenbauer,
+from .classify import (classification_report, classify, gegenbauer,
                        gegenbauer_ode_residual, superposition_fit,
                        verify_gegenbauer_reduction)
 from .orth import (FavardData, closed_form_AB, favard, gram_check,

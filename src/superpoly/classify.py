@@ -11,12 +11,11 @@ The kinds partition [-2r, -1]:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Literal, Optional, Tuple
 
 from .errors import FitError, ParameterError
-from .families import Family, FamilyParams, canonical_j0, generate
+from .families import Family, _check_params, canonical_j0, generate
 from .linalg import solve_exact
 from .poly import CPoly
 
@@ -24,7 +23,7 @@ Kind = Literal["A_type1", "A_prime_type2", "B_linear_combination", "C_case3", "C
 
 
 def classify(r: int, m: int, j0: int) -> Kind:
-    FamilyParams(r, m, j0)  # validates the domain
+    _check_params(r, m, j0)
     if j0 == -2 * r:
         return "A_type1"
     if j0 == -r:
@@ -40,39 +39,13 @@ def classify(r: int, m: int, j0: int) -> Kind:
 # type-B superposition against the two canonical families
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SuperpositionReport:
-    r: int
-    m: int
-    j0: int
-    alpha: Optional[Fraction]
-    beta: Optional[Fraction]
-    certified_k: List[int]
-    findings: List[dict]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r, "m": self.m, "j0": self.j0,
-            "alpha": None if self.alpha is None else str(self.alpha),
-            "beta": None if self.beta is None else str(self.beta),
-            "certified_k": self.certified_k,
-            "findings": self.findings,
-        }
-
-
 def _canonical_pair(r: int, m: int, members: int) -> Tuple[Family, Family]:
     """The type-1 and type-2 canonical families to the depth superposition_fit reads."""
-    return tuple(generate(FamilyParams(r, m, canonical_j0(t, r)), (members + 6) * r)
-                 for t in (1, 2))
+    return tuple(generate(r, m, canonical_j0(t, r), (members + 6) * r) for t in (1, 2))
 
 
 def superposition_fit(r: int, m: int, j0: int, members: int = 10,
-                      canonical: Optional[Tuple[Family, Family]] = None
-                      ) -> SuperpositionReport:
+                      canonical: Optional[Tuple[Family, Family]] = None) -> dict:
     """Fit (alpha, beta) with P_{j0,.} = alpha P_{-2r,.} + beta P_{-r,.} and certify.
 
     Degenerate cases: j0 = -2r -> (1, 0) and j0 = -r -> (0, 1), trivially
@@ -83,18 +56,22 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10,
     A failed certification is reported as a superposition-violation finding,
     never patched.  `canonical` is the (type-1, type-2) canonical pair to
     that depth, for a caller that fits several seeds; None generates it.
+    The report's alpha and beta are strings, or None where the fit fails.
     """
+    def report(alpha, beta, certified_k, findings):
+        return {"r": r, "m": m, "j0": j0,
+                "alpha": None if alpha is None else str(alpha),
+                "beta": None if beta is None else str(beta),
+                "certified_k": certified_k, "findings": findings}
     kind = classify(r, m, j0)
     if kind == "A_type1":
-        return SuperpositionReport(r, m, j0, Fraction(1), Fraction(0),
-                                   certified_k=[], findings=[])
+        return report(1, 0, [], [])
     if kind == "A_prime_type2":
-        return SuperpositionReport(r, m, j0, Fraction(0), Fraction(1),
-                                   certified_k=[], findings=[])
+        return report(0, 1, [], [])
     if kind != "B_linear_combination":
         raise ParameterError(f"j0={j0} is not in the type-B range for r={r}")
 
-    fam_b = generate(FamilyParams(r, m, j0), (members + 6) * r)
+    fam_b = generate(r, m, j0, (members + 6) * r)
     fam_1, fam_2 = canonical or _canonical_pair(r, m, members)
     mem_b = fam_b.nonzero_members()
     by_degree_1 = {int(p.degree): (k, p) for k, p in fam_1.nonzero_members()}
@@ -117,10 +94,9 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10,
             rhs.append(p[i])
     sol = solve_exact(rows, rhs)
     if sol is None:
-        return SuperpositionReport(
-            r, m, j0, None, None, certified_k=[],
-            findings=[{"kind": "fit-degeneracy",
-                       "detail": "the first two aligned members admit no (alpha, beta)"}])
+        return report(None, None, [], [{
+            "kind": "fit-degeneracy",
+            "detail": "the first two aligned members admit no (alpha, beta)"}])
     alpha, beta = sol
     certified, findings = [], []
     for k, p, q1, q2 in triples[2:]:
@@ -133,25 +109,12 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10,
                 "detail": (f"P_({j0}),{k} != {alpha}*P_type1 + {beta}*P_type2 on the "
                            "degree-aligned members"),
             })
-    return SuperpositionReport(r, m, j0, alpha, beta, certified, findings)
+    return report(alpha, beta, certified, findings)
 
 
 # ---------------------------------------------------------------------------
 # Gegenbauer basis and reductions
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GegenbauerBasis:
-    m: int
-    lam: Fraction
-    polys: List[CPoly]
-
-    def __getitem__(self, n: int) -> CPoly:
-        return self.polys[n]
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
 
 def gegenbauer_ode_residual(m: int, n: int, y: CPoly) -> CPoly:
     """(1 - c^2) y'' - c (2/m + 3) y' + n (2/m + n + 2) y.
@@ -163,7 +126,7 @@ def gegenbauer_ode_residual(m: int, n: int, y: CPoly) -> CPoly:
     return y.band(lambda s: eig - s * (s + 2 + mu), lambda s: s * (s - 1))
 
 
-def gegenbauer(m: int, nmax: int) -> GegenbauerBasis:
+def gegenbauer(m: int, nmax: int) -> List[CPoly]:
     """Ultraspherical Q_0..Q_nmax with lambda = 1 + 1/m.
 
     Generated by the standard three-term recurrence
@@ -182,7 +145,7 @@ def gegenbauer(m: int, nmax: int) -> GegenbauerBasis:
     for n, q in enumerate(polys):
         if not gegenbauer_ode_residual(m, n, q).is_zero():
             raise FitError(f"generated Q_{n} fails its own defining equation")
-    return GegenbauerBasis(m=m, lam=1 + Fraction(1, m), polys=polys)
+    return polys
 
 
 def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = None) -> dict:
@@ -206,7 +169,7 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
         raise ParameterError("gegenbauer reduction applies to j0 in {-1, -r-1}")
     if kmax is None:
         kmax = 14 * r
-    fam = generate(FamilyParams(r, m, j0), kmax)
+    fam = generate(r, m, j0, kmax)
     members = fam.nonzero_members()
     if not members:
         raise ParameterError(f"no member with k <= kmax = {kmax}: nothing to reduce")
@@ -240,7 +203,7 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
             "detail": "members that fail the printed second-order equation at n = degree",
         })
     return {
-        "r": r, "m": m, "j0": j0, "lambda": str(basis.lam),
+        "r": r, "m": m, "j0": j0, "lambda": f"{m + 1}/{m}",  # 1 + 1/m in lowest terms
         "entries": entries,
         "all_two_term": all_two_term,
         "all_single_Q_with_ode": all(e["single_Q"] and e["ode_zero"] for e in entries),
@@ -257,11 +220,6 @@ def classification_report(r: int, m: int, members: int = 10) -> dict:
         entry: Dict = {"j0": j0, "kind": kind}
         if kind in ("A_type1", "A_prime_type2", "B_linear_combination"):
             rep = superposition_fit(r, m, j0, members=members, canonical=canonical)
-            entry.update({
-                "alpha": None if rep.alpha is None else str(rep.alpha),
-                "beta": None if rep.beta is None else str(rep.beta),
-                "certified_k": rep.certified_k,
-                "findings": rep.findings,
-            })
+            entry.update((key, rep[key]) for key in ("alpha", "beta", "certified_k", "findings"))
         entries.append(entry)
     return {"r": r, "m": m, "entries": entries}

@@ -11,19 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from itertools import product, repeat
 
 from . import __version__
 from .classify import (classification_report, gegenbauer, superposition_fit,
                        verify_gegenbauer_reduction)
 from .errors import SuperpolyError
-from .families import FamilyParams, canonical_j0, generate
+from .families import canonical_j0, generate
 from .fitting import fit_ode, in_span, operator_vector
-from .ode import (align_index, build_operator, indicial, polynomial_kernel, scan_cell,
-                  scan_report)
+from .ode import align_index, build_operator, indicial, polynomial_kernel, residual_scan
 from .orth import favard, gram_check, identify_ultraspherical, orthogonality_report
 from .series import first_order_residual, pde_residual
 
@@ -96,7 +93,7 @@ def _family(ns, kmax: int | None = None):
     """The family of --r, --m to kmax; seeded at --j0 if given, else canonically."""
     j0 = getattr(ns, "j0", None)
     j0 = canonical_j0(ns.type, ns.r) if j0 is None else j0
-    return generate(FamilyParams(ns.r, ns.m, j0), kmax)
+    return generate(ns.r, ns.m, j0, kmax)
 
 
 def _favard_family(ns):
@@ -107,11 +104,6 @@ def _favard_family(ns):
 def _verdict(report: dict, *keys: str) -> tuple[dict, bool]:
     """The report, passing when all the named keys of it are true."""
     return report, all(report[key] for key in keys)
-
-
-def _result(rec) -> tuple[dict, bool]:
-    """A result record's JSON and its own verdict."""
-    return rec.to_json(), rec.ok
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +120,13 @@ def _gen(ns) -> tuple[dict, bool]:
 
 
 def _verify_ode(ns) -> tuple[dict, bool]:
-    rs, ms = zip(*product(ns.r_range, ns.m_range))
-    tasks = (repeat(ns.type), rs, ms, repeat(ns.points))
-    jobs = min(ns.jobs, os.cpu_count() or 1, len(rs))
-    if jobs > 1:
-        # imported here, as it loads multiprocessing: one worker needs no pool
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(scan_cell, *tasks))  # map keeps task order
-    else:
-        cells = list(map(scan_cell, *tasks))
-    report = scan_report(ns.type, cells)
+    report = residual_scan(ns.type, ns.r_range, ns.m_range, ns.points)
     return report, report["summary"]["pass"]
 
 
 def _indicial(ns) -> tuple[dict, bool]:
-    data = indicial(ns.type, ns.r, ns.m, ns.n)
-    report = data.to_json()
-    report["findings"] = [] if data.matches_printed else [{
+    report = indicial(ns.type, ns.r, ns.m, ns.n)
+    report["findings"] = [] if report["matches_printed_factorization"] else [{
         "kind": "printed-factorization-mismatch",
         "detail": ("the printed type-2 factorization matches the operator only "
                    "for r = 2; roots shown come from the operator-certified factors"),
@@ -156,7 +137,7 @@ def _indicial(ns) -> tuple[dict, bool]:
 def _kernel(ns) -> tuple[dict, bool]:
     op = build_operator(ns.type, ns.r, ns.m, ns.n)
     bound = ns.bound if ns.bound is not None else max(
-        indicial(ns.type, ns.r, ns.m, ns.n).admissible_degrees, default=0) + 2
+        indicial(ns.type, ns.r, ns.m, ns.n)["admissible_degrees"], default=0) + 2
     basis = polynomial_kernel(op, bound, ns.parity)
     report = {
         "family_type": ns.type, "r": ns.r, "m": ns.m, "n": ns.n,
@@ -168,10 +149,9 @@ def _kernel(ns) -> tuple[dict, bool]:
 
 
 def _gegenbauer(ns) -> tuple[dict, bool]:
-    basis = gegenbauer(ns.m, ns.nmax)
     report = {
-        "m": ns.m, "lambda": str(basis.lam),
-        "polys": [p.to_strings() for p in basis.polys],
+        "m": ns.m, "lambda": f"{ns.m + 1}/{ns.m}",  # 1 + 1/m in lowest terms
+        "polys": [p.to_strings() for p in gegenbauer(ns.m, ns.nmax)],
         "ode_certified": True,  # gegenbauer() raises if any member fails its equation
     }
     return report, True
@@ -183,7 +163,7 @@ def _series(ns) -> tuple[dict, bool]:
     window = ns.K - 2 * ns.r
     bad = [k for k in range(window + 1) if resid[k]]
     report = {
-        "r": ns.r, "m": ns.m, "j0": fam.params.j0, "K": ns.K,
+        "r": ns.r, "m": ns.m, "j0": fam.j0, "K": ns.K,
         "zero_through": window if not bad else min(bad) - 1,
         "pass": not bad,
         "findings": [{"kind": "series-residual", "exponent": k} for k in bad[:8]],
@@ -201,7 +181,7 @@ def _fit_ode(ns) -> tuple[dict, bool]:
             delta = 0
     result = fit_ode(fam, coeff_degree_bounds=ns.bounds, delta=delta, holdout=ns.holdout)
     report = result.to_json()
-    seed_type = {canonical_j0(t, ns.r): t for t in (1, 2)}.get(fam.params.j0)
+    seed_type = {canonical_j0(t, ns.r): t for t in (1, 2)}.get(fam.j0)
     if seed_type is not None and ns.bounds == (0, 1, 2, 3, 4):
         target = operator_vector(seed_type, ns.r, ns.m, ns.bounds)
         report["closed_operator_in_span"] = in_span(result.candidates, target)
@@ -223,7 +203,6 @@ FLAGS = {
     "--r-range": {"type": parse_span},
     "--m-range": {"type": parse_span},
     "--points": {"type": parse_points, "help": '"paper" (n = 5r..9r), "all", or "a..b"'},
-    "--jobs": {"type": int, "help": "worker processes, clamped to 1..CPU count"},
     "--print": {"dest": "print_members", "action": "store_true",
                 "help": "also pretty-print nonzero members to stderr"},
     "--corrected": {"action": "store_true",
@@ -243,8 +222,7 @@ COMMANDS = [
      _gen),
     *((name, "verify the fourth-order operator annihilates the family "
              f"(default points: {points})",
-       {"--type": REQUIRED, "--r-range": "2..8", "--m-range": "2..10", "--points": points,
-        "--jobs": 1},
+       {"--type": REQUIRED, "--r-range": "2..8", "--m-range": "2..10", "--points": points},
        _verify_ode)
       for name, points in (("verify-ode", "paper"), ("scan", "all"))),
     ("indicial", "indicial roots, admissible degrees, resonance",
@@ -260,7 +238,8 @@ COMMANDS = [
                  not any(e.get("findings") for e in rep["entries"]))),
     ("superpose", "type-B superposition fit + certification",
      {"--r": REQUIRED, "--m": REQUIRED, "--j0": REQUIRED, "--members": 10},
-     lambda ns: _result(superposition_fit(ns.r, ns.m, ns.j0, members=ns.members))),
+     lambda ns: (rep := superposition_fit(ns.r, ns.m, ns.j0, members=ns.members),
+                 not rep["findings"])),
     ("gegenbauer", "ultraspherical basis certified against its equation",
      {"--m": REQUIRED, "--nmax": 12},
      _gegenbauer),
@@ -270,7 +249,7 @@ COMMANDS = [
                          "all_two_term")),
     ("favard", "three-term coefficients, positivity, monic data",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--j0": None, "--N": 12},
-     lambda ns: _result(favard(_favard_family(ns), ns.N))),
+     lambda ns: ((fd := favard(_favard_family(ns), ns.N)).to_json(), not fd.findings)),
     ("gram", "exact Gram-matrix orthogonality check",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--N": 12},
      lambda ns: _verdict(gram_check(favard(_favard_family(ns), ns.N), ns.N),
@@ -352,8 +331,12 @@ def run(argv) -> tuple[dict, int]:
     }
     text = json.dumps(envelope, indent=2, sort_keys=True)
     if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(ns.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write the report to {ns.out}: {exc.strerror}", file=sys.stderr)
+            return envelope, 2
     else:
         print(text)
     print(f"{ns.command}: {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s)", file=sys.stderr)

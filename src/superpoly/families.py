@@ -11,27 +11,20 @@ generation is total.  Nonzero members live on the lattice k == j0 (mod r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .errors import ParameterError, SupportError
 from .poly import CPoly
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    r: int
-    m: int
-    j0: int
-
-    def __post_init__(self):
-        if self.r < 2 or self.m < 2:
-            raise ParameterError(f"need r >= 2 and m >= 2, got r={self.r}, m={self.m}")
-        if not (-2 * self.r <= self.j0 <= -1):
-            raise ParameterError(f"j0 must lie in [-{2 * self.r}, -1], got {self.j0}")
+def _check_params(r: int, m: int, j0: int = -1):
+    """Raise ParameterError unless r >= 2, m >= 2 and -2r <= j0 <= -1."""
+    if r < 2 or m < 2:
+        raise ParameterError(f"need r >= 2 and m >= 2, got r={r}, m={m}")
+    if not (-2 * r <= j0 <= -1):
+        raise ParameterError(f"j0 must lie in [-{2 * r}, -1], got {j0}")
 
 
-@dataclass
 class Family:
     """A generated family; polys maps every k >= -2r up to kmax to its CPoly.
 
@@ -39,14 +32,15 @@ class Family:
     initial entries) so series code can index densely.
     """
 
-    params: FamilyParams
-    polys: Dict[int, CPoly] = field(default_factory=dict)
-    kmax: int = -1
+    def __init__(self, r: int, m: int, j0: int):
+        _check_params(r, m, j0)
+        self.r, self.m, self.j0 = r, m, j0
+        self.polys: Dict[int, CPoly] = {
+            j: CPoly.one() if j == j0 else CPoly.zero() for j in range(-2 * r, 0)}
+        self.kmax = -1
 
-    def __post_init__(self):
-        if not self.polys:
-            for j in range(-2 * self.params.r, 0):
-                self.polys[j] = CPoly.one() if j == self.params.j0 else CPoly.zero()
+    def __repr__(self) -> str:
+        return f"Family(r={self.r}, m={self.m}, j0={self.j0})"
 
     def extend(self, kmax: int) -> "Family":
         """Generate P_k for k <= kmax on integers.
@@ -54,7 +48,7 @@ class Family:
         P_k = (alpha P_{k-r}.shift(1) - beta P_{k-2r}) / (2r+m+km), with
         alpha = 2(r+(1+k-r)m) and beta = (k-2r+1)m, as one CPoly.combine.
         """
-        r, m = self.params.r, self.params.m
+        r, m = self.r, self.m
         for k in range(self.kmax + 1, kmax + 1):
             self.polys[k] = self.polys[k - r].shift(1).combine(
                 self.polys[k - 2 * r], 2 * (r + (1 + k - r) * m), -(k - (2 * r - 1)) * m,
@@ -69,34 +63,24 @@ class Family:
         """(k, P_k) for 0 <= k <= kmax with P_k != 0, in increasing k."""
         return [(k, self.polys[k]) for k in range(0, self.kmax + 1) if self.polys[k]]
 
-    def recursion_residual(self, k: int) -> CPoly:
-        """(2r+m+km) P_k - 2c(r+(1+k-r)m) P_{k-r} + (k-(2r-1)) m P_{k-2r}; zero iff exact."""
-        r, m = self.params.r, self.params.m
-        return (self.polys[k].scale(2 * r + m + k * m)
-                - self.polys[k - r].shift(1).scale(2 * (r + (1 + k - r) * m))
-                + self.polys[k - 2 * r].scale((k - (2 * r - 1)) * m))
-
     def to_json(self) -> dict:
         return {
-            "r": self.params.r,
-            "m": self.params.m,
-            "j0": self.params.j0,
+            "r": self.r,
+            "m": self.m,
+            "j0": self.j0,
             "polys": [{"k": k, "coeffs": self.polys[k].to_strings()}
                       for k in sorted(self.polys)],
         }
 
 
-def generate(params: FamilyParams, kmax: int | None = None) -> Family:
-    """A new family holding exactly P_k for k <= kmax; default kmax = 12r."""
+def generate(r: int, m: int, j0: int, kmax: int | None = None) -> Family:
+    """A new family seeded at j0, holding exactly P_k for k <= kmax; default kmax = 12r."""
+    fam = Family(r, m, j0)
     if kmax is None:
-        kmax = 12 * params.r
+        kmax = 12 * r
     if kmax < 0:
         raise ParameterError("kmax must be >= 0")
-    return Family(params).extend(kmax)
-
-
-def family(r: int, m: int, j0: int, kmax: int | None = None) -> Family:
-    return generate(FamilyParams(r, m, j0), kmax)
+    return fam.extend(kmax)
 
 
 def canonical_j0(family_type: int, r: int) -> int:
@@ -114,10 +98,10 @@ def support_profile(fam: Family) -> int:
     """
     ks = [k for k, _ in fam.nonzero_members()]
     if not ks:
-        raise SupportError(f"family {fam.params} has no nonzero members up to kmax={fam.kmax}")
+        raise SupportError(f"{fam!r} has no nonzero members up to kmax={fam.kmax}")
     if len(ks) == 1:
-        return fam.params.r
+        return fam.r
     gaps = {b - a for a, b in zip(ks, ks[1:])}
     if len(gaps) != 1:
-        raise SupportError(f"support of {fam.params} is not an arithmetic progression: {ks}")
+        raise SupportError(f"support of {fam!r} is not an arithmetic progression: {ks}")
     return gaps.pop()

@@ -17,7 +17,6 @@ certified by exact membership in the fitted span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -33,54 +32,30 @@ from .poly import CPoly
 N_DEGREE = 4  # degree cap of the unknown scalars as polynomials in n
 
 
-@dataclass(frozen=True)
-class FitCandidate:
-    """One fitted operator: a kernel vector in the fit's unknown coordinates."""
-
-    bounds: Tuple[int, ...]
-    delta: int
-    vector: Tuple[Fraction, ...]  # laid out by _unknown_layout(bounds)
-
-    @property
-    def order(self) -> int:
-        return len(self.bounds) - 1
-
-    def _n_polys(self) -> List[List[List[Fraction]]]:
-        """[i][j]: coefficients (low n-power first) of the n-polynomial at c^j d^i/dc^i."""
-        it = iter(self.vector)
-        return [[list(islice(it, N_DEGREE + 1)) for _ in range(b + 1)] for b in self.bounds]
-
-    def materialize(self, n: int) -> List[CPoly]:
-        """Concrete c-coefficient polynomials [order 0 .. order] at index n."""
-        return [CPoly(sum(w * n ** l for l, w in enumerate(npoly)) for npoly in row)
-                for row in self._n_polys()]
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "bounds": list(self.bounds),
-            "delta": self.delta,
-            "n_polys": [[[str(w) for w in npoly] for npoly in row] for row in self._n_polys()],
-        }
-
-
-@dataclass(frozen=True)
 class FitResult:
-    candidates: Tuple[FitCandidate, ...]
-    kernel_dim: int
-    rank: int
-    unknowns: int
-    fit_k: Tuple[int, ...]
-    holdout_k: Tuple[int, ...]
+    """The kernel of a fit: `candidates` are the kernel vectors, laid out by
+    `_unknown_layout(bounds)`, that also annihilate every held-out member."""
+
+    def __init__(self, bounds: Tuple[int, ...], delta: int, candidates: List[List[Fraction]],
+                 kernel_dim: int, unknowns: int, fit_k: List[int], holdout_k: List[int]):
+        self.bounds, self.delta, self.candidates = bounds, delta, candidates
+        self.kernel_dim, self.unknowns = kernel_dim, unknowns
+        self.fit_k, self.holdout_k = fit_k, holdout_k
 
     def to_json(self) -> dict:
+        def n_polys(vec):  # [i][j]: the n-polynomial at c^j d^i/dc^i, low n-power first
+            it = iter(vec)
+            return [[[str(w) for w in islice(it, N_DEGREE + 1)] for _ in range(b + 1)]
+                    for b in self.bounds]
         return {
             "kernel_dim": self.kernel_dim,
-            "rank": self.rank,
+            "rank": self.unknowns - self.kernel_dim,
             "unknowns": self.unknowns,
-            "fit_k": list(self.fit_k),
-            "holdout_k": list(self.holdout_k),
-            "candidates": [c.to_json() for c in self.candidates],
+            "fit_k": self.fit_k,
+            "holdout_k": self.holdout_k,
+            "candidates": [{"order": len(self.bounds) - 1, "bounds": list(self.bounds),
+                            "delta": self.delta, "n_polys": n_polys(vec)}
+                           for vec in self.candidates],
         }
 
 
@@ -137,7 +112,7 @@ def fit_ode(fam: Family, coeff_degree_bounds: Sequence[int] = (0, 1, 2, 3, 4),
     members = fam.nonzero_members()
     if len(members) < holdout + 6:
         raise FitError(
-            f"family {fam.params} has only {len(members)} members; generate more "
+            f"{fam!r} has only {len(members)} members; generate more "
             f"to overdetermine the system")
     fit_members = members[:len(members) - holdout]
     hold_members = members[len(members) - holdout:]
@@ -154,15 +129,10 @@ def fit_ode(fam: Family, coeff_degree_bounds: Sequence[int] = (0, 1, 2, 3, 4),
         den = lcm(*(x.denominator for x in vec))
         ints = [x.numerator * (den // x.denominator) for x in vec]
         if not any(sum(map(mul, row, ints)) for row in held):
-            candidates.append(FitCandidate(bounds=bounds, delta=delta, vector=tuple(vec)))
-    return FitResult(
-        candidates=tuple(candidates),
-        kernel_dim=len(basis),
-        rank=ncols - len(basis),
-        unknowns=ncols,
-        fit_k=tuple(k for k, _ in fit_members),
-        holdout_k=tuple(k for k, _ in hold_members),
-    )
+            candidates.append(vec)
+    return FitResult(bounds, delta, candidates, kernel_dim=len(basis), unknowns=ncols,
+                     fit_k=[k for k, _ in fit_members],
+                     holdout_k=[k for k, _ in hold_members])
 
 
 def operator_vector(family_type, r: int, m: int,
@@ -189,8 +159,8 @@ def operator_vector(family_type, r: int, m: int,
     return vec
 
 
-def in_span(candidates: Sequence[FitCandidate], target: Sequence[Fraction]) -> bool:
-    """Exact membership of the target vector in the span of fitted candidates."""
+def in_span(candidates: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
+    """Exact membership of the target vector in the span of the fitted kernel vectors."""
     # the candidates are the columns: one row per coordinate
-    rows = [[cand.vector[j] for cand in candidates] for j in range(len(target))]
+    rows = [[vec[j] for vec in candidates] for j in range(len(target))]
     return solve_exact(rows, target) is not None

@@ -15,22 +15,16 @@ polynomial kernel are all read off that band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable, List, Literal, Sequence, Tuple
 
 from .errors import AlignmentError, ParameterError
-from .families import Family, FamilyParams, canonical_j0, generate
+from .families import Family, _check_params, canonical_j0, generate
 from .linalg import nullspace
 from .poly import CPoly
 
 FamilyType = Literal[1, 2]
-
-
-def _check_rm(r: int, m: int):
-    if r < 2 or m < 2:
-        raise ParameterError(f"need r >= 2 and m >= 2, got r={r}, m={m}")
 
 
 def delta_correction(r: int, m: int, n: int) -> int:
@@ -39,7 +33,7 @@ def delta_correction(r: int, m: int, n: int) -> int:
 
 def scalar_coefficients(family_type: FamilyType, r: int, m: int, n: int) -> Tuple[int, int, int, int]:
     """(W, X, Y, Z) for the requested family type."""
-    _check_rm(r, m)
+    _check_params(r, m)
     if family_type == 1:
         W = n * (n - 2 * r) * (m * (n - 2 * r + 2) + 2 * r) * (m * (n - 4 * r + 2) + 2 * r)
         X = r * r * (-2 * m * m * ((n + 2) * n + 2)
@@ -65,15 +59,13 @@ def scalar_coefficients(family_type: FamilyType, r: int, m: int, n: int) -> Tupl
     return W, X, Y, Z
 
 
-@dataclass(frozen=True)
 class OdeOperator:
     """L_n, fixed by its four integer scalars (W, X, Y, Z) in (r, m, n)."""
 
-    family_type: FamilyType
-    r: int
-    m: int
-    n: int
-    scalars: Tuple[int, int, int, int]  # (W, X, Y, Z) of scalar_coefficients
+    def __init__(self, family_type: FamilyType, r: int, m: int, n: int,
+                 scalars: Tuple[int, int, int, int]):
+        self.family_type, self.r, self.m, self.n = family_type, r, m, n
+        self.scalars = scalars  # (W, X, Y, Z) of scalar_coefficients
 
     @property
     def coefficients(self) -> Tuple[CPoly, ...]:
@@ -122,16 +114,16 @@ def align_index(fam: Family, family_type: FamilyType) -> int:
     deterministic: the smallest admissible delta.  Empirically delta = 2r for
     both canonical families (n is the generating-function z-exponent k + 2r).
     """
-    r, m = fam.params.r, fam.params.m
+    r, m = fam.r, fam.m
     members = fam.nonzero_members()[:3]
     if len(members) < 3:
-        raise AlignmentError(f"family {fam.params} has fewer than 3 nonzero members")
+        raise AlignmentError(f"{fam!r} has fewer than 3 nonzero members")
     for delta in (0, r, 2 * r):
         if all(build_operator(family_type, r, m, k + delta).apply(p).is_zero()
                for k, p in members):
             return delta
     raise AlignmentError(
-        f"no shift in {{0, {r}, {2 * r}}} aligns family {fam.params} with type {family_type}")
+        f"no shift in {{0, {r}, {2 * r}}} aligns {fam!r} with type {family_type}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +145,7 @@ def indicial_factors(family_type: FamilyType, r: int, m: int, n: int) -> List[Tu
     r = 2, where the factors coincide, or where 2mn - 7mr + 2m + 4r = 0,
     where the shifts swap them).
     """
-    _check_rm(r, m)
+    _check_params(r, m)
     if family_type == 1:
         return [(r, n), (r, -n + 2 * r),
                 (m * r, -m * n + 4 * m * r - 2 * m - 2 * r),
@@ -199,28 +191,7 @@ def resonant_pairs(r_range: Sequence[int], m_range: Sequence[int]) -> List[Tuple
     return [(r, m) for r in r_range for m in m_range if is_resonant(r, m)]
 
 
-@dataclass(frozen=True)
-class IndicialData:
-    family_type: FamilyType
-    r: int
-    m: int
-    n: int
-    roots: Tuple[Tuple[Fraction, int], ...]  # (root, multiplicity), sorted
-    admissible_degrees: Tuple[int, ...]
-    resonant: bool
-    matches_printed: bool  # published factorization == operator's leading symbol
-
-    def to_json(self) -> dict:
-        return {
-            "family_type": self.family_type, "r": self.r, "m": self.m, "n": self.n,
-            "roots": [{"root": str(root), "multiplicity": mult} for root, mult in self.roots],
-            "admissible_degrees": list(self.admissible_degrees),
-            "resonant": self.resonant,
-            "matches_printed_factorization": self.matches_printed,
-        }
-
-
-def indicial(family_type: FamilyType, r: int, m: int, n: int) -> IndicialData:
+def indicial(family_type: FamilyType, r: int, m: int, n: int) -> dict:
     """Roots of I(s) with multiplicity, admissible polynomial degrees, resonance.
 
     I(s) and both factorized products have degree 4 in s, so their values at
@@ -240,15 +211,16 @@ def indicial(family_type: FamilyType, r: int, m: int, n: int) -> IndicialData:
     for slope, intercept in factors:
         root = Fraction(-intercept, slope)
         roots[root] = roots.get(root, 0) + 1
-    admissible = sorted(int(root) for root in roots
-                        if root.denominator == 1 and root >= 0)
-    return IndicialData(
-        family_type=family_type, r=r, m=m, n=n,
-        roots=tuple(sorted(roots.items())),
-        admissible_degrees=tuple(admissible),
-        resonant=is_resonant(r, m),
-        matches_printed=is_symbol(printed_indicial_factors(family_type, r, m, n)),
-    )
+    return {
+        "family_type": family_type, "r": r, "m": m, "n": n,
+        "roots": [{"root": str(root), "multiplicity": mult}
+                  for root, mult in sorted(roots.items())],
+        "admissible_degrees": sorted(int(root) for root in roots
+                                     if root.denominator == 1 and root >= 0),
+        "resonant": is_resonant(r, m),
+        "matches_printed_factorization": is_symbol(
+            printed_indicial_factors(family_type, r, m, n)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +283,7 @@ def scan_cell(family_type: FamilyType, r: int, m: int, n_points="paper") -> dict
     aligned n of the members generated to k = 12r; a sequence of ints checks
     the given n.
     """
-    fam = generate(FamilyParams(r, m, canonical_j0(family_type, r)))
+    fam = generate(r, m, canonical_j0(family_type, r))
     delta = align_index(fam, family_type)
     if n_points == "paper":
         ns = [t * r for t in range(5, 10)]
@@ -339,8 +311,10 @@ def scan_cell(family_type: FamilyType, r: int, m: int, n_points="paper") -> dict
             "pass": not failures, "failures": failures}
 
 
-def scan_report(family_type: FamilyType, cells: List[dict]) -> dict:
-    """The grid report over `scan_cell` results given in (r, m) order."""
+def residual_scan(family_type: FamilyType, r_range: Sequence[int], m_range: Sequence[int],
+                  n_points="paper") -> dict:
+    """`scan_cell` over every (r, m) in r_range x m_range, r-major, as one grid report."""
+    cells = [scan_cell(family_type, r, m, n_points) for r in r_range for m in m_range]
     if not cells:
         raise ParameterError("empty (r, m) grid: nothing to verify")
     return {
@@ -348,10 +322,3 @@ def scan_report(family_type: FamilyType, cells: List[dict]) -> dict:
         "cells": cells,
         "summary": {"cells": len(cells), "pass": all(cell["pass"] for cell in cells)},
     }
-
-
-def residual_scan(family_type: FamilyType, r_range: Sequence[int], m_range: Sequence[int],
-                  n_points="paper") -> dict:
-    """`scan_cell` over every (r, m) in r_range x m_range, r-major."""
-    return scan_report(family_type, [scan_cell(family_type, r, m, n_points)
-                                     for r in r_range for m in m_range])

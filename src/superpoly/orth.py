@@ -14,7 +14,6 @@ a_t = B_t A_{t-1}, zero diagonal by parity); no measure is constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -31,19 +30,15 @@ def recurrence_AB(r: int, m: int, k: int) -> Tuple[Fraction, Fraction]:
     return Fraction(2 * r + m + k * m, den), Fraction((k - 2 * r + 1) * m, den)
 
 
-@dataclass
 class FavardData:
-    A: List[Fraction]
-    B: List[Fraction]
-    a: List[Fraction]          # a_t = B_t A_{t-1}, t >= 1
-    monic: List[CPoly]         # abstract monic OPS p_0 = 1, p_{t+1} = c p_t - a_t p_{t-1}
-    moments: List[Fraction]    # moment_j = (J^j)_{00} of the monic Jacobi matrix
-    relation_certified_t: List[int]
-    findings: List[dict]
+    """A_t, B_t and a_t = B_t A_(t-1) (t >= 1); the abstract monic OPS p_0 = 1,
+    p_(t+1) = c p_t - a_t p_(t-1); moment_j = (J^j)_00 of its Jacobi matrix."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.findings
+    def __init__(self, A: List[Fraction], B: List[Fraction], a: List[Fraction],
+                 monic: List[CPoly], moments: List[Fraction],
+                 relation_certified_t: List[int], findings: List[dict]):
+        self.A, self.B, self.a, self.monic, self.moments = A, B, a, monic, moments
+        self.relation_certified_t, self.findings = relation_certified_t, findings
 
     def to_json(self) -> dict:
         return {
@@ -95,7 +90,7 @@ def favard(fam: Family, N: int, gram_N: Optional[int] = None) -> FavardData:
     gram_N = N if gram_N is None else min(gram_N, N)
     if gram_N < 1:
         raise ParameterError(f"N must be >= 1, got {gram_N}")
-    r, m = fam.params.r, fam.params.m
+    r, m = fam.r, fam.m
     stride = support_profile(fam)
     ks, q = zip(*fam.nonzero_members())
     A, B = (list(x) for x in zip(*(recurrence_AB(r, m, ks[0] + (t + 1) * stride)
@@ -117,8 +112,7 @@ def favard(fam: Family, N: int, gram_N: Optional[int] = None) -> FavardData:
     for t in range(1, gram_N):
         monic.append(monic[t].shift(1) - monic[t - 1].scale(a[t]))
     moments = _moments(a, 2 * gram_N)
-    return FavardData(A=A, B=B, a=a, monic=monic, moments=moments,
-                      relation_certified_t=certified, findings=findings)
+    return FavardData(A, B, a, monic, moments, certified, findings)
 
 
 def gram_check(fd: FavardData, N: int) -> dict:
@@ -182,7 +176,7 @@ def identify_ultraspherical(fam: Family) -> dict:
 
     exactly.  No match is a recorded result, not an error.
     """
-    r, m = fam.params.r, fam.params.m
+    r, m = fam.r, fam.m
     q = [p for _, p in fam.nonzero_members()]
     nu = Fraction(r, 2) * (1 + Fraction(1, m))
     tmax = len(q) - 2
@@ -228,7 +222,7 @@ def orthogonality_report(fam: Family, N: int = 12, n_positive: int = 200,
             for t in range(0, closed_form_n + 1))
     gram = gram_check(fd, N)
     return {
-        "family": {"r": fam.params.r, "m": fam.params.m, "j0": fam.params.j0},
+        "family": {"r": fam.r, "m": fam.m, "j0": fam.j0},
         "N": N,
         "a_positive": all(x > 0 for x in fd.a[1:n_positive + 1]),
         "gram_offdiag_zero": gram["offdiag_zero"],

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Literal, Optional
 
 from .errors import ParameterError, TruncationError
-from .families import Family, FamilyParams, canonical_j0, generate
+from .families import Family, canonical_j0, generate
 from .poly import CPoly
 
 FamilyType = Literal[1, 2]
@@ -32,7 +32,7 @@ def first_order_residual(fam: Family, K: int) -> List[CPoly]:
     the returned list is the residual at z^j.  K >= 2r, so that at least the
     exponent 2r, where P_0 enters, is checked.
     """
-    r, m = fam.params.r, fam.params.m
+    r, m = fam.r, fam.m
     if K < 2 * r:
         raise ParameterError("K must be at least 2r")
     if fam.kmax < K - 2 * r:
@@ -134,14 +134,14 @@ def certify_exponent_mapping(family_type: FamilyType, fam: Family, K: int,
 
     Searched over {0, r, 2r, -r, -2r} in that order; None if nothing works.
     """
-    r = fam.params.r
+    r = fam.r
     for off in (0, r, 2 * r, -r, -2 * r):
         ok = True
         for k in range(K + 1):
             g = fam.polys[k - 2 * r]
             if g.is_zero():
                 continue
-            if not pde_reduced(family_type, r, fam.params.m, k + off, g, corrected).is_zero():
+            if not pde_reduced(family_type, r, fam.m, k + off, g, corrected).is_zero():
                 ok = False
                 break
         if ok:
@@ -159,7 +159,7 @@ def pde_residual(family_type: FamilyType, r: int, m: int, K: int,
     """
     if K < 2 * r:
         raise ParameterError("K must be at least 2r")
-    fam = generate(FamilyParams(r, m, canonical_j0(family_type, r)), max(K - 2 * r, 12 * r))
+    fam = generate(r, m, canonical_j0(family_type, r), max(K - 2 * r, 12 * r))
     offset = certify_exponent_mapping(family_type, fam, min(K, 6 * r), corrected)
     residuals = []
     all_zero = offset is not None

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superpoly import (CPoly, ParameterError, classification_report, classify,
-                       family, gegenbauer, gegenbauer_ode_residual,
+                       gegenbauer, gegenbauer_ode_residual, generate,
                        superposition_fit, verify_gegenbauer_reduction)
 from superpoly.linalg import solve_exact
 
@@ -31,9 +31,9 @@ def test_taxonomy_partitions():
 
 def test_superposition_degenerate_cases():
     rep = superposition_fit(3, 2, -6)
-    assert (rep.alpha, rep.beta) == (1, 0) and rep.ok
+    assert (rep["alpha"], rep["beta"]) == ("1", "0") and not rep["findings"]
     rep = superposition_fit(3, 2, -3)
-    assert (rep.alpha, rep.beta) == (0, 1) and rep.ok
+    assert (rep["alpha"], rep["beta"]) == ("0", "1") and not rep["findings"]
 
 
 def test_superposition_rejects_type_c():
@@ -45,19 +45,19 @@ def test_superposition_type_b_violation_is_reported():
     # the three families live on different support lattices mod r, so the
     # member-wise identity cannot hold; the engine must say so, not guess
     rep = superposition_fit(3, 2, -4, members=10)
-    assert not rep.ok
+    assert rep["findings"]
     assert any(f["kind"] in ("superposition-violation", "fit-degeneracy")
-               for f in rep.findings)
+               for f in rep["findings"])
 
 
 def test_superposition_ignores_deeper_cached_members():
     # members=10 at r = 3 reads k <= 48: 16 type-B members, the first two fit
     # (alpha, beta), the other 14 are findings.  A deeper generation of any of
     # the three families earlier in the process must not change that.
-    fresh = superposition_fit(3, 2, -4).to_json()
+    fresh = superposition_fit(3, 2, -4)
     for j0 in (-4, -6, -3):
-        family(3, 2, j0, 300)
-    deep = superposition_fit(3, 2, -4).to_json()
+        generate(3, 2, j0, 300)
+    deep = superposition_fit(3, 2, -4)
     assert len(fresh["findings"]) == 14
     assert deep == fresh
 
@@ -67,9 +67,9 @@ def test_classification_report_generates_the_canonical_pair_once(monkeypatch):
     seeds = []
     generate = classify_module.generate
 
-    def counting(params, kmax=None):
-        seeds.append(params.j0)
-        return generate(params, kmax)
+    def counting(r, m, j0, kmax=None):
+        seeds.append(j0)
+        return generate(r, m, j0, kmax)
 
     fresh = classification_report(4, 3, members=6)
     monkeypatch.setattr(classify_module, "generate", counting)
@@ -105,8 +105,7 @@ def test_banded_gegenbauer_residual_equals_derivative_composition():
 def test_gegenbauer_q0_q1():
     basis = gegenbauer(2, 5)
     assert basis[0] == CPoly.one()
-    assert basis.lam == Fraction(3, 2)
-    assert basis[1] == CPoly((0, 3))
+    assert basis[1] == CPoly((0, 3))  # Q_1 = 2 lambda c, lambda = 1 + 1/m = 3/2
     assert gegenbauer_ode_residual(2, 1, basis[1]).is_zero()
 
 
@@ -119,8 +118,8 @@ def test_gegenbauer_q5_ode():
 
 def test_gegenbauer_rational_lambda():
     basis = gegenbauer(3, 8)
-    assert basis.lam == Fraction(4, 3)
-    for n, q in enumerate(basis.polys):
+    assert basis[1] == CPoly((0, 2 * Fraction(4, 3)))  # Q_1 = 2 lambda c
+    for n, q in enumerate(basis):
         assert gegenbauer_ode_residual(3, n, q).is_zero()
 
 
@@ -149,13 +148,13 @@ def test_case3_members_single_cq():
 
 def test_case3_first_member_hand_value():
     # k = r-1 row: (2r + rm) P_{r-1} = 2cr, so P_{r-1} = 2c/(2+m)
-    fam = family(2, 3, -1, 4)
+    fam = generate(2, 3, -1, 4)
     assert fam[1] == CPoly((0, Fraction(2, 5)))
 
 
 def test_case4_first_member_hand_value():
     # k = r-1 row: (2r + rm) P_{r-1} = rm, so P_{r-1} = m/(2+m)
-    fam = family(2, 3, -3, 4)
+    fam = generate(2, 3, -3, 4)
     assert fam[1] == CPoly((Fraction(3, 5),))
 
 
@@ -169,7 +168,7 @@ def test_reduction_ignores_deeper_cached_members():
     # kmax = 48 at r = 3 holds the 16 members k = 2, 5, ..., 47, fresh or
     # after the family was generated to k = 300
     fresh = verify_gegenbauer_reduction(3, 2, -1, kmax=48)
-    family(3, 2, -1, 300)
+    generate(3, 2, -1, 300)
     deep = verify_gegenbauer_reduction(3, 2, -1, kmax=48)
     assert len(fresh["entries"]) == 16
     assert [e["k"] for e in fresh["entries"]] == list(range(2, 48, 3))

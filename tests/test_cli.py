@@ -93,6 +93,15 @@ def test_out_file(tmp_path, capsys):
     assert doc["report"]["lambda"] == "4/3"
 
 
+@pytest.mark.parametrize("name", [None, "missing/report.json"])
+def test_unwritable_out_exits_2(tmp_path, capsys, name):
+    # a directory, or a file in a directory that does not exist
+    out = tmp_path if name is None else tmp_path / name
+    assert main(["gegenbauer", "--m", "3", "--nmax", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+
 def test_series_subcommand(capsys):
     code, doc = capture(capsys, ["series", "--type", "2", "--r", "2",
                                  "--m", "3", "--K", "20"])
@@ -117,41 +126,6 @@ def test_fit_ode_subcommand(capsys):
                                  "--m", "2", "--kmax", "40"])
     assert code == 0
     assert doc["report"]["closed_operator_in_span"] is True
-
-
-def test_jobs_parallel_matches_serial(capsys):
-    argv = ["verify-ode", "--type", "1", "--r-range", "2..3", "--m-range", "2..3"]
-    _, serial = capture(capsys, argv)
-    _, parallel = capture(capsys, argv + ["--jobs", "2"])
-    assert serial["report"] == parallel["report"]
-
-
-def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
-    workers = []
-
-    class SerialPool:  # records max_workers, maps in this process
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr("superpoly.cli.os.cpu_count", lambda: 3)
-    argv = ["verify-ode", "--type", "2", "--r-range", "2..3", "--m-range", "2..3"]
-    _, serial = capture(capsys, argv)
-    for jobs in ("0", "-5", "1"):
-        assert capture(capsys, argv + ["--jobs", jobs])[1]["report"] == serial["report"]
-    assert workers == []  # at most one worker: no pool at all
-    _, clamped = capture(capsys, argv + ["--jobs", "1000000"])
-    assert workers == [3]
-    assert clamped["report"] == serial["report"]
 
 
 @pytest.mark.parametrize("flag,value", [("--r-range", "5..2"), ("--r-range", "x..3"),
@@ -226,9 +200,11 @@ def test_report_integers_longer_than_the_digit_limit(capsys):
 
 
 def test_import_loads_no_process_pool():
-    # a pool is only built for --jobs > 1; importing one loads multiprocessing
+    # each module costs every process start its import time; dataclasses
+    # imports inspect, and a process pool loads multiprocessing
     code = ("import sys, superpoly.cli; "
-            "sys.exit('concurrent.futures.process' in sys.modules)")
+            "sys.exit(any(name in sys.modules for name in "
+            "('concurrent.futures', 'dataclasses')))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -290,6 +266,13 @@ GOLDEN_REPORTS = [
      "a4d18d067d456b23d7bf0406a0b5a7f731be9e8c39921aa4c4fe16ee0a4d54ad"),
     (["kernel", "--type", "2", "--r", "4", "--m", "4", "--n", "40", "--bound", "80"], 0,
      "7642b0a6f4f9ee53e551336247d120bbc58bd8ecec4eff933ac327bb816408c1"),
+    # (4, 4) is resonant: one kernel polynomial of each parity, two with "both"
+    (["kernel", "--type", "2", "--r", "4", "--m", "4", "--n", "40", "--bound", "80",
+      "--parity", "even"], 0,
+     "00bd2f4fcfc2d605110d1de28ee22ee9e1cd4df66ee564656635eea86dbc9bda"),
+    (["kernel", "--type", "2", "--r", "4", "--m", "4", "--n", "40", "--bound", "80",
+      "--parity", "odd"], 0,
+     "cb0f7c135458498649bc01a67a56ec98c38d4bea9088a119e5f05a170d137a8a"),
     # README examples
     (["gen", "--r", "2", "--m", "2", "--j0", "-4", "--kmax", "8", "--print"], 0,
      "7d06baa1cc43d1fc9a317e7fcec186f52fbbd2ce090339112aba0f6922ff3c0f"),
@@ -339,6 +322,21 @@ def test_elimination_reports_byte_identical(capsys, argv, exit_code, digest):
     out = capsys.readouterr().out
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+WORKLOADS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                        / "workloads.json").read_text())
+WORKLOAD_COMMANDS = [cmd for spec in WORKLOADS.values() for cmd in spec["commands"]]
+
+
+# the benchmark's commands, with the exit code and stdout sha256 it records
+@pytest.mark.parametrize("cmd", WORKLOAD_COMMANDS,
+                         ids=[" ".join(cmd["argv"]) for cmd in WORKLOAD_COMMANDS])
+def test_benchmark_workloads_byte_identical(capsys, cmd):
+    code = main(cmd["argv"])
+    out = capsys.readouterr().out
+    assert code == cmd["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == cmd["sha256"]
 
 
 def test_every_command_has_a_golden():

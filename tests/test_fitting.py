@@ -1,9 +1,18 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from superpoly import (CPoly, FitError, align_index, build_operator, family,
-                       fit_ode, in_span, nullspace, operator_vector)
+from superpoly import (CPoly, FitError, align_index, build_operator, fit_ode,
+                       generate, in_span, nullspace, operator_vector)
+from superpoly.fitting import N_DEGREE
+
+
+def materialize(vec, bounds, n):
+    """A fitted kernel vector's c-coefficient polynomials [order 0 .. order] at index n."""
+    it = iter(vec)
+    return [CPoly(sum(w * n ** l for l, w in enumerate(islice(it, N_DEGREE + 1)))
+                  for _ in range(b + 1)) for b in bounds]
 
 
 def proportional(fitted, paper):
@@ -21,14 +30,14 @@ def proportional(fitted, paper):
 
 
 def test_fit_recovers_type1_operator():
-    fam = family(2, 2, -4, 40)
+    fam = generate(2, 2, -4, 40)
     delta = align_index(fam, 1)
     result = fit_ode(fam, coeff_degree_bounds=(0, 1, 2, 3, 4), delta=delta, holdout=4)
     assert result.kernel_dim == 1
     assert len(result.candidates) == 1
     cand = result.candidates[0]
     for n in (8, 12, 16):
-        fitted = cand.materialize(n)
+        fitted = materialize(cand, result.bounds, n)
         op = build_operator(1, 2, 2, n)
         paper = [op.coefficients[0], op.coefficients[1], op.coefficients[2],
                  op.coefficients[3], op.coefficients[4]]
@@ -39,7 +48,7 @@ def test_fit_type2_kernel_contains_operator():
     # type-2 members' second derivatives satisfy a classical second-order
     # equation, so the shaped annihilator space is genuinely larger than one
     # dimension; the closed operator must still lie exactly in the fitted span
-    fam = family(2, 4, -2, 40)
+    fam = generate(2, 4, -2, 40)
     delta = align_index(fam, 2)
     result = fit_ode(fam, coeff_degree_bounds=(0, 1, 2, 3, 4), delta=delta, holdout=4)
     assert result.kernel_dim >= 1
@@ -48,14 +57,14 @@ def test_fit_type2_kernel_contains_operator():
     assert in_span(result.candidates, target)
 
 
-def residual(cand, p, n):
+def residual(vec, p, n, bounds=(0, 1, 2, 3, 4)):
     """Reference action of a fitted operator: sum_i materialize(n)[i] * p^(i)."""
-    return sum((coeff * p.derive(i) for i, coeff in enumerate(cand.materialize(n))),
+    return sum((coeff * p.derive(i) for i, coeff in enumerate(materialize(vec, bounds, n))),
                CPoly.zero())
 
 
 def test_fit_candidates_annihilate_holdout():
-    fam = family(2, 4, -2, 40)
+    fam = generate(2, 4, -2, 40)
     result = fit_ode(fam, delta=4)
     for cand in result.candidates:
         for k in result.holdout_k:
@@ -65,8 +74,7 @@ def test_fit_candidates_annihilate_holdout():
 def test_holdout_drops_kernel_vectors_that_miss_a_held_out_member(monkeypatch):
     # one held-out member rejects 6 of the 7 kernel vectors of the fit rows
     import superpoly.fitting as fitting
-    from superpoly.fitting import FitCandidate
-    fam = family(2, 2, -4, 24)
+    fam = generate(2, 2, -4, 24)
     kernels = []
 
     def recording_nullspace(rows, ncols):
@@ -77,15 +85,14 @@ def test_holdout_drops_kernel_vectors_that_miss_a_held_out_member(monkeypatch):
     assert result.kernel_dim == 7 and len(kernels) == 1
     assert len(result.candidates) == 1
     (k,) = result.holdout_k
-    kept = [list(c.vector) for c in result.candidates]
+    kept = [list(c) for c in result.candidates]
     for vec in kernels[0]:
-        cand = FitCandidate(bounds=(0, 1, 2, 3, 4), delta=4, vector=tuple(vec))
-        assert residual(cand, fam[k], k + 4).is_zero() == (vec in kept)
+        assert residual(vec, fam[k], k + 4).is_zero() == (vec in kept)
 
 
 def test_fit_type_c_family_candidate():
     # conjecture-explorer route: no ground truth, candidate verified on holdout
-    fam = family(4, 3, -2, 70)
+    fam = generate(4, 3, -2, 70)
     result = fit_ode(fam, delta=0, holdout=3)
     assert result.kernel_dim == 1
     assert len(result.candidates) == 1
@@ -94,16 +101,16 @@ def test_fit_type_c_family_candidate():
 def test_fit_ignores_deeper_cached_members():
     # kmax = 44 fits k = 0, 2, ..., 36 and holds out 38..44, fresh or after
     # the family was generated to k = 120
-    fresh = fit_ode(family(2, 2, -4, 44), delta=4)
-    family(2, 2, -4, 120)
-    deep = fit_ode(family(2, 2, -4, 44), delta=4)
-    assert fresh.fit_k[-1] == 36 and fresh.holdout_k == (38, 40, 42, 44)
-    assert deep == fresh
+    fresh = fit_ode(generate(2, 2, -4, 44), delta=4)
+    generate(2, 2, -4, 120)
+    deep = fit_ode(generate(2, 2, -4, 44), delta=4)
+    assert fresh.fit_k[-1] == 36 and fresh.holdout_k == [38, 40, 42, 44]
+    assert deep.to_json() == fresh.to_json()
 
 
 def test_fit_underdetermined_raises():
-    from superpoly.families import Family, FamilyParams
-    fam = Family(FamilyParams(2, 11, -4)).extend(12)
+    from superpoly.families import Family
+    fam = Family(2, 11, -4).extend(12)
     with pytest.raises(FitError):
         fit_ode(fam, delta=4, holdout=4)
 
@@ -111,17 +118,15 @@ def test_fit_underdetermined_raises():
 def test_operator_vector_roundtrip():
     # the embedding evaluated back at concrete n reproduces the operator
     vec = operator_vector(1, 3, 5)
-    from superpoly.fitting import FitCandidate
-    cand = FitCandidate(bounds=(0, 1, 2, 3, 4), delta=0, vector=tuple(vec))
     for n in (6, 9, 15):
         op = build_operator(1, 3, 5, n)
-        assert cand.materialize(n) == [op.coefficients[0], op.coefficients[1],
+        assert materialize(vec, (0, 1, 2, 3, 4), n) == [op.coefficients[0], op.coefficients[1],
                                        op.coefficients[2], op.coefficients[3],
                                        op.coefficients[4]]
 
 
 def test_in_span_rejects_foreign_operator():
-    fam = family(2, 2, -4, 40)
+    fam = generate(2, 2, -4, 40)
     result = fit_ode(fam, delta=4)
     # the type-2 operator of a different cell is not in the type-1 fit's span
     target = operator_vector(2, 2, 4)
@@ -130,7 +135,7 @@ def test_in_span_rejects_foreign_operator():
 
 def fraction_rows(fam, delta, holdout=4, bounds=(0, 1, 2, 3, 4)):
     """The fit rows assembled with Fraction arithmetic, as a reference."""
-    from superpoly.fitting import N_DEGREE, _unknown_layout
+    from superpoly.fitting import _unknown_layout
     index, ncols = _unknown_layout(bounds)
     members = fam.nonzero_members()
     rows = []
@@ -153,7 +158,7 @@ def test_integer_rows_give_the_fraction_kernel(monkeypatch, family_type, r, m, j
     # the fits of `fit-ode --type 1 --r 2 --m 2 --kmax 80` and
     # `fit-ode --type 2 --r 2 --m 3 --kmax 60`
     import superpoly.fitting as fitting
-    fam = family(r, m, j0, kmax)
+    fam = generate(r, m, j0, kmax)
     delta = align_index(fam, family_type)
     seen = []
 
@@ -170,4 +175,4 @@ def test_integer_rows_give_the_fraction_kernel(monkeypatch, family_type, r, m, j
         assert ratio > 0 and [x * ratio for x in ref] == row
     kernel = nullspace(reference, ncols)
     assert result.kernel_dim == len(kernel)
-    assert [list(c.vector) for c in result.candidates] == kernel
+    assert [list(c) for c in result.candidates] == kernel

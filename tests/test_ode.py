@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from superpoly import (AlignmentError, CPoly, ParameterError, align_index, build_operator,
-                       delta_correction, family, indicial,
+                       delta_correction, generate, indicial,
                        indicial_value, is_resonant, leading_symbol, nullspace,
                        polynomial_kernel, printed_indicial_factors,
                        residual_scan, resonant_pairs, scalar_coefficients)
@@ -81,23 +81,23 @@ def test_apply_linearity_on_zero():
 
 def test_align_index_is_2r():
     for (tp, r, m) in [(1, 2, 2), (1, 3, 5), (2, 2, 4), (2, 4, 3), (2, 5, 2)]:
-        fam = family(r, m, -2 * r if tp == 1 else -r, 8 * r)
+        fam = generate(r, m, -2 * r if tp == 1 else -r, 8 * r)
         assert align_index(fam, tp) == 2 * r
 
 
 def test_align_degree_relation():
     # deg P_k = n/r - 2 (type 1) and n/r - 1 (type 2) under n = k + 2r
-    fam1 = family(2, 2, -4, 12)
+    fam1 = generate(2, 2, -4, 12)
     for k, p in fam1.nonzero_members():
         assert p.degree == (k + 4) // 2 - 2
-    fam2 = family(2, 4, -2, 12)
+    fam2 = generate(2, 4, -2, 12)
     for k, p in fam2.nonzero_members():
         assert p.degree == (k + 4) // 2 - 1
 
 
 def test_align_failure_reported():
     # a family the type-1 operator does not annihilate under any shift
-    fam = family(3, 3, -2, 24)
+    fam = generate(3, 3, -2, 24)
     with pytest.raises(AlignmentError):
         align_index(fam, 1)
 
@@ -191,31 +191,31 @@ def test_leading_symbol_examples():
 
 def test_indicial_type1_roots():
     data = indicial(1, 2, 4, 8)
-    roots = dict(data.roots)
+    roots = {Fraction(e["root"]): e["multiplicity"] for e in data["roots"]}
     assert roots == {Fraction(2): 1, Fraction(-4): 1,
                      Fraction(3, 2): 1, Fraction(-7, 2): 1}
-    assert data.admissible_degrees == (2,)
-    assert not data.resonant
-    assert data.matches_printed
+    assert data["admissible_degrees"] == [2]
+    assert not data["resonant"]
+    assert data["matches_printed_factorization"]
 
 
 def test_indicial_type2_r2_extra_root():
     data = indicial(2, 2, 2, 8)
-    assert set(data.admissible_degrees) == {1, 3}
-    assert data.matches_printed
+    assert set(data["admissible_degrees"]) == {1, 3}
+    assert data["matches_printed_factorization"]
 
 
 def test_indicial_type2_r3_flags_printed_mismatch():
     data = indicial(2, 3, 4, 12)
-    assert not data.matches_printed
-    assert 3 in data.admissible_degrees  # n/r - 1 stays a root
+    assert not data["matches_printed_factorization"]
+    assert 3 in data["admissible_degrees"]  # n/r - 1 stays a root
 
 
 def test_indicial_printed_factorization_holds_where_delta_vanishes():
     # Delta = r^2 (r-2) m (2mn - 7mr + 2m + 4r) is 0 at these r >= 3 points
     for r, m, n in [(3, 4, 8), (4, 2, 9), (5, 4, 14)]:
         assert delta_correction(r, m, n) == 0
-        assert indicial(2, r, m, n).matches_printed
+        assert indicial(2, r, m, n)["matches_printed_factorization"]
         assert all(prod_printed(2, r, m, n, s) == indicial_value(2, r, m, n, s)
                    for s in range(30))
 
@@ -238,7 +238,7 @@ def test_indicial_nr_minus_roots_always_present():
         data = indicial(tp, r, m, n)
         expected = n // r - 2 if tp == 1 else n // r - 1
         if expected >= 0:
-            assert expected in data.admissible_degrees
+            assert expected in data["admissible_degrees"]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +297,7 @@ def test_kernel_type2_matches_member():
 def test_kernel_type1_r3():
     basis = polynomial_kernel(build_operator(1, 3, 5, 12), 2, "both")
     assert len(basis) == 1
-    member = family(3, 5, -6, 6)[6]
+    member = generate(3, 5, -6, 6)[6]
     ratio = member.leading() / basis[0].leading()
     assert basis[0].scale(ratio) == member
 
@@ -320,7 +320,7 @@ def test_kernel_resonant_pairs_two_dimensional():
     for (tp, r, m, n) in [(1, 3, 6, 12), (2, 3, 6, 12), (1, 4, 4, 16),
                           (2, 6, 3, 24)]:
         op = build_operator(tp, r, m, n)
-        bound = max(indicial(tp, r, m, n).admissible_degrees) + 3
+        bound = max(indicial(tp, r, m, n)["admissible_degrees"]) + 3
         assert len(polynomial_kernel(op, bound, "both")) == 2
         assert len(polynomial_kernel(op, bound, "even")) == 1
         assert len(polynomial_kernel(op, bound, "odd")) == 1
@@ -357,7 +357,7 @@ def test_scan_lists_only_nonzero_members():
 def test_scan_all_ignores_deeper_cached_members():
     # "all" reads the members generated to k = 12r: k = 0, 2, ..., 24
     fresh = residual_scan(2, [2], [3], "all")
-    family(2, 3, -2, 200)
+    generate(2, 3, -2, 200)
     deep = residual_scan(2, [2], [3], "all")
     assert len(fresh["cells"][0]["checked_n"]) == 13
     assert deep == fresh

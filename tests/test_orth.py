@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from superpoly import (CPoly, closed_form_AB, family, favard,
+from superpoly import (CPoly, closed_form_AB, favard, generate,
                        gram_check, identify_ultraspherical, orthogonality_report)
 
 
@@ -13,29 +13,29 @@ def support(fam):
 def test_reindex_ignores_deeper_cached_members():
     # kmax = 44 holds the 23 members k = 0, 2, ..., 44, fresh or after the
     # family was generated to k = 200
-    fresh = support(family(2, 2, -4, 44))
-    family(2, 2, -4, 200)
-    deep = support(family(2, 2, -4, 44))
+    fresh = support(generate(2, 2, -4, 44))
+    generate(2, 2, -4, 200)
+    deep = support(generate(2, 2, -4, 44))
     assert fresh[0] == list(range(0, 45, 2))
     assert deep == fresh
 
 
 def test_reindex_type2_values():
-    _, q = support(family(2, 4, -2, 12))
+    _, q = support(generate(2, 4, -2, 12))
     assert q[0] == CPoly((0, Fraction(-1, 2)))
     assert q[1] == CPoly((Fraction(1, 4), 0, Fraction(-3, 8)))
     assert q[2] == CPoly((0, Fraction(6, 16), 0, Fraction(-7, 16)))
 
 
 def test_reindex_type1_values():
-    _, q = support(family(2, 2, -4, 12))
+    _, q = support(generate(2, 2, -4, 12))
     assert q[0] == CPoly.one()
     assert q[1] == CPoly((0, Fraction(4, 5)))
     assert q[2] == CPoly((Fraction(-1, 7), 0, Fraction(32, 35)))
 
 
 def test_reindex_degrees():
-    _, q = support(family(3, 4, -6, 24))
+    _, q = support(generate(3, 4, -6, 24))
     assert [int(p.degree) for p in q] == list(range(len(q)))
 
 
@@ -48,8 +48,8 @@ def test_closed_form_a1_identified_case():
 
 
 def test_favard_relation_and_positivity():
-    fd = favard(family(2, 2, -4, 40), 12)
-    assert fd.ok
+    fd = favard(generate(2, 2, -4, 40), 12)
+    assert not fd.findings
     assert fd.relation_certified_t == list(range(1, 13))
     assert all(x > 0 for x in fd.a[1:])
 
@@ -58,18 +58,18 @@ def test_favard_positivity_deep():
     # a_t > 0 for t <= 200 for both canonical families over a grid sample
     for (r, m) in [(2, 2), (2, 10), (8, 2), (8, 10), (5, 7)]:
         for j0 in (-2 * r, -r):
-            fd = favard(family(r, m, j0, 12 * r), 200, gram_N=2)
+            fd = favard(generate(r, m, j0, 12 * r), 200, gram_N=2)
             assert all(x > 0 for x in fd.a[1:201])
 
 
 def test_moment_normalization_and_parity():
-    fd = favard(family(2, 4, -2, 40), 10)
+    fd = favard(generate(2, 4, -2, 40), 10)
     assert fd.moments[0] == 1
     assert all(fd.moments[j] == 0 for j in range(1, 21, 2))
 
 
 def test_monic_recurrence_and_parity():
-    fd = favard(family(2, 2, -4, 40), 8)
+    fd = favard(generate(2, 2, -4, 40), 8)
     c = CPoly.monomial(1)
     for t in range(1, 8):
         assert c * fd.monic[t] == fd.monic[t + 1] + fd.monic[t - 1].scale(fd.a[t])
@@ -77,7 +77,7 @@ def test_monic_recurrence_and_parity():
 
 
 def test_gram_orthogonality():
-    fd = favard(family(2, 4, -2, 40), 10)
+    fd = favard(generate(2, 4, -2, 40), 10)
     report = gram_check(fd, 10)
     assert report["pass"] and report["offdiag_zero"]
     # diagonal = running product a_1 ... a_t
@@ -88,7 +88,7 @@ def test_gram_orthogonality():
 
 
 def test_gram_hand_checks():
-    fd = favard(family(2, 2, -4, 40), 4)
+    fd = favard(generate(2, 2, -4, 40), 4)
     # <p_0, p_1> = moment_1 = 0 and <p_2, p_2> = a_1 a_2
     m = fd.moments
     assert m[1] == 0
@@ -102,7 +102,7 @@ def test_identify_r2():
     # stride late (the 2c-coefficient vanishes at k = 0), shifting the match
     for (m, j0, shift) in [(2, -4, -1), (2, -2, 0), (3, -4, -1), (3, -2, -1),
                            (4, -4, -1), (4, -2, -1)]:
-        got = identify_ultraspherical(family(2, m, j0, 24))
+        got = identify_ultraspherical(generate(2, m, j0, 24))
         ident = got["identified"]
         assert ident is not None
         assert ident["c0"] == "1/2"
@@ -112,12 +112,12 @@ def test_identify_r2():
 
 def test_identify_r3_no_match():
     for j0 in (-6, -3):
-        got = identify_ultraspherical(family(3, 3, j0, 36))
+        got = identify_ultraspherical(generate(3, 3, j0, 36))
         assert got["identified"] is None
 
 
 def test_identified_closed_forms_match_extraction():
-    report = orthogonality_report(family(2, 3, -4, 60), N=6, n_positive=50,
+    report = orthogonality_report(generate(2, 3, -4, 60), N=6, n_positive=50,
                                   closed_form_n=50)
     assert report["identified"] is not None
     assert report["closed_form_match"] is True
@@ -125,7 +125,7 @@ def test_identified_closed_forms_match_extraction():
 
 
 def test_orthogonality_report_r3_records_no_match():
-    report = orthogonality_report(family(3, 3, -3, 36), N=6, n_positive=60)
+    report = orthogonality_report(generate(3, 3, -3, 36), N=6, n_positive=60)
     assert report["identified"] is None
     assert report["a_positive"] and report["gram_pass"]
 
@@ -133,8 +133,8 @@ def test_orthogonality_report_r3_records_no_match():
 def test_orthogonality_report_ignores_deeper_cached_members():
     # the relation is certified for t <= min(n_positive, len(q) - 2), so a
     # deeper cached generation would lengthen relation_certified_t
-    fresh = orthogonality_report(family(2, 3, -4, 60), N=6, n_positive=50)
-    family(2, 3, -4, 200)
-    deep = orthogonality_report(family(2, 3, -4, 60), N=6, n_positive=50)
+    fresh = orthogonality_report(generate(2, 3, -4, 60), N=6, n_positive=50)
+    generate(2, 3, -4, 200)
+    deep = orthogonality_report(generate(2, 3, -4, 60), N=6, n_positive=50)
     assert fresh["relation_certified_t"] == list(range(1, 30))
     assert deep == fresh

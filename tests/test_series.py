@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from superpoly import (CPoly, FamilyParams, TruncationError, build_operator,
-                       certify_exponent_mapping, family, first_order_residual,
+from superpoly import (CPoly, TruncationError, build_operator,
+                       certify_exponent_mapping, first_order_residual,
                        generate, pde_reduced, pde_residual)
 from superpoly.families import Family
 
@@ -14,13 +14,13 @@ def zero_through(resid, bound):
 
 
 def test_first_order_residual_type1():
-    fam = family(2, 2, -4, 20)
+    fam = generate(2, 2, -4, 20)
     resid = first_order_residual(fam, 20)
     assert zero_through(resid, 20)
 
 
 def test_first_order_residual_type2():
-    fam = family(2, 3, -2, 20)
+    fam = generate(2, 3, -2, 20)
     resid = first_order_residual(fam, 20)
     assert zero_through(resid, 16)
 
@@ -29,12 +29,12 @@ def test_first_order_residual_all_seed_positions():
     # the cleared numerator includes the c z^{r+j0} coupling exactly when
     # j0 < -r; a wrong numerator shows up immediately as a nonzero residual
     for j0 in range(-6, 0):
-        fam = family(3, 4, j0, 24)
+        fam = generate(3, 4, j0, 24)
         assert zero_through(first_order_residual(fam, 24), 24)
 
 
 def test_first_order_residual_zero_family():
-    fam = Family(FamilyParams(2, 2, -4))
+    fam = Family(2, 2, -4)
     fam.polys[-4] = CPoly.zero()
     fam.extend(12)
     assert zero_through(first_order_residual(fam, 12), 12)
@@ -43,7 +43,7 @@ def test_first_order_residual_zero_family():
 def test_first_order_residual_linear_in_initial_data():
     # residual(alpha f + beta g) = alpha residual(f) + beta residual(g):
     # with both residuals zero, any superposed initial data must also give zero
-    fam = Family(FamilyParams(2, 5, -4))
+    fam = Family(2, 5, -4)
     fam.polys[-4] = CPoly((3,))
     fam.polys[-1] = CPoly((Fraction(-2, 7),))
     fam.extend(16)
@@ -51,7 +51,7 @@ def test_first_order_residual_linear_in_initial_data():
 
 
 def test_truncation_error():
-    fam = Family(FamilyParams(2, 7, -4)).extend(4)
+    fam = Family(2, 7, -4).extend(4)
     with pytest.raises(TruncationError):
         first_order_residual(fam, 40)
 
@@ -59,7 +59,7 @@ def test_truncation_error():
 def test_zseries_convention():
     # the coefficient of z^k is P_{k-2r}: a change to P_4 first shows in the
     # residual at z^8, then where it enters as P_{j-r-2r} and P_{j-2r-2r}
-    fam = family(2, 2, -4, 8)
+    fam = generate(2, 2, -4, 8)
     assert fam[-4] == CPoly.one()
     fam.polys[4] = fam.polys[4] + CPoly.one()
     resid = first_order_residual(fam, 12)
@@ -116,14 +116,14 @@ def test_type2_pde_reduction_equals_operator():
     # the per-exponent reduction of the type-2 PDE is exactly L2 at n = exponent
     for (r, m) in [(2, 4), (3, 2), (4, 3)]:
         for n in (2 * r, 3 * r, 5 * r):
-            p = family(r, m, -r, 8 * r)[n - 2 * r]
+            p = generate(r, m, -r, 8 * r)[n - 2 * r]
             lhs = pde_reduced(2, r, m, n, p)
             rhs = build_operator(2, r, m, n).apply(p)
             assert lhs == rhs
 
 
 def test_type2_pde_mapping_is_exponent():
-    fam = generate(FamilyParams(2, 4, -2), 24)
+    fam = generate(2, 4, -2, 24)
     assert certify_exponent_mapping(2, fam, 16) == 0
 
 
@@ -151,7 +151,7 @@ def test_type1_pde_corrected_is_exact():
 def test_corrected_type1_reduction_equals_operator():
     for (r, m) in [(2, 2), (4, 2)]:
         for n in (3 * r, 4 * r):
-            p = family(r, m, -2 * r, 8 * r)[n - 2 * r]
+            p = generate(r, m, -2 * r, 8 * r)[n - 2 * r]
             assert pde_reduced(1, r, m, n, p, corrected=True) \
                 == build_operator(1, r, m, n).apply(p)
 
