@@ -1,38 +1,99 @@
 """Exact linear algebra over the rationals.
 
 Every routine goes through one kernel computation, `nullspace`, which runs
-in three steps on the matrix with each row cleared to integers:
+in three steps on the matrix M with each row cleared to integers:
 
-1. Select rows mod p.  Each row is reduced mod the prime p = 2^61 - 1
-   against an incremental echelon basis; the rows that are independent mod p
-   are kept (at most ncols of them).
-2. Solve the selected rows exactly.  Fraction-free (Bareiss) elimination,
-   whose two-step determinant identity keeps every intermediate entry an
-   exact integer, is followed by back-substitution over Fraction.
-3. Check every row exactly.  Each kernel vector, scaled to integers, is
-   checked against every row in Z.  A violated row joins the selection and
-   step 2 runs again.
+1. Kernel mod p.  Each row is reduced mod a prime p against an incremental
+   reduced echelon basis.  Its pivots are the pivots of the reduced echelon
+   form of M mod p, and each free column f gives the kernel vector mod p
+   with v[f] = 1, 0 at the other free columns, and v[pivots[t]] =
+   -basis[t][f].
+2. Reconstruction.  The kernel vectors of successive primes with the same
+   free columns are combined by the Chinese remainder theorem, and each
+   entry is recovered as the rational n/d with |n|, d <= sqrt(m/2), where
+   m is the product of the primes (Wang's rational reconstruction).  A prime
+   with other free columns restarts the accumulation.
+3. Exact check.  Each reconstructed vector, scaled to integers, is checked
+   against every row in Z.  If a reconstruction fails or a row is violated,
+   the next prime is taken: 2^61 - 1 first, then the primes below it in
+   descending order.  A checked vector is scaled so that its first nonzero
+   entry is 1.
 
-Rows independent mod p are independent over Q, so the kernel of the selected
-rows contains the true kernel; the check makes the two equal.  Each added row
-lowers the kernel dimension, so the loop ends.  An unlucky prime costs time,
-never correctness.
+Why the result is exact.  A set of rows independent mod p is independent
+over Q, so rank over Q >= rank mod p.  The check passes only when
+d = ncols - rank mod p vectors lie in ker M; they are independent, since
+each is 1 at its own free column and 0 at the others.  So dim ker M >= d
+>= dim ker M, and the checked vectors span ker M exactly.
+
+Why the result is canonical.  The checked vectors are the reduced-echelon
+basis over Q: one vector per free column of the reduced echelon form of M
+over Q, 1 there and 0 at the other free columns.  If a prime's pivots
+differed from those over Q, some free column f mod p would be a pivot
+column over Q.  Write column f as a combination of the prime's pivot
+columns.  Over Q some coefficient at a pivot j > f is nonzero, since column
+f is not in the span of the columns before it; mod p each such coefficient
+is zero, since it is.  The vector of f carries these coefficients, so one
+of its entries has a numerator divisible by every prime accumulated.  It
+exceeds the reconstruction bound, and the check never accepts that vector.
+
+Only finitely many primes change the rank or the pivots, and past them the
+modulus grows until the bound covers every entry, so the loop ends.  An
+unlucky prime costs time, never correctness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
-_P = (1 << 61) - 1  # Mersenne prime used to select rows
+_P = (1 << 61) - 1  # Mersenne prime, the first prime tried
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # exact below 3.3e24
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    """Each row scaled to coprime integers; the row space is unchanged."""
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes() -> Iterator[int]:
+    """2^61 - 1, then every prime below it in descending order."""
+    yield _P
+    n = _P - 2
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[Sequence[int]]:
+    """Each row over the integers with the same span: integer rows as given,
+    other rows scaled to coprime integers."""
     out = []
     for row in rows:
+        if set(map(type, row)) <= {int}:
+            out.append(row)
+            continue
         den = lcm(*(x.denominator for x in row))
         ints = [x.numerator * (den // x.denominator) for x in row]
         g = gcd(*ints)
@@ -40,106 +101,83 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
     return out
 
 
-def _independent_rows_mod_p(M: List[List[int]], ncols: int) -> List[int]:
-    """Indices of the rows of M that are independent mod _P, greedily in order.
+def _echelon_mod_p(M: List[Sequence[int]], ncols: int, p: int):
+    """The reduced echelon basis mod p of the rows of M, built greedily in order.
 
-    The span of the rows picked so far is held as a reduced echelon basis
-    mod _P: basis row t has 1 in column pivots[t] and 0 in every other pivot
-    column, so only its entries in the free columns are stored.  A row v lies
-    in the span iff v - sum_t v[pivots[t]] * basis[t] vanishes, and that
-    difference is zero in the pivot columns by construction; testing a row
-    therefore costs one dot product per free column.
+    Returns (pivots, free, cols).  Basis row t has 1 in column pivots[t] and
+    0 in every other pivot column, so only its entries in the free columns
+    are stored: cols[i][t] is the entry of basis row t in column free[i].
+    A row v lies in the span iff v - sum_t v[pivots[t]] * basis[t]
+    vanishes, and that difference is zero in the pivot columns by
+    construction; testing a row therefore costs one dot product per free
+    column.  `free` is ascending.
     """
     pivots: List[int] = []
     free = list(range(ncols))
     basis: List[List[int]] = []  # entries of each basis row in the free columns
     cols: List[tuple] = [()] * ncols  # the same entries, one tuple per free column
-    picked: List[int] = []
-    for i, row in enumerate(M):
+    for row in M:
         if not free:
             break
-        coeffs = [row[p] % _P for p in pivots]
-        resid = [(row[c] - sum(map(mul, coeffs, col))) % _P for c, col in zip(free, cols)]
+        coeffs = [row[c] % p for c in pivots]
+        resid = [(row[c] - sum(map(mul, coeffs, col))) % p for c, col in zip(free, cols)]
         t = next((t for t, x in enumerate(resid) if x), None)
         if t is None:
             continue
-        inv = pow(resid[t], -1, _P)
-        new = [x * inv % _P for x in resid]
+        inv = pow(resid[t], -1, p)
+        new = [x * inv % p for x in resid]
         for s, b in enumerate(basis):
             f = b[t]
             if f:
-                basis[s] = [(x - f * y) % _P for x, y in zip(b, new)]
+                basis[s] = [(x - f * y) % p for x, y in zip(b, new)]
         basis.append(new)
         for b in basis:
             del b[t]
         pivots.append(free.pop(t))
         cols = list(zip(*basis))
-        picked.append(i)
-    return picked
+    return pivots, free, cols
 
 
-def _bareiss_echelon(M: List[List[int]], ncols: int):
-    """In-place fraction-free echelon form; returns the pivot column list."""
-    nrows = len(M)
-    piv_cols: List[int] = []
-    piv_row = 0
-    prev = 1
-    for col in range(ncols):
-        pr = None
-        for i in range(piv_row, nrows):
-            if M[i][col] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        M[piv_row], M[pr] = M[pr], M[piv_row]
-        p = M[piv_row][col]
-        for i in range(piv_row + 1, nrows):
-            mi = M[i][col]
-            if mi == 0 and all(M[i][j] == 0 for j in range(col, ncols)):
-                continue
-            for j in range(col, ncols):
-                num = p * M[i][j] - mi * M[piv_row][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination invariant violated")
-                M[i][j] = q
-        prev = p
-        piv_cols.append(col)
-        piv_row += 1
-        if piv_row == nrows:
-            break
-    return piv_cols
+def _reconstruct(a: int, m: int, bound: int) -> Optional[Fraction]:
+    """The n/d = a mod m with |n| <= bound and 0 < d <= bound, if there is one."""
+    r0, r1, s0, s1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
-def _kernel_of_rows(M: List[List[int]], ncols: int) -> List[List[Fraction]]:
-    """Reduced-echelon kernel basis of the integer rows M, by Bareiss."""
-    M = [list(row) for row in M]
-    piv_cols = _bareiss_echelon(M, ncols)
-    free_cols = [j for j in range(ncols) if j not in piv_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in reversed(list(enumerate(piv_cols))):
-            s = Fraction(0)
-            for j in range(pc + 1, ncols):
-                if vec[j]:
-                    s += M[i][j] * vec[j]
-            vec[pc] = -s / M[i][pc]
-        first = next(x for x in vec if x != 0)
-        basis.append([x / first for x in vec])
-    return basis
+def _lift(vecs: List[List[int]], m: int) -> Optional[List[List[Fraction]]]:
+    """Each entry of the vectors mod m as a rational, or None if one fails."""
+    bound = isqrt(m // 2)
+    out = []
+    for vec in vecs:
+        lifted = []
+        for a in vec:
+            x = _reconstruct(a, m, bound)
+            if x is None:
+                return None
+            lifted.append(x)
+        out.append(lifted)
+    return out
 
 
-def _first_violated_row(M: List[List[int]], basis: List[List[Fraction]]) -> Optional[int]:
+def _first_violated_row(M: List[Sequence[int]], basis: List[List[Fraction]]) -> Optional[int]:
     """Index of the first row of M that some kernel vector does not satisfy."""
     scaled = _integer_rows(basis)
     for i, row in enumerate(M):
         for w in scaled:
-            if sum(a * b for a, b in zip(row, w) if a):
+            if sum(map(mul, row, w)):
                 return i
     return None
+
+
+def _check_shape(rows: Sequence[Sequence], ncols: int) -> None:
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None):
@@ -147,7 +185,8 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None):
 
     Deterministic: reduced-echelon pivots, one basis vector per free column,
     each normalized so its first nonzero entry is 1.  This basis depends only
-    on the row space.  Empty list iff the kernel is trivial.
+    on the row space.  Empty list iff the kernel is trivial.  Every row must
+    have ncols entries (ValueError otherwise).
     """
     rows = list(rows)
     if ncols is None:
@@ -163,14 +202,34 @@ def _nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Frac
     `solve_exact` calls this rather than `nullspace`, so a tracer wrapping
     the public functions sees each call once.
     """
+    _check_shape(rows, ncols)
     M = _integer_rows(rows)
-    picked = _independent_rows_mod_p(M, ncols)
-    while True:
-        basis = _kernel_of_rows([M[i] for i in picked], ncols)
-        bad = _first_violated_row(M, basis) if basis else None
-        if bad is None:
-            return basis
-        picked = sorted(picked + [bad])
+    key = None
+    for p in _primes():
+        pivots, free, cols = _echelon_mod_p(M, ncols, p)
+        if not free:
+            return []
+        vecs = []
+        for f, col in zip(free, cols):
+            vec = [0] * ncols
+            vec[f] = 1
+            for c, x in zip(pivots, col):
+                vec[c] = -x % p
+            vecs.append(vec)
+        if free != key:
+            key, m, acc = free, p, vecs
+        else:  # x = a mod m and x = b mod p
+            u = pow(m, -1, p)
+            acc = [[a + m * ((b - a) * u % p) for a, b in zip(va, vb)]
+                   for va, vb in zip(acc, vecs)]
+            m *= p
+        basis = _lift(acc, m)
+        if basis is not None and _first_violated_row(M, basis) is None:
+            out = []
+            for vec in basis:
+                first = next(x for x in vec if x)
+                out.append([x / first for x in vec] if first != 1 else vec)
+            return out
 
 
 def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
@@ -181,12 +240,17 @@ def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     lies outside the column span.  The kernel of [A | b] has a vector with a
     nonzero last entry v[n] iff b is in the span; that vector is the
     reduced-echelon basis vector of the free column n, the last of the basis,
-    which is 0 at every other free column, so x = -v[:n] / v[n].
+    which is 0 at every other free column, so x = -v[:n] / v[n].  Every row
+    must have as many entries as the first, and rhs one entry per row
+    (ValueError otherwise).
     """
     rows = [list(r) for r in rows]
     if not rows:
         raise ValueError("solve_exact needs at least one row")
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
     ncols = len(rows[0])
+    _check_shape(rows, ncols)
     aug = [r + [Fraction(b)] for r, b in zip(rows, rhs)]
     basis = _nullspace(aug, ncols + 1)
     if not basis or basis[-1][ncols] == 0:

@@ -100,13 +100,6 @@ class CPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self.num[-1], self.den)
 
-    def parity(self):
-        """0 if even, 1 if odd, None if mixed or zero."""
-        if not self.num:
-            return None
-        powers = {i % 2 for i, a in enumerate(self.num) if a}
-        return powers.pop() if len(powers) == 1 else None
-
     # -- arithmetic ---------------------------------------------------
     def combine(self, other: "CPoly", a: int, b: int, div: int = 1) -> "CPoly":
         """(a * self + b * other) / div for ints a, b and div > 0.
@@ -184,17 +177,6 @@ class CPoly:
                         out[s - lower] += f(s) * cs[s]
         return CPoly(out, self.den)
 
-    def __call__(self, x) -> Fraction:
-        if not self.num:
-            return Fraction(0)
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        acc, qpow = 0, 1  # Horner on sum num[i] p^i q^(n-1-i)
-        for a in reversed(self.num):
-            acc = acc * p + a * qpow
-            qpow *= q
-        return Fraction(acc, self.den * (qpow // q))
-
     # -- equality / hashing / display ----------------------------------
     def __eq__(self, other) -> bool:
         return isinstance(other, CPoly) and self.num == other.num and self.den == other.den
@@ -228,7 +210,3 @@ class CPoly:
             g = gcd(a, den)
             out.append(str(a // g) if g == den else f"{a // g}/{den // g}")
         return out
-
-    @staticmethod
-    def from_strings(strings: Iterable[str]) -> "CPoly":
-        return CPoly(Fraction(s) for s in strings)

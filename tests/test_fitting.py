@@ -153,10 +153,30 @@ def fraction_rows(fam, delta, holdout=4, bounds=(0, 1, 2, 3, 4)):
     return rows, ncols
 
 
-@pytest.mark.parametrize("family_type,r,m,j0,kmax", [(1, 2, 2, -4, 80), (2, 2, 3, -2, 60)])
+# the fits of `fit-ode --type 1 --r 2 --m 2 --kmax 80` and
+# `fit-ode --type 2 --r 2 --m 3 --kmax 60`
+ELIM_FITS = [(1, 2, 2, -4, 80), (2, 2, 3, -2, 60)]
+
+
+@pytest.mark.parametrize("family_type,r,m,j0,kmax", ELIM_FITS)
+def test_elim_fits_reconstruct_from_one_prime(monkeypatch, family_type, r, m, j0, kmax):
+    # every kernel entry has at most 10 bits, far below the 2^30 bound of one prime
+    import superpoly.linalg as linalg
+    fam = generate(r, m, j0, kmax)
+    delta = align_index(fam, family_type)
+    primes = []
+    inner = linalg._echelon_mod_p
+
+    def spy(M, ncols, p):
+        primes.append(p)
+        return inner(M, ncols, p)
+    monkeypatch.setattr(linalg, "_echelon_mod_p", spy)
+    assert fit_ode(fam, delta=delta).kernel_dim >= 1
+    assert primes == [linalg._P]
+
+
+@pytest.mark.parametrize("family_type,r,m,j0,kmax", ELIM_FITS)
 def test_integer_rows_give_the_fraction_kernel(monkeypatch, family_type, r, m, j0, kmax):
-    # the fits of `fit-ode --type 1 --r 2 --m 2 --kmax 80` and
-    # `fit-ode --type 2 --r 2 --m 3 --kmax 60`
     import superpoly.fitting as fitting
     fam = generate(r, m, j0, kmax)
     delta = align_index(fam, family_type)

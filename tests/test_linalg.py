@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from superpoly import linalg, nullspace, solve_exact
 
 P = linalg._P
@@ -114,16 +116,18 @@ def rref_nullspace(M, ncols):
     return basis
 
 
-def count_solves(monkeypatch):
-    calls = []
-    inner = linalg._kernel_of_rows
+def primes_tried(monkeypatch):
+    """The free columns mod each prime `nullspace` tries, in order."""
+    tried = []
+    inner = linalg._echelon_mod_p
 
-    def spy(M, ncols):
-        calls.append(len(M))
-        return inner(M, ncols)
+    def spy(M, ncols, p):
+        pivots, free, cols = inner(M, ncols, p)
+        tried.append(list(free))
+        return pivots, free, cols
 
-    monkeypatch.setattr(linalg, "_kernel_of_rows", spy)
-    return calls
+    monkeypatch.setattr(linalg, "_echelon_mod_p", spy)
+    return tried
 
 
 def test_rows_vanishing_mod_p():
@@ -134,11 +138,11 @@ def test_rows_vanishing_mod_p():
 
 
 def test_rows_equal_mod_p_are_added_back(monkeypatch):
-    # [1, p] and [1, 0] agree mod p, so only the first is selected; its
-    # kernel e_1 violates the second row exactly, which joins the selection
-    calls = count_solves(monkeypatch)
+    # [1, p] and [1, 0] agree mod p, so the first prime sees rank 1; its
+    # kernel e_1 violates the second row exactly, and the next prime has rank 2
+    tried = primes_tried(monkeypatch)
     assert nullspace([[F(1), F(0)], [F(1), F(P)]]) == []
-    assert calls == [1, 2]
+    assert tried == [[1], []]
 
 
 def test_unlucky_prime_loop_reaches_true_kernel(monkeypatch):
@@ -148,11 +152,52 @@ def test_unlucky_prime_loop_reaches_true_kernel(monkeypatch):
          [F(1), F(1), F(P), F(0)],
          [F(0), F(1), F(0), F(P)],
          [F(2), F(3), F(P), F(P)]]
-    calls = count_solves(monkeypatch)
+    tried = primes_tried(monkeypatch)
     assert nullspace(M) == rref_nullspace(M, 4) == []
-    assert calls == [2, 3, 4]
+    assert tried == [[2, 3], []]
     assert 4 - len(nullspace(M, 4)) == 4
     assert solve_exact(M[:4], [F(1), F(2), F(3 + P), F(2)]) == [F(1), F(2), F(1), F(0)]
+
+
+def test_entries_beyond_one_prime_need_several(monkeypatch):
+    # the kernel vector of free column 1 is (-1/N, 1): its 101-bit
+    # denominator needs a modulus above 2 N^2 > 2^201, so four 61-bit primes
+    N = (1 << 100) + 277
+    M = [[F(N), F(1)]]
+    tried = primes_tried(monkeypatch)
+    assert nullspace(M) == rref_nullspace(M, 2) == [[F(1), F(-N)]]
+    assert tried == [[1]] * 4
+
+
+def test_prime_with_other_pivots_gives_the_rational_basis(monkeypatch):
+    # mod p the second row reduces to [0, 0, 1], so p has pivots {0, 2} and
+    # free column 1 where Q has pivots {0, 1} and free column 2; the vector
+    # of free column 1 over Q is (-1, 1, p), whose last entry is 0 mod p
+    M = [[F(1), F(1), F(0)], [F(1 + P), F(1), F(1)]]
+    tried = primes_tried(monkeypatch)
+    assert nullspace(M) == rref_nullspace(M, 3) == [[F(1), F(-1), F(-P)]]
+    assert tried[0] == [1] and tried[1:] == [[2]] * (len(tried) - 1)
+    assert len(tried) == 4  # the entries 1/p of (-1/p, 1/p, 1) need three primes
+
+
+def test_malformed_rows_are_rejected():
+    with pytest.raises(ValueError, match="row 1 has 3 entries, expected 2"):
+        nullspace([[1, 0], [0, 0, 1]], 2)
+    with pytest.raises(ValueError, match="row 0 has 1 entries, expected 2"):
+        nullspace([[1]], 2)
+    with pytest.raises(ValueError, match="row 1 has 1 entries, expected 2"):
+        solve_exact([[1, 0], [1]], [1, 1])
+
+
+def test_solve_exact_needs_one_rhs_per_row():
+    with pytest.raises(ValueError, match="2 rows but 1 right-hand sides"):
+        solve_exact([[1, 0], [0, 1]], [1])
+
+
+def test_integer_rows_are_passed_through():
+    rows = [[2, 4], [Fraction(1, 2), 1]]
+    out = linalg._integer_rows(rows)
+    assert out[0] is rows[0] and out[1] == [1, 2]
 
 
 def test_tall_matrix_only_last_row_independent():
@@ -163,19 +208,38 @@ def test_tall_matrix_only_last_row_independent():
     assert len(nullspace(M)) == 5
 
 
+def random_low_rank(rng, nrows, ncols, rk, entry):
+    """(nrows x rk) times (rk x ncols) with entries drawn by `entry`: rank <= rk."""
+    left = [[entry() for _ in range(rk)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rk)]
+    return [[sum((a * right[t][j] for t, a in enumerate(row)), Fraction(0))
+             for j in range(ncols)] for row in left]
+
+
 def test_random_tall_matrices_match_reference():
     rng = random.Random(2024)
     for _ in range(60):
         ncols = rng.randint(1, 7)
         nrows = rng.randint(ncols, 40)
         rk = rng.randint(0, ncols)
-        # rank <= rk by construction: (nrows x rk) times (rk x ncols)
-        left = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rk)]
-                for _ in range(nrows)]
-        right = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(ncols)]
-                 for _ in range(rk)]
-        M = [[sum((a * right[t][j] for t, a in enumerate(row)), Fraction(0))
-              for j in range(ncols)] for row in left]
+        M = random_low_rank(rng, nrows, ncols, rk,
+                            lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
         expected = rref_nullspace(M, ncols)
         assert nullspace(M, ncols) == expected
         assert ncols - len(nullspace(M, ncols)) == ncols - len(expected)
+
+
+def test_random_big_entries_match_reference():
+    # entries above 2^64 and kernels of dimension >= 2, so the vectors need
+    # several primes and the CRT combines whole bases
+    rng = random.Random(2025)
+    big = 1 << 70
+    for _ in range(30):
+        ncols = rng.randint(2, 6)
+        nrows = rng.randint(1, 12)
+        rk = rng.randint(1, ncols - 2) if ncols > 2 else 0
+        M = random_low_rank(rng, nrows, ncols, rk,
+                            lambda: Fraction(rng.randint(-big, big), rng.randint(1, big)))
+        expected = rref_nullspace(M, ncols)
+        assert len(expected) >= 2
+        assert nullspace(M, ncols) == expected

@@ -3,6 +3,8 @@ from fractions import Fraction
 from superpoly import (CPoly, closed_form_AB, favard, generate,
                        gram_check, identify_ultraspherical, orthogonality_report)
 
+from cpoly_helpers import parity
+
 
 def support(fam):
     """(k_t, q_t) of the nonzero members, the sequence favard reads."""
@@ -73,7 +75,7 @@ def test_monic_recurrence_and_parity():
     c = CPoly.monomial(1)
     for t in range(1, 8):
         assert c * fd.monic[t] == fd.monic[t + 1] + fd.monic[t - 1].scale(fd.a[t])
-        assert fd.monic[t].parity() == t % 2
+        assert parity(fd.monic[t]) == t % 2
 
 
 def test_gram_orthogonality():

@@ -6,6 +6,8 @@ import pytest
 
 from superpoly import CPoly
 
+from cpoly_helpers import evaluate, from_strings, parity
+
 
 def test_difference_of_squares():
     p = CPoly((1, 1))   # c + 1
@@ -65,27 +67,27 @@ def test_distributivity_fuzz():
 
 
 def test_parity():
-    assert CPoly((1, 0, -3)).parity() == 0
-    assert CPoly((0, 2, 0, 5)).parity() == 1
-    assert CPoly((1, 1)).parity() is None
-    assert CPoly.zero().parity() is None
+    assert parity(CPoly((1, 0, -3))) == 0
+    assert parity(CPoly((0, 2, 0, 5))) == 1
+    assert parity(CPoly((1, 1))) is None
+    assert parity(CPoly.zero()) is None
 
 
 def test_evaluation():
     p = CPoly((-5, 0, 32))
-    assert p(Fraction(1, 2)) == 3
+    assert evaluate(p, Fraction(1, 2)) == 3
 
 
 def test_serialization_roundtrip():
     p = CPoly((Fraction(-5, 35), 0, Fraction(32, 35)))
     strings = p.to_strings()
     assert strings == ["-1/7", "0", "32/35"]
-    assert CPoly.from_strings(strings) == p
+    assert from_strings(strings) == p
 
 
 def test_rational_string_forms():
     assert CPoly((Fraction(3, 4), 5)).to_strings() == ["3/4", "5"]
-    assert CPoly.from_strings(["-7/2"]) == CPoly((Fraction(-7, 2),))
+    assert from_strings(["-7/2"]) == CPoly((Fraction(-7, 2),))
 
 
 def test_monomial_and_shift():
@@ -163,7 +165,7 @@ def assert_canonical(p, reference):
     assert p.to_strings() == [str(c) for c in reference]
     built = CPoly(reference)
     assert built == p and hash(built) == hash(p)
-    assert CPoly.from_strings(p.to_strings()) == p
+    assert from_strings(p.to_strings()) == p
 
 
 def test_integer_representation_matches_fraction_reference():
@@ -189,9 +191,9 @@ def test_integer_representation_matches_fraction_reference():
         order = rng.randint(0, 5)
         assert_canonical(a.derive(order), ref_derive(ra, order))
         x = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
-        assert a(x) == ref_call(ra, x)
+        assert evaluate(a, x) == ref_call(ra, x)
         n = rng.randint(-5, 5)
-        assert a(n) == ref_call(ra, n)
+        assert evaluate(a, n) == ref_call(ra, n)
 
 
 def test_band_with_int_and_fraction_symbols():
