@@ -10,7 +10,7 @@ from .errors import (AlignmentError, FitError, ParameterError, SuperpolyError,
                      SupportError, TruncationError)
 from .poly import CPoly
 from .linalg import nullspace, solve_exact
-from .families import Family, canonical_j0, generate, support_profile
+from .families import Family, canonical_j0, generate
 from .ode import (OdeOperator, align_index, build_operator, delta_correction, indicial,
                   indicial_factors, indicial_value, is_resonant, leading_symbol,
                   polynomial_kernel, printed_indicial_factors, residual_scan,

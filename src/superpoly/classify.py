@@ -24,11 +24,12 @@ Kind = Literal["A_type1", "A_prime_type2", "B_linear_combination", "C_case3", "C
 
 def classify(r: int, m: int, j0: int) -> Kind:
     _check_params(r, m, j0)
-    if j0 == -2 * r:
+    type1, type2 = canonical_j0(1, r), canonical_j0(2, r)
+    if j0 == type1:
         return "A_type1"
-    if j0 == -r:
+    if j0 == type2:
         return "A_prime_type2"
-    if j0 < -r:
+    if j0 < type2:
         return "B_linear_combination"
     if j0 == -1:
         return "C_case3"
@@ -119,11 +120,12 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10,
 def gegenbauer_ode_residual(m: int, n: int, y: CPoly) -> CPoly:
     """(1 - c^2) y'' - c (2/m + 3) y' + n (2/m + n + 2) y.
 
-    On c^s: [n (2/m + n + 2) - s (s + 2 + 2/m)] c^s + s(s-1) c^(s-2).
+    On c^s: [n (2/m + n + 2) - s (s + 2 + 2/m)] c^s + s(s-1) c^(s-2).  The band
+    runs on m times these integer symbols and the result is divided by m once.
     """
-    mu = Fraction(2, m)
-    eig = n * (mu + n + 2)
-    return y.band(lambda s: eig - s * (s + 2 + mu), lambda s: s * (s - 1))
+    eig = n * (2 + m * (n + 2))
+    return y.band(lambda s: eig - s * (2 + m * (s + 2)),
+                  lambda s: m * s * (s - 1)).scale(Fraction(1, m))
 
 
 def gegenbauer(m: int, nmax: int) -> List[CPoly]:

@@ -16,7 +16,7 @@ class ParameterError(SuperpolyError):
 
 
 class SupportError(SuperpolyError):
-    """A family's nonzero support is empty or not an arithmetic progression."""
+    """A three-term recurrence coefficient is asked for where its denominator vanishes."""
 
 
 class AlignmentError(SuperpolyError):

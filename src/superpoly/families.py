@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .errors import ParameterError, SupportError
+from .errors import ParameterError
 from .poly import CPoly
 
 
@@ -89,19 +89,3 @@ def canonical_j0(family_type: int, r: int) -> int:
         raise ParameterError(f"family_type must be 1 or 2, got {family_type}")
     return -2 * r if family_type == 1 else -r
 
-
-def support_profile(fam: Family) -> int:
-    """Stride of the arithmetic progression carrying the nonzero members, 0 <= k <= kmax.
-
-    The recursion couples indices in steps of r, so the stride divides r;
-    what is detected is whatever the generated data shows.
-    """
-    ks = [k for k, _ in fam.nonzero_members()]
-    if not ks:
-        raise SupportError(f"{fam!r} has no nonzero members up to kmax={fam.kmax}")
-    if len(ks) == 1:
-        return fam.r
-    gaps = {b - a for a, b in zip(ks, ks[1:])}
-    if len(gaps) != 1:
-        raise SupportError(f"support of {fam!r} is not an arithmetic progression: {ks}")
-    return gaps.pop()

@@ -162,11 +162,10 @@ class CPoly:
     def band(self, diag, sub2, sub4=None) -> "CPoly":
         """Image under c^s -> diag(s) c^s + sub2(s) c^(s-2) + sub4(s) c^(s-4).
 
-        diag, sub2 and sub4 are functions of the power s with exact values;
-        coefficient s of the result is diag(s) p[s] + sub2(s+2) p[s+2]
+        diag, sub2 and sub4 are functions of the power s with integer values
+        (every caller scales its symbols to integers), so the result is formed
+        over den; coefficient s of it is diag(s) p[s] + sub2(s+2) p[s+2]
         + sub4(s+4) p[s+4].  Every operator in the package has this shape.
-        Integer symbol values keep the result over den; the constructor
-        clears rational ones.
         """
         cs = self.num
         out = [0] * len(cs)

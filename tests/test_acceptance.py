@@ -365,23 +365,23 @@ def test_criterion_6c_pde_type1():
 
 
 def test_criterion_7_orthogonality():
-    """Positivity to n = 200, exact Gram to N = 12, closed forms for r = 2."""
+    """Positivity to n = 200, exact Gram to N = 12, identification and closed forms."""
     ok = True
     for r in GRID_R:
         for m in GRID_M:
             for j0 in (-2 * r, -r):
-                closed = 50 if r == 2 else 0
-                rep = orthogonality_report(generate(r, m, j0, 15 * r), N=12,
-                                           n_positive=200, closed_form_n=closed)
+                fam = generate(r, m, j0, 15 * r)
+                rep = orthogonality_report(fam, N=12, n_positive=200, closed_form_n=50)
                 ok = ok and rep["a_positive"] and rep["gram_pass"]
                 ok = ok and rep["gram_offdiag_zero"]
-                if r == 2:
-                    nu_expected = str(Fraction(1) + Fraction(1, m))
-                    ok = (ok and rep["identified"] is not None
-                          and rep["identified"]["nu"] == nu_expected
-                          and rep["closed_form_match"] is True)
+                ident = rep["identified"]
+                k0 = fam.nonzero_members()[0][0]
+                ok = (ok and ident is not None
+                      and ident["nu"] == str(Fraction(1) + Fraction(1, m))
+                      and Fraction(ident["c0"]) + ident["shift"] == Fraction(k0 + 1, r) - 1
+                      and rep["closed_form_match"] is True)
     assert report("7 Favard positivity + exact Gram + closed-form coefficients", ok,
-                  "full grid, both families; identified r=2 cells to n = 50")
+                  "full grid, both families; identified, closed forms to n = 50")
 
 
 def test_criterion_8_fit_recovery():

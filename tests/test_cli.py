@@ -301,6 +301,9 @@ GOLDEN_REPORTS = [
      "be11f60b60448747dfcaf05937ba74c0509944b49ad1395788f54b70dd0f24fc"),
     (["identify", "--type", "1", "--r", "2", "--m", "2"], 0,
      "d69e6dda78a7c022df752fec5cc8de93836df2a525740cdf6f79239078ec98a2"),
+    # recorded with the derived identification: nu = 3/2, c0 = 1/3, shift = -1
+    (["identify", "--type", "1", "--r", "3", "--m", "2"], 0,
+     "91a21fc17596e35c9d6d79e994d837cfeb42efc9f7e6b0fbf79c993ee7ea96f1"),
     (["orth", "--type", "2", "--r", "2", "--m", "4", "--closed-form-n", "50"], 0,
      "10b17c2effcefe64e0fa100958c1272705c5296810bd405e552a00ad86b7b393"),
     (["series", "--type", "2", "--r", "2", "--m", "3", "--K", "40"], 0,

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from superpoly import (CPoly, ParameterError, SupportError, canonical_j0,
-                       first_order_residual, generate, support_profile)
+from superpoly import (CPoly, ParameterError, canonical_j0, first_order_residual,
+                       generate)
 from superpoly.families import Family
 
 
@@ -59,34 +59,48 @@ def degree_map(fam):
     return [(k, int(p.degree)) for k, p in fam.nonzero_members()]
 
 
-def test_support_profile_type1():
+def lattice(fam):
+    """The indices of the nonzero members."""
+    return [k for k, _ in fam.nonzero_members()]
+
+
+def test_members_type1():
     fam = generate(2, 2, -4, 8)
-    stride = support_profile(fam)
-    assert stride == 2
-    assert degree_map(fam)[0][0] % stride == 0
+    assert lattice(fam) == [0, 2, 4, 6, 8]
     assert degree_map(fam)[:3] == [(0, 0), (2, 1), (4, 2)]
 
 
-def test_support_profile_type2():
+def test_members_type2():
     fam = generate(2, 4, -2, 8)
-    assert support_profile(fam) == 2
+    assert lattice(fam) == [0, 2, 4, 6, 8]
     assert degree_map(fam)[:3] == [(0, 1), (2, 2), (4, 3)]
 
 
-def test_support_profile_leading_zero_member():
+def test_members_leading_zero_member():
     # r + (1 + k - r) m vanishes at k = 1 for (r=4, m=2): the j0 = -3 family
     # starts late, at k = 5
     fam = generate(4, 2, -3, 20)
-    assert support_profile(fam) == 4
-    assert degree_map(fam)[0][0] == 5
+    assert lattice(fam) == [5, 9, 13, 17]
 
 
 def test_degree_growth_along_support():
     for (r, m) in [(2, 2), (3, 4), (4, 3)]:
         fam = generate(r, m, -2 * r, 8 * r)
-        support_profile(fam)  # an arithmetic progression
         degs = [d for _, d in degree_map(fam)]
         assert degs == list(range(len(degs)))
+
+
+def test_members_at_every_lattice_step_from_k0():
+    # the 2c-coefficient 2(r + (1 + k - r) m) vanishes only at k = r - 1 - r/m < r,
+    # so from k_0 < 2r on every step of r carries a member one degree higher
+    for r in range(2, 9):
+        for m in range(2, 11):
+            for j0 in range(-2 * r, 0):
+                fam = generate(r, m, j0, 6 * r)
+                ks, degs = zip(*degree_map(fam))
+                assert ks[0] < 2 * r
+                assert list(ks) == list(range(ks[0], 6 * r + 1, r))
+                assert list(degs) == list(range(degs[0], degs[0] + len(degs)))
 
 
 def test_generate_returns_a_new_family():
@@ -125,14 +139,6 @@ def test_parameter_domain_errors():
         Family(2, 2, -5)
     with pytest.raises(ParameterError):
         Family(2, 2, 0)
-
-
-def test_degenerate_support_error():
-    fam = Family(2, 2, -4)
-    fam.polys[-4] = CPoly.zero()  # blank the seed: nothing can be nonzero
-    fam.extend(6)
-    with pytest.raises(SupportError):
-        support_profile(fam)
 
 
 def test_json_dump_schema():

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
-from superpoly import (CPoly, closed_form_AB, favard, generate,
+import pytest
+
+from superpoly import (CPoly, ParameterError, closed_form_AB, favard, generate,
                        gram_check, identify_ultraspherical, orthogonality_report)
+from superpoly.families import Family
 
 from cpoly_helpers import parity
 
@@ -112,10 +115,39 @@ def test_identify_r2():
         assert Fraction(ident["nu"]) == Fraction(2, 2) * (1 + Fraction(1, m))
 
 
-def test_identify_r3_no_match():
+def test_identify_r3():
+    # nu = 1 + 1/m and c0 + shift = (k_0 + 1)/r - 1 = -2/3, with k_0 = 0
     for j0 in (-6, -3):
-        got = identify_ultraspherical(generate(3, 3, j0, 36))
-        assert got["identified"] is None
+        fam = generate(3, 3, j0, 36)
+        got = identify_ultraspherical(fam)
+        assert got["identified"] == {"nu": "4/3", "c0": "1/3", "shift": -1}
+        assert got["certified_t"] == len(fam.nonzero_members()) - 2 == 11
+
+
+def test_identify_late_first_member():
+    # (4, 2, -3) starts at k_0 = 5: c0 + shift = 6/4 - 1 = 1/2
+    got = identify_ultraspherical(generate(4, 2, -3, 48))
+    assert got["identified"] == {"nu": "3/2", "c0": "1/2", "shift": 0}
+
+
+def test_tampered_member_breaks_identification_and_relation():
+    fam = generate(2, 3, -4, 40)
+    assert identify_ultraspherical(fam)["identified"] is not None
+    fam.polys[10] = fam[10] + CPoly.one()  # q_5, read by the relations at t = 4, 5, 6
+    assert identify_ultraspherical(fam) == {"identified": None, "nu": "4/3",
+                                            "certified_t": 0}
+    fd = favard(fam, 12)
+    assert fd.findings == [{"kind": "recurrence-violation", "t": t} for t in (4, 5, 6)]
+    assert fd.relation_certified_t == [t for t in range(1, 13) if t not in (4, 5, 6)]
+
+
+def test_favard_rejects_a_family_with_no_member():
+    fam = Family(2, 2, -4)
+    fam.polys[-4] = CPoly.zero()  # blank the seed: nothing can be nonzero
+    fam.extend(6)
+    with pytest.raises(ParameterError):
+        favard(fam, 2)
+    assert identify_ultraspherical(fam)["identified"] is None
 
 
 def test_identified_closed_forms_match_extraction():
@@ -126,9 +158,11 @@ def test_identified_closed_forms_match_extraction():
     assert report["a_positive"] and report["gram_pass"]
 
 
-def test_orthogonality_report_r3_records_no_match():
-    report = orthogonality_report(generate(3, 3, -3, 36), N=6, n_positive=60)
-    assert report["identified"] is None
+def test_orthogonality_report_r3_identified():
+    report = orthogonality_report(generate(3, 3, -3, 36), N=6, n_positive=60,
+                                  closed_form_n=60)
+    assert report["identified"] == {"nu": "4/3", "c0": "1/3", "shift": -1}
+    assert report["closed_form_match"] is True
     assert report["a_positive"] and report["gram_pass"]
 
 
