@@ -6,8 +6,7 @@ degree restrictions, kernel uniqueness, initial-condition classification,
 Gegenbauer reductions, Favard orthogonality) with no approximation anywhere.
 """
 
-from .errors import (AlignmentError, FitError, ParameterError, SuperpolyError,
-                     SupportError, TruncationError)
+from .errors import AlignmentError, FitError, ParameterError, SuperpolyError, TruncationError
 from .poly import CPoly
 from .linalg import nullspace, solve_exact
 from .families import Family, canonical_j0, generate
@@ -22,6 +21,6 @@ from .classify import (classification_report, classify, gegenbauer,
                        gegenbauer_ode_residual, superposition_fit,
                        verify_gegenbauer_reduction)
 from .orth import (FavardData, closed_form_AB, favard, gram_check,
-                   identify_ultraspherical, orthogonality_report, recurrence_AB)
+                   identify_ultraspherical, orthogonality_report)
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from .classify import (classification_report, gegenbauer, superposition_fit,
                        verify_gegenbauer_reduction)
 from .errors import SuperpolyError
 from .families import canonical_j0, generate
-from .fitting import fit_ode, in_span, operator_vector
+from .fitting import CLOSED_BOUNDS, fit_ode, in_span, operator_vector
 from .ode import align_index, build_operator, indicial, polynomial_kernel, residual_scan
 from .orth import favard, gram_check, identify_ultraspherical, orthogonality_report
 from .series import first_order_residual, pde_residual
@@ -182,8 +182,8 @@ def _fit_ode(ns) -> tuple[dict, bool]:
     result = fit_ode(fam, coeff_degree_bounds=ns.bounds, delta=delta, holdout=ns.holdout)
     report = result.to_json()
     seed_type = {canonical_j0(t, ns.r): t for t in (1, 2)}.get(fam.j0)
-    if seed_type is not None and ns.bounds == (0, 1, 2, 3, 4):
-        target = operator_vector(seed_type, ns.r, ns.m, ns.bounds)
+    if seed_type is not None and ns.bounds == CLOSED_BOUNDS:
+        target = operator_vector(seed_type, ns.r, ns.m)
         report["closed_operator_in_span"] = in_span(result.candidates, target)
     return report, bool(result.candidates)
 

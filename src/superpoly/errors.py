@@ -3,7 +3,8 @@
 Verification *findings* (a nonzero residual, a failed certification) are not
 exceptions: they are reported in result records so batch runs can aggregate
 them.  Exceptions are reserved for misuse and for data that violates an
-operation's preconditions.
+operation's preconditions.  The recursion's coefficients are defined at every
+index the engine reads, so no class stands for an undefined one.
 """
 
 
@@ -13,10 +14,6 @@ class SuperpolyError(Exception):
 
 class ParameterError(SuperpolyError):
     """Parameters outside the valid domain (r >= 2, m >= 2, -2r <= j0 <= -1, ...)."""
-
-
-class SupportError(SuperpolyError):
-    """A three-term recurrence coefficient is asked for where its denominator vanishes."""
 
 
 class AlignmentError(SuperpolyError):

@@ -2,10 +2,11 @@
 
 For k >= 0,
 
-    (2r + m + k m) P_k = 2c (r + (1 + k - r) m) P_{k-r} - (k - (2r - 1)) m P_{k-2r},
+    gamma P_k = alpha c P_{k-r} - beta P_{k-2r},
+    gamma = 2r + m + k m,  alpha = 2 (r + (1 + k - r) m),  beta = (k - (2r - 1)) m,
 
 seeded by a unit initial condition P_{j0} = 1, P_j = 0 for the other
-j in [-2r, -1].  The divisor 2r + m + k m >= m + 2r >= 6 for k >= 0, so
+j in [-2r, -1].  The divisor gamma >= m + 2r >= 6 for k >= 0, so
 generation is total.  Nonzero members live on the lattice k == j0 (mod r).
 """
 
@@ -23,6 +24,11 @@ def _check_params(r: int, m: int, j0: int = -1):
         raise ParameterError(f"need r >= 2 and m >= 2, got r={r}, m={m}")
     if not (-2 * r <= j0 <= -1):
         raise ParameterError(f"j0 must lie in [-{2 * r}, -1], got {j0}")
+
+
+def _recursion_coefficients(r: int, m: int, k: int) -> Tuple[int, int, int]:
+    """(gamma, alpha, beta) at k: the one statement of them, which `orth` reads too."""
+    return 2 * r + m + k * m, 2 * (r + (1 + k - r) * m), (k - (2 * r - 1)) * m
 
 
 class Family:
@@ -43,16 +49,12 @@ class Family:
         return f"Family(r={self.r}, m={self.m}, j0={self.j0})"
 
     def extend(self, kmax: int) -> "Family":
-        """Generate P_k for k <= kmax on integers.
-
-        P_k = (alpha P_{k-r}.shift(1) - beta P_{k-2r}) / (2r+m+km), with
-        alpha = 2(r+(1+k-r)m) and beta = (k-2r+1)m, as one CPoly.combine.
-        """
+        """Generate P_k for k <= kmax, one integer CPoly.combine per k."""
         r, m = self.r, self.m
         for k in range(self.kmax + 1, kmax + 1):
-            self.polys[k] = self.polys[k - r].shift(1).combine(
-                self.polys[k - 2 * r], 2 * (r + (1 + k - r) * m), -(k - (2 * r - 1)) * m,
-                2 * r + m + k * m)
+            gamma, alpha, beta = _recursion_coefficients(r, m, k)
+            self.polys[k] = self.polys[k - r].shift(1).combine(self.polys[k - 2 * r],
+                                                               alpha, -beta, gamma)
         self.kmax = max(self.kmax, kmax)
         return self
 

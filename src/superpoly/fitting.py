@@ -30,6 +30,7 @@ from .ode import build_operator
 from .poly import CPoly
 
 N_DEGREE = 4  # degree cap of the unknown scalars as polynomials in n
+CLOSED_BOUNDS = (0, 1, 2, 3, 4)  # c-degree bounds of the closed operator, by derivative order
 
 
 class FitResult:
@@ -94,13 +95,13 @@ def _member_rows(p: CPoly, n: int, bounds: Sequence[int]) -> List[List[int]]:
     return [row for row in block if any(row)]
 
 
-def fit_ode(fam: Family, coeff_degree_bounds: Sequence[int] = (0, 1, 2, 3, 4),
+def fit_ode(fam: Family, coeff_degree_bounds: Sequence[int] = CLOSED_BOUNDS,
             delta: int = 0, holdout: int = 4) -> FitResult:
     """Fit annihilating operators to the generated members of a family.
 
     coeff_degree_bounds[i] is the c-degree bound of the coefficient of the
     i-th derivative, so the fitted order is len(coeff_degree_bounds) - 1 (the
-    shape of the closed fourth-order equations is (0, 1, 2, 3, 4)).  The last
+    shape of the closed fourth-order equations is CLOSED_BOUNDS).  The last
     `holdout` nonzero members are excluded from the fit and used to re-verify
     every kernel basis vector; at least one is.
     """
@@ -135,21 +136,20 @@ def fit_ode(fam: Family, coeff_degree_bounds: Sequence[int] = (0, 1, 2, 3, 4),
                      holdout_k=[k for k, _ in hold_members])
 
 
-def operator_vector(family_type, r: int, m: int,
-                    bounds: Sequence[int] = (0, 1, 2, 3, 4)) -> List[Fraction]:
-    """The closed operator as a vector in the fit's unknown coordinates.
+def operator_vector(family_type, r: int, m: int) -> List[Fraction]:
+    """The closed operator as a vector in the coordinates of a CLOSED_BOUNDS fit.
 
     Its c-coefficients are polynomial in n with degree <= 4, so the embedding
     is exact; used to certify span membership of a fitted kernel.
     """
     # interpolate each (i, j) entry from N_DEGREE+1 sample values of n
-    index, ncols = _unknown_layout(bounds)
+    index, ncols = _unknown_layout(CLOSED_BOUNDS)
     samples = list(range(N_DEGREE + 1))
     vec = [Fraction(0)] * ncols
     coeff_lists = [build_operator(family_type, r, m, n).coefficients for n in samples]
     vrows = [[Fraction(n) ** l for l in range(N_DEGREE + 1)] for n in samples]
-    for i in range(len(bounds)):
-        for j in range(bounds[i] + 1):
+    for i, b in enumerate(CLOSED_BOUNDS):
+        for j in range(b + 1):
             values = [coeff_lists[t][i][j] for t in range(len(samples))]
             sol = solve_exact(vrows, values)
             if sol is None:

@@ -1,64 +1,54 @@
 """Favard-form analysis and associated-ultraspherical identification.
 
-The nonzero members q_0, q_1, ... of a family sit at k_t = k_0 + t r: the
-recursion's 2c-coefficient 2(r + (1 + k - r) m) vanishes only at
-k = r - 1 - r/m < r, so from the first nonzero member k_0 on every lattice
-step raises the degree by one.  The recursion at k = k_{t+1} rearranges to
+The nonzero members q_0, q_1, ... of a family (`Family.nonzero_members`) sit
+at k_t = k_0 + t r: the recursion's alpha vanishes only at k = r - 1 - r/m < r,
+so from the first nonzero member k_0 on every lattice step raises the degree
+by one.  The recursion gamma P_k = alpha c P_(k-r) - beta P_(k-2r) of
+`families` at k = k_{t+1} rearranges to
 
-    c q_t = A_t q_{t+1} + B_t q_{t-1},
-    A_t = (2r + m + k_{t+1} m) / (2 (r + (1 + k_{t+1} - r) m)),
-    B_t = (k_{t+1} - 2r + 1) m / (2 (r + (1 + k_{t+1} - r) m)),
+    c q_t = A_t q_{t+1} + B_t q_{t-1},    A_t = gamma / alpha,    B_t = beta / alpha,
 
-exact rationals for every t.  Orthogonality is certified through the moment
-functional induced by the monic Jacobi matrix (subdiagonal 1, superdiagonal
-a_t = B_t A_{t-1}, zero diagonal by parity); no measure is constructed.
+exact rationals for every t, since alpha >= 2(r + m) at every k >= r.
+Orthogonality is certified through the moment functional induced by the
+monic Jacobi matrix (subdiagonal 1, superdiagonal a_t = B_t A_{t-1}, zero
+diagonal by parity); no measure is constructed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil
+from operator import mul
 from typing import List, Optional, Tuple
 
-from .errors import ParameterError, SupportError
-from .families import Family
+from .errors import ParameterError
+from .families import Family, _recursion_coefficients
 from .poly import CPoly
 
 
-def recurrence_AB(r: int, m: int, k: int) -> Tuple[Fraction, Fraction]:
-    """(A_t, B_t) of c q_t = A_t q_{t+1} + B_t q_{t-1}, where k = k_{t+1}."""
-    den = 2 * (r + (1 + k - r) * m)
-    if den == 0:
-        raise SupportError(f"recurrence coefficient 2B({k}) vanishes")
-    return Fraction(2 * r + m + k * m, den), Fraction((k - 2 * r + 1) * m, den)
-
-
-def _members(fam: Family) -> Tuple[int, List[CPoly]]:
-    """k_0 and q_t = P_(k_0 + t r) for k_0 + t r <= kmax; q is empty if no member is nonzero."""
-    k0 = next((k for k in range(fam.kmax + 1) if fam[k]), fam.kmax + 1)
-    return k0, [fam[k] for k in range(k0, fam.kmax + 1, fam.r)]
-
-
-def _coefficients(r: int, m: int, k0: int, tmax: int) -> Tuple[List[Fraction], List[Fraction]]:
-    """A_t and B_t for t = 0..tmax, read off the recursion at k_(t+1) = k_0 + (t+1) r."""
-    A, B = zip(*(recurrence_AB(r, m, k0 + (t + 1) * r) for t in range(tmax + 1)))
-    return list(A), list(B)
+def _coefficients(r: int, m: int, k0: int, ts: range) -> Tuple[List[Fraction], List[Fraction]]:
+    """A_t and B_t for t in ts, read off the recursion at k_(t+1) = k_0 + (t+1) r."""
+    gab = [_recursion_coefficients(r, m, k0 + (t + 1) * r) for t in ts]
+    return [Fraction(g, a) for g, a, _ in gab], [Fraction(b, a) for _, a, b in gab]
 
 
 def _relation_failures(q: List[CPoly], A: List[Fraction], B: List[Fraction],
-                       tmax: int) -> List[int]:
-    """The t in 1..tmax where the stored members break c q_t = A_t q_(t+1) + B_t q_(t-1)."""
-    return [t for t in range(1, tmax + 1)
+                       ts: range) -> List[int]:
+    """The t in ts where the stored members break c q_t = A_t q_(t+1) + B_t q_(t-1)."""
+    return [t for t in ts
             if not (q[t].shift(1) - q[t + 1].scale(A[t]) - q[t - 1].scale(B[t])).is_zero()]
 
 
 class FavardData:
-    """A_t, B_t and a_t = B_t A_(t-1) (t >= 1); the abstract monic OPS p_0 = 1,
-    p_(t+1) = c p_t - a_t p_(t-1); moment_j = (J^j)_00 of its Jacobi matrix."""
+    """The members q_t from k_0; A_t, B_t and a_t = B_t A_(t-1) (t >= 1); the
+    abstract monic OPS p_0 = 1, p_(t+1) = c p_t - a_t p_(t-1); moment_j =
+    (J^j)_00 of its Jacobi matrix."""
 
-    def __init__(self, A: List[Fraction], B: List[Fraction], a: List[Fraction],
-                 monic: List[CPoly], moments: List[Fraction],
+    def __init__(self, k0: int, q: List[CPoly], A: List[Fraction], B: List[Fraction],
+                 a: List[Fraction], monic: List[CPoly], moments: List[Fraction],
                  relation_certified_t: List[int], findings: List[dict]):
+        self.k0, self.q = k0, q
         self.A, self.B, self.a, self.monic, self.moments = A, B, a, monic, moments
         self.relation_certified_t, self.findings = relation_certified_t, findings
 
@@ -113,22 +103,23 @@ def favard(fam: Family, N: int, gram_N: Optional[int] = None) -> FavardData:
     gram_N = N if gram_N is None else min(gram_N, N)
     if gram_N < 1:
         raise ParameterError(f"N must be >= 1, got {gram_N}")
-    k0, q = _members(fam)
-    if not q:
+    members = fam.nonzero_members()
+    if not members:
         raise ParameterError(f"{fam!r} has no nonzero member up to kmax={fam.kmax}")
-    A, B = _coefficients(fam.r, fam.m, k0, N)
+    k0, q = members[0][0], [p for _, p in members]
+    A, B = _coefficients(fam.r, fam.m, k0, range(N + 1))
     a = [Fraction(0)] + [B[t] * A[t - 1] for t in range(1, N + 1)]
     findings = [{"kind": "positivity-violation", "t": t, "a": str(a[t])}
                 for t in range(1, N + 1) if a[t] <= 0]
     tmax = min(N, len(q) - 2)
-    failed = _relation_failures(q, A, B, tmax)
+    failed = _relation_failures(q, A, B, range(1, tmax + 1))
     findings += [{"kind": "recurrence-violation", "t": t} for t in failed]
     certified = [t for t in range(1, tmax + 1) if t not in failed]
     monic = [CPoly.one(), CPoly.monomial(1)]
     for t in range(1, gram_N):
         monic.append(monic[t].shift(1) - monic[t - 1].scale(a[t]))
     moments = _moments(a, 2 * gram_N)
-    return FavardData(A, B, a, monic, moments, certified, findings)
+    return FavardData(k0, q, A, B, a, monic, moments, certified, findings)
 
 
 def gram_check(fd: FavardData, N: int) -> dict:
@@ -145,6 +136,7 @@ def gram_check(fd: FavardData, N: int) -> dict:
                              f"gram_check needs N <= that and moments to 2N")
     findings = []
     diag = []
+    norms = list(accumulate(fd.a[1:N + 1], mul, initial=Fraction(1)))  # a_1 ... a_i
     for i in range(N + 1):
         for j in range(i, N + 1):
             val = Fraction(0)
@@ -156,12 +148,9 @@ def gram_check(fd: FavardData, N: int) -> dict:
                         val += xs * yt * fd.moments[s + t]
             if i == j:
                 diag.append(val)
-                expected = Fraction(1)
-                for u in range(1, i + 1):
-                    expected *= fd.a[u]
-                if val != expected or val <= 0:
+                if val != norms[i] or val <= 0:
                     findings.append({"kind": "norm-violation", "i": i,
-                                     "value": str(val), "expected": str(expected)})
+                                     "value": str(val), "expected": str(norms[i])})
             elif val != 0:
                 findings.append({"kind": "orthogonality-violation",
                                  "i": i, "j": j, "value": str(val)})
@@ -184,6 +173,27 @@ def closed_form_AB(nu: Fraction, c0: Fraction, n: Fraction) -> Tuple[Fraction, F
     return Fraction(n + 2 * nu + c0, 1) / den, Fraction(n + c0, 1) / den
 
 
+def _identification(r: int, m: int, fd: Optional[FavardData]) -> dict:
+    """identify_ultraspherical's report from favard's k_0, q_t, A_t, B_t and relation
+    certificate (fd is None if no member is nonzero).  Past favard's N, the coefficients
+    and relations up to the last stored t are taken here: each t is checked once."""
+    nu = 1 + Fraction(1, m)
+    tmax = len(fd.q) - 2 if fd else 0
+    if tmax >= 3:
+        s0 = Fraction(fd.k0 + 1, r) - 1
+        shift = ceil(s0) - 1
+        c0 = s0 - shift
+        done = min(len(fd.A) - 1, tmax)  # favard certified or failed each t <= done
+        A, B = _coefficients(r, m, fd.k0, range(len(fd.A), tmax + 1))
+        A, B = fd.A + A, fd.B + B
+        if (len(fd.relation_certified_t) == done
+                and all(closed_form_AB(nu, c0, t + shift) == (A[t], B[t]) for t in (1, 2, 3))
+                and not _relation_failures(fd.q, A, B, range(done + 1, tmax + 1))):
+            return {"identified": {"nu": str(nu), "c0": str(c0), "shift": shift},
+                    "certified_t": tmax}
+    return {"identified": None, "nu": str(nu), "certified_t": 0}
+
+
 def identify_ultraspherical(fam: Family) -> dict:
     """Identify the members q_t as associated ultraspherical polynomials.
 
@@ -198,20 +208,9 @@ def identify_ultraspherical(fam: Family) -> dict:
 
     exactly.  Fewer than 5 members or a failed relation is a recorded no match.
     """
-    r, m = fam.r, fam.m
-    nu = 1 + Fraction(1, m)
-    k0, q = _members(fam)
-    tmax = len(q) - 2
-    if tmax >= 3:
-        s0 = Fraction(k0 + 1, r) - 1
-        shift = ceil(s0) - 1
-        c0 = s0 - shift
-        A, B = _coefficients(r, m, k0, tmax)
-        if (all(closed_form_AB(nu, c0, t + shift) == (A[t], B[t]) for t in (1, 2, 3))
-                and not _relation_failures(q, A, B, tmax)):
-            return {"identified": {"nu": str(nu), "c0": str(c0), "shift": shift},
-                    "certified_t": tmax}
-    return {"identified": None, "nu": str(nu), "certified_t": 0}
+    # favard to t = 3 holds the coefficients the closed-form proof reads
+    fd = favard(fam, 3, gram_N=1) if fam.nonzero_members() else None
+    return _identification(fam.r, fam.m, fd)
 
 
 def orthogonality_report(fam: Family, N: int = 12, n_positive: int = 200,
@@ -227,7 +226,7 @@ def orthogonality_report(fam: Family, N: int = 12, n_positive: int = 200,
                              f"{n_positive} and {closed_form_n}")
     big = max(N, n_positive, closed_form_n)
     fd = favard(fam, big, gram_N=N)
-    ident = identify_ultraspherical(fam)["identified"]
+    ident = _identification(fam.r, fam.m, fd)["identified"]
     closed_ok = None
     if closed_form_n and ident:
         nu, c0 = Fraction(ident["nu"]), Fraction(ident["c0"])

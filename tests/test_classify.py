@@ -50,6 +50,15 @@ def test_superposition_type_b_violation_is_reported():
                for f in rep["findings"])
 
 
+def test_superposition_certifies_against_its_own_family():
+    # with the seed's own family as the first of the pair the fit is (1, 0),
+    # and every aligned member after the two fitted ones certifies
+    rep = superposition_fit(3, 2, -4, canonical=(generate(3, 2, -4, 48),
+                                                 generate(3, 2, -3, 48)))
+    assert (rep["alpha"], rep["beta"]) == ("1", "0")
+    assert rep["certified_k"] == list(range(8, 48, 3)) and not rep["findings"]
+
+
 def test_superposition_ignores_deeper_cached_members():
     # members=10 at r = 3 reads k <= 48: 16 type-B members, the first two fit
     # (alpha, beta), the other 14 are findings.  A deeper generation of any of

@@ -7,7 +7,7 @@ from superpoly import (AlignmentError, CPoly, ParameterError, align_index, build
                        delta_correction, generate, indicial,
                        indicial_value, is_resonant, leading_symbol, nullspace,
                        polynomial_kernel, printed_indicial_factors,
-                       residual_scan, resonant_pairs, scalar_coefficients)
+                       residual_scan, resonant_pairs, scalar_coefficients, scan_cell)
 
 from cpoly_helpers import parity
 
@@ -354,6 +354,12 @@ def test_scan_lists_only_nonzero_members():
     for points in (list(range(-20, -11)), [7], [3, 5]):
         with pytest.raises(ParameterError):
             residual_scan(2, [2], [3], points)
+
+
+def test_scan_cell_extends_past_the_default_depth():
+    # the family is generated to k = 12r = 24; n = 60 reads P_56
+    assert scan_cell(1, 2, 2, [60]) == {"r": 2, "m": 2, "delta": 4, "checked_n": [60],
+                                        "pass": True, "failures": []}
 
 
 def test_scan_all_ignores_deeper_cached_members():

@@ -4,6 +4,7 @@ import pytest
 
 from superpoly import (CPoly, ParameterError, closed_form_AB, favard, generate,
                        gram_check, identify_ultraspherical, orthogonality_report)
+from superpoly import orth
 from superpoly.families import Family
 
 from cpoly_helpers import parity
@@ -102,6 +103,18 @@ def test_gram_hand_checks():
     assert val == fd.a[1] * fd.a[2]
 
 
+def test_gram_check_reports_tampered_moments():
+    fd = favard(generate(2, 3, -4, 40), 12)
+    fd.moments[4] += 1
+    report = gram_check(fd, 6)
+    assert not report["pass"] and not report["offdiag_zero"]
+    assert len(report["findings"]) == 13
+    assert [f["i"] for f in report["findings"] if f["kind"] == "norm-violation"] == [2, 3, 4, 5, 6]
+    assert [(f["i"], f["j"]) for f in report["findings"]
+            if f["kind"] == "orthogonality-violation"] == [
+        (0, 4), (0, 6), (1, 3), (1, 5), (2, 4), (2, 6), (3, 5), (4, 6)]
+
+
 def test_identify_r2():
     # all r = 2 cells match with c0 = 1/2; the (2,2) type-2 support starts one
     # stride late (the 2c-coefficient vanishes at k = 0), shifting the match
@@ -141,6 +154,15 @@ def test_tampered_member_breaks_identification_and_relation():
     assert fd.relation_certified_t == [t for t in range(1, 13) if t not in (4, 5, 6)]
 
 
+def test_identification_reads_the_relation_failures_favard_found():
+    fam = generate(2, 3, -4, 40)
+    fam.polys[4] = fam[4] + CPoly.one()  # q_2, read by the relations at t = 1, 2, 3
+    assert identify_ultraspherical(fam)["identified"] is None
+    report = orthogonality_report(fam)
+    assert report["relation_certified_t"] == list(range(4, 20))
+    assert report["identified"] is None
+
+
 def test_favard_rejects_a_family_with_no_member():
     fam = Family(2, 2, -4)
     fam.polys[-4] = CPoly.zero()  # blank the seed: nothing can be nonzero
@@ -174,3 +196,20 @@ def test_orthogonality_report_ignores_deeper_cached_members():
     deep = orthogonality_report(generate(2, 3, -4, 60), N=6, n_positive=50)
     assert fresh["relation_certified_t"] == list(range(1, 30))
     assert deep == fresh
+
+
+@pytest.mark.parametrize("flags", [{}, {"N": 1, "n_positive": 1}])
+def test_orthogonality_report_checks_each_relation_once(monkeypatch, flags):
+    # favard checks t <= min(N', 47) and the identification the rest, so the
+    # 47 stored relations are checked once each at any flags
+    checked = []
+    relation_failures = orth._relation_failures
+
+    def counting(q, A, B, ts):
+        checked.extend(ts)
+        return relation_failures(q, A, B, ts)
+
+    monkeypatch.setattr(orth, "_relation_failures", counting)
+    report = orthogonality_report(generate(2, 3, -4, 96), **flags)
+    assert checked == list(range(1, 48))
+    assert report["identified"] == {"nu": "4/3", "c0": "1/2", "shift": -1}
