@@ -11,9 +11,8 @@ from .poly import CPoly
 from .linalg import nullspace, solve_exact
 from .families import Family, canonical_j0, generate
 from .ode import (OdeOperator, align_index, build_operator, delta_correction, indicial,
-                  indicial_factors, indicial_value, is_resonant, leading_symbol,
-                  polynomial_kernel, printed_indicial_factors, residual_scan,
-                  resonant_pairs, scalar_coefficients, scan_cell)
+                  indicial_factors, is_resonant, polynomial_kernel,
+                  printed_indicial_factors, residual_scan, scalar_coefficients, scan_cell)
 from .fitting import FitResult, fit_ode, in_span, operator_vector
 from .series import (certify_exponent_mapping, first_order_residual, pde_reduced,
                      pde_residual)

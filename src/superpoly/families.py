@@ -49,12 +49,16 @@ class Family:
         return f"Family(r={self.r}, m={self.m}, j0={self.j0})"
 
     def extend(self, kmax: int) -> "Family":
-        """Generate P_k for k <= kmax, one integer CPoly.combine per k."""
+        """Generate P_k for k <= kmax, one integer CPoly.combine per k whose
+        inputs P_(k-r), P_(k-2r) are not both zero (else P_k is zero)."""
         r, m = self.r, self.m
         for k in range(self.kmax + 1, kmax + 1):
-            gamma, alpha, beta = _recursion_coefficients(r, m, k)
-            self.polys[k] = self.polys[k - r].shift(1).combine(self.polys[k - 2 * r],
-                                                               alpha, -beta, gamma)
+            prev, prev2 = self.polys[k - r], self.polys[k - 2 * r]
+            if prev or prev2:
+                gamma, alpha, beta = _recursion_coefficients(r, m, k)
+                self.polys[k] = prev.shift(1).combine(prev2, alpha, -beta, gamma)
+            else:
+                self.polys[k] = prev  # the zero polynomial
         self.kmax = max(self.kmax, kmax)
         return self
 

@@ -171,24 +171,9 @@ def _factor_product(factors: Sequence[Tuple[int, int]], s: int) -> int:
     return v
 
 
-def indicial_value(family_type: FamilyType, r: int, m: int, n: int, s: int) -> int:
-    return _factor_product(indicial_factors(family_type, r, m, n), s)
-
-
-def leading_symbol(op: OdeOperator, s: int) -> Fraction:
-    """Coefficient of c^s in op(c^s): the diagonal I(s) of the banded action."""
-    if s < 0:
-        raise ParameterError("s must be >= 0")
-    return Fraction(op.band_symbols()[0](s))
-
-
 def is_resonant(r: int, m: int) -> bool:
     """Extra nonnegative integer indicial root appears iff 1/r + 1/m = 1/2."""
     return Fraction(1, r) + Fraction(1, m) == Fraction(1, 2)
-
-
-def resonant_pairs(r_range: Sequence[int], m_range: Sequence[int]) -> List[Tuple[int, int]]:
-    return [(r, m) for r in r_range for m in m_range if is_resonant(r, m)]
 
 
 def indicial(family_type: FamilyType, r: int, m: int, n: int) -> dict:

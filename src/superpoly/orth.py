@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil
+from math import ceil, lcm
 from operator import mul
 from typing import List, Optional, Tuple
 
@@ -123,37 +123,48 @@ def favard(fam: Family, N: int, gram_N: Optional[int] = None) -> FavardData:
 
 
 def gram_check(fd: FavardData, N: int) -> dict:
-    """Gram matrix of the monic OPS under the moment functional.
+    """Gram matrix of the monic OPS under the moment functional, in integers.
 
     Off-diagonal entries must be exactly zero; diagonal entries must equal
     a_1 a_2 ... a_t (positive).  By Favard's theorem the monic p_t are
     orthogonal under their own Jacobi functional by construction, so this
-    checks the monic and moment code, not a claim of the paper; for type 2
-    the p_t are those of the family without its first member.
+    checks the stored monic members and moments, not a claim of the paper,
+    and assumes no recurrence between them; for type 2 the p_t are those of
+    the family without its first member.
+
+    The moments go over one denominator D, moment_s = M_s / D, and p_j =
+    num_j / den_j.  Each L(p_j c^l), L the moment functional, is staged once
+    as the integer sigma_(j,l) = sum_s num_j[s] M_(s+l) = den_j D L(p_j c^l),
+    and each entry is g = sum_l num_i[l] sigma_(j,l) = den_i den_j D <p_i, p_j>:
+    O(N^3) integer products in all.  An off-diagonal entry is zero iff g = 0,
+    so a Fraction is built only for a diagonal entry or a finding.
     """
     if len(fd.monic) <= N or len(fd.moments) < 2 * N + 1:
         raise ParameterError(f"FavardData holds {len(fd.monic) - 1} monic members; "
                              f"gram_check needs N <= that and moments to 2N")
+    monic = fd.monic[:N + 1]
+    D = lcm(*(x.denominator for x in fd.moments))
+    M = [x.numerator * (D // x.denominator) for x in fd.moments]
+    sigma, reach = [], 0  # sigma[j][l] for every l that some p_i, i <= j, reaches
+    for p in monic:
+        reach = max(reach, len(p.num))
+        sigma.append([sum(x * M[s + l] for s, x in enumerate(p.num) if x)
+                      for l in range(reach)])
     findings = []
     diag = []
     norms = list(accumulate(fd.a[1:N + 1], mul, initial=Fraction(1)))  # a_1 ... a_i
-    for i in range(N + 1):
+    for i, p in enumerate(monic):
         for j in range(i, N + 1):
-            val = Fraction(0)
-            for s, xs in enumerate(fd.monic[i].coeffs):
-                if not xs:
-                    continue
-                for t, yt in enumerate(fd.monic[j].coeffs):
-                    if yt:
-                        val += xs * yt * fd.moments[s + t]
+            g = sum(x * sigma[j][l] for l, x in enumerate(p.num) if x)
             if i == j:
+                val = Fraction(g, p.den * p.den * D)
                 diag.append(val)
                 if val != norms[i] or val <= 0:
                     findings.append({"kind": "norm-violation", "i": i,
                                      "value": str(val), "expected": str(norms[i])})
-            elif val != 0:
-                findings.append({"kind": "orthogonality-violation",
-                                 "i": i, "j": j, "value": str(val)})
+            elif g:
+                findings.append({"kind": "orthogonality-violation", "i": i, "j": j,
+                                 "value": str(Fraction(g, p.den * monic[j].den * D))})
     return {
         "N": N,
         "offdiag_zero": not any(f["kind"] == "orthogonality-violation" for f in findings),

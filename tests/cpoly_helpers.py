@@ -1,8 +1,11 @@
-"""CPoly queries that only the tests need: parity, evaluation, parsing."""
+"""Queries and reference computations that only the tests need: CPoly parity,
+evaluation and parsing, the operator's leading symbol, and a direct Gram matrix."""
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
-from superpoly import CPoly
+from superpoly import CPoly, ParameterError, indicial_factors, is_resonant
 
 
 def parity(p: CPoly):
@@ -27,3 +30,53 @@ def evaluate(p: CPoly, x) -> Fraction:
 def from_strings(strings) -> CPoly:
     """The inverse of CPoly.to_strings."""
     return CPoly(Fraction(s) for s in strings)
+
+
+def indicial_value(family_type, r, m, n, s) -> int:
+    """The product of the certified indicial factors at s."""
+    v = 1
+    for slope, intercept in indicial_factors(family_type, r, m, n):
+        v *= slope * s + intercept
+    return v
+
+
+def leading_symbol(op, s) -> Fraction:
+    """Coefficient of c^s in op(c^s): the diagonal I(s) of the banded action."""
+    if s < 0:
+        raise ParameterError("s must be >= 0")
+    return Fraction(op.band_symbols()[0](s))
+
+
+def resonant_pairs(r_range, m_range):
+    return [(r, m) for r in r_range for m in m_range if is_resonant(r, m)]
+
+
+def reference_gram(fd, N: int) -> dict:
+    """gram_check's report from every <p_i, p_j> summed directly in Fractions."""
+    findings = []
+    diag = []
+    norms = list(accumulate(fd.a[1:N + 1], mul, initial=Fraction(1)))
+    for i in range(N + 1):
+        for j in range(i, N + 1):
+            val = Fraction(0)
+            for s, xs in enumerate(fd.monic[i].coeffs):
+                if not xs:
+                    continue
+                for t, yt in enumerate(fd.monic[j].coeffs):
+                    if yt:
+                        val += xs * yt * fd.moments[s + t]
+            if i == j:
+                diag.append(val)
+                if val != norms[i] or val <= 0:
+                    findings.append({"kind": "norm-violation", "i": i,
+                                     "value": str(val), "expected": str(norms[i])})
+            elif val != 0:
+                findings.append({"kind": "orthogonality-violation",
+                                 "i": i, "j": j, "value": str(val)})
+    return {
+        "N": N,
+        "offdiag_zero": not any(f["kind"] == "orthogonality-violation" for f in findings),
+        "diag": [str(x) for x in diag],
+        "findings": findings,
+        "pass": not findings,
+    }

@@ -26,12 +26,12 @@ from fractions import Fraction
 from superpoly import (CPoly, align_index, build_operator,
                        certify_exponent_mapping, fit_ode, generate,
                        first_order_residual, gegenbauer_ode_residual, in_span,
-                       indicial, indicial_value, leading_symbol,
-                       operator_vector, orthogonality_report, pde_reduced,
+                       indicial, operator_vector, orthogonality_report, pde_reduced,
                        pde_residual, polynomial_kernel,
-                       printed_indicial_factors, residual_scan, resonant_pairs,
+                       printed_indicial_factors, residual_scan,
                        superposition_fit, verify_gegenbauer_reduction)
 
+from cpoly_helpers import indicial_value, leading_symbol, resonant_pairs
 from test_fitting import materialize
 
 GRID_R = range(2, 9)

@@ -299,6 +299,9 @@ GOLDEN_REPORTS = [
      "f10886133b704bd2104d732a7476a097d42229f7489efafff48f249dac793edd"),
     (["gram", "--type", "2", "--r", "2", "--m", "4", "--N", "12"], 0,
      "be11f60b60448747dfcaf05937ba74c0509944b49ad1395788f54b70dd0f24fc"),
+    # recorded with the Fraction triple loop, before the staged integer Gram
+    (["gram", "--type", "1", "--r", "3", "--m", "4", "--N", "40"], 0,
+     "927aeb0d3f13d57798f09fa2b0c72237c199186899c5cfec617d9ec411aa4987"),
     (["identify", "--type", "1", "--r", "2", "--m", "2"], 0,
      "d69e6dda78a7c022df752fec5cc8de93836df2a525740cdf6f79239078ec98a2"),
     # recorded with the derived identification: nu = 3/2, c0 = 1/3, shift = -1

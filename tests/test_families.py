@@ -186,3 +186,45 @@ def test_generation_and_strings_build_no_fraction(monkeypatch):
     # 14 P_1 = 16 P_-5 and 26 P_4 = 22 c P_1 + 4 P_-2
     coeffs = {e["k"]: e["coeffs"] for e in generate(3, 4, -5, 60).to_json()["polys"]}
     assert coeffs[1] == ["8/7"] and coeffs[4] == ["0", "88/91"]
+
+
+def always_combining(seeded, kmax):
+    """P_k for k <= kmax from the seeds of a fresh Family, with a combine at every k."""
+    r, m = seeded.r, seeded.m
+    polys = dict(seeded.polys)
+    for k in range(kmax + 1):
+        gamma, alpha, beta = 2 * r + m + k * m, 2 * (r + (1 + k - r) * m), (k - (2 * r - 1)) * m
+        polys[k] = polys[k - r].shift(1).combine(polys[k - 2 * r], alpha, -beta, gamma)
+    return polys
+
+
+def test_skipped_combines_change_no_member():
+    # extend skips the combine where P_(k-r) = P_(k-2r) = 0, read off the data,
+    # so a seed on two lattices keeps both
+    for r in range(2, 9):
+        for m in range(2, 11):
+            for j0 in range(-2 * r, 0):
+                assert generate(r, m, j0, 16 * r).polys == always_combining(Family(r, m, j0),
+                                                                            16 * r)
+    seeded = Family(2, 5, -4)
+    seeded.polys[-1] = CPoly((Fraction(-2, 7),))
+    expected = always_combining(seeded, 32)
+    assert seeded.extend(32).polys == expected
+    assert all(expected[k] for k in range(0, 33))
+
+
+def test_extend_combines_only_where_a_member_can_be_nonzero(monkeypatch):
+    # a unit seed has both inputs zero at r - 1 of every r indices
+    calls = []
+    combine = CPoly.combine
+
+    def counting(self, *args):
+        calls.append(1)
+        return combine(self, *args)
+
+    monkeypatch.setattr(CPoly, "combine", counting)
+    generate(2, 3, -4, 800)
+    assert len(calls) == 401
+    calls.clear()
+    generate(8, 10, -16, 96)
+    assert len(calls) == 13

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from superpoly import (AlignmentError, CPoly, ParameterError, align_index, build_operator,
-                       delta_correction, generate, indicial,
-                       indicial_value, is_resonant, leading_symbol, nullspace,
+                       delta_correction, generate, indicial, is_resonant, nullspace,
                        polynomial_kernel, printed_indicial_factors,
-                       residual_scan, resonant_pairs, scalar_coefficients, scan_cell)
+                       residual_scan, scalar_coefficients, scan_cell)
 
-from cpoly_helpers import parity
+from cpoly_helpers import indicial_value, leading_symbol, parity, resonant_pairs
 
 
 def reference_apply(op, p):

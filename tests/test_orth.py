@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from superpoly import (CPoly, ParameterError, closed_form_AB, favard, generate,
-                       gram_check, identify_ultraspherical, orthogonality_report)
+from superpoly import (CPoly, ParameterError, canonical_j0, closed_form_AB, favard,
+                       generate, gram_check, identify_ultraspherical, orthogonality_report)
 from superpoly import orth
 from superpoly.families import Family
 
-from cpoly_helpers import parity
+from cpoly_helpers import parity, reference_gram
 
 
 def support(fam):
@@ -113,6 +113,54 @@ def test_gram_check_reports_tampered_moments():
     assert [(f["i"], f["j"]) for f in report["findings"]
             if f["kind"] == "orthogonality-violation"] == [
         (0, 4), (0, 6), (1, 3), (1, 5), (2, 4), (2, 6), (3, 5), (4, 6)]
+
+
+def favard_of(family_type, r, m, N):
+    """favard's data to depth N for a canonical family, generated as the CLI does."""
+    return favard(generate(r, m, canonical_j0(family_type, r), max(12, N + 3) * r), N)
+
+
+@pytest.mark.parametrize("family_type", [1, 2])
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_gram_check_matches_direct_sums(family_type, r, m):
+    fd = favard_of(family_type, r, m, 20)
+    for N in (1, 2, 7, 20):
+        report = gram_check(fd, N)
+        assert report == reference_gram(fd, N)
+        assert report["pass"]
+
+
+def tamper_moment(fd):
+    fd.moments[6] += 1
+
+
+def tamper_coefficient(fd):
+    fd.monic[5] = fd.monic[5] + CPoly.monomial(3, Fraction(1, 5))
+
+
+def tamper_leading(fd):
+    fd.monic[4] = fd.monic[4].scale(2)  # no longer monic
+
+
+@pytest.mark.parametrize("tamper", [tamper_moment, tamper_coefficient, tamper_leading])
+@pytest.mark.parametrize("family_type", [1, 2])
+def test_gram_check_matches_direct_sums_on_tampered_data(tamper, family_type):
+    fd = favard_of(family_type, 3, 4, 12)
+    tamper(fd)
+    report = gram_check(fd, 12)
+    assert report == reference_gram(fd, 12)
+    assert report["findings"] and not report["pass"]
+
+
+def test_gram_check_at_N_80():
+    fd = favard_of(2, 2, 3, 80)
+    report = gram_check(fd, 80)
+    assert report["pass"] and report["offdiag_zero"]
+    prods = [Fraction(1)]
+    for t in range(1, 81):
+        prods.append(prods[-1] * fd.a[t])
+    assert report["diag"] == [str(x) for x in prods]
 
 
 def test_identify_r2():
