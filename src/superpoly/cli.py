@@ -1,16 +1,18 @@
 """Batch driver: every verification as a subcommand with JSON reports.
 
-Reports go to stdout (or --out FILE) as JSON with sorted keys; a one-line
-human summary goes to stderr.  Exit codes: 0 all checks pass, 1 verification
-finding, 2 usage error.  Identical inputs produce byte-identical reports
-(wall time is kept outside the report object).  The parser is built from
-two tables: FLAGS declares each flag once, COMMANDS each subcommand.
+Reports are streamed to stdout (or --out FILE) as JSON with sorted keys; a
+one-line human summary goes to stderr.  Exit codes: 0 all checks pass,
+1 verification finding, 2 usage error or a failed report write.  Identical
+inputs produce byte-identical reports (wall time is kept outside the report
+object).  The parser is built from two tables: FLAGS declares each flag
+once, COMMANDS each subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -22,6 +24,7 @@ from .families import canonical_j0, generate
 from .fitting import CLOSED_BOUNDS, fit_ode, in_span, operator_vector
 from .ode import align_index, build_operator, indicial, polynomial_kernel, residual_scan
 from .orth import favard, gram_check, identify_ultraspherical, orthogonality_report
+from .poly import CPoly, LazyJSON
 from .series import first_order_residual, pde_residual
 
 
@@ -151,7 +154,7 @@ def _kernel(ns) -> tuple[dict, bool]:
 def _gegenbauer(ns) -> tuple[dict, bool]:
     report = {
         "m": ns.m, "lambda": f"{ns.m + 1}/{ns.m}",  # 1 + 1/m in lowest terms
-        "polys": [p.to_strings() for p in gegenbauer(ns.m, ns.nmax)],
+        "polys": LazyJSON(gegenbauer(ns.m, ns.nmax), CPoly.to_strings),
         "ode_certified": True,  # gegenbauer() raises if any member fails its equation
     }
     return report, True
@@ -195,7 +198,8 @@ FLAGS = {
     # (k ~ 2000, N ~ 80) and every value the tests and benchmark use
     **dict.fromkeys(("--r", "--m", "--n", "--n-positive", "--closed-form-n",
                      "--kmax", "--K", "--bound"), {"type": capped(INDEX_CAP)}),
-    "--nmax": {"type": capped(600)},  # the report grows as nmax^3: 52 MB at 600
+    # the report is streamed, so this bounds output size and time: 52 MB in ~4 s at 600
+    "--nmax": {"type": capped(600)},
     "--N": {"type": capped(100)},
     "--members": {"type": capped(100)},
     "--type": {"type": int, "choices": (1, 2)},
@@ -307,6 +311,30 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return ap
 
 
+def _write_report(envelope: dict, fh) -> None:
+    """Stream the report into fh: the encoder writes it piece by piece, so the
+    whole text never exists at once.  The flush makes a failed write raise here."""
+    json.dump(envelope, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+    fh.flush()
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull after a failed write.
+
+    What stdout still buffers is flushed at exit; into a full device or a
+    closed pipe that flush fails again and prints "Exception ignored".
+    Captured output has no descriptor and no such flush.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def run(argv) -> tuple[dict, int]:
     ap = build_parser(argv[0] if argv and any(argv[0] == row[0] for row in COMMANDS)
                       else None)
@@ -329,16 +357,18 @@ def run(argv) -> tuple[dict, int]:
         "report": report,
         "status": "pass" if ok else "fail",
     }
-    text = json.dumps(envelope, indent=2, sort_keys=True)
-    if ns.out:
-        try:
+    try:
+        if ns.out:
             with open(ns.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write the report to {ns.out}: {exc.strerror}", file=sys.stderr)
-            return envelope, 2
-    else:
-        print(text)
+                _write_report(envelope, fh)
+        else:
+            _write_report(envelope, sys.stdout)
+    except OSError as exc:
+        if not ns.out:
+            _discard_stdout()
+        print(f"error: cannot write the report to {ns.out or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return envelope, 2
     print(f"{ns.command}: {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s)", file=sys.stderr)
     return envelope, 0 if ok else 1
 

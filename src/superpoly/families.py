@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .errors import ParameterError
-from .poly import CPoly
+from .poly import CPoly, LazyJSON
 
 
 def _check_params(r: int, m: int, j0: int = -1):
@@ -29,6 +29,12 @@ def _check_params(r: int, m: int, j0: int = -1):
 def _recursion_coefficients(r: int, m: int, k: int) -> Tuple[int, int, int]:
     """(gamma, alpha, beta) at k: the one statement of them, which `orth` reads too."""
     return 2 * r + m + k * m, 2 * (r + (1 + k - r) * m), (k - (2 * r - 1)) * m
+
+
+def _member_json(item: Tuple[int, CPoly]) -> dict:
+    """A member's report entry, {"k": k, "coeffs": P_k in lowest-terms strings}."""
+    k, p = item
+    return {"k": k, "coeffs": p.to_strings()}
 
 
 class Family:
@@ -70,12 +76,12 @@ class Family:
         return [(k, self.polys[k]) for k in range(0, self.kmax + 1) if self.polys[k]]
 
     def to_json(self) -> dict:
+        """The gen report; each member's strings are built as it is written."""
         return {
             "r": self.r,
             "m": self.m,
             "j0": self.j0,
-            "polys": [{"k": k, "coeffs": self.polys[k].to_strings()}
-                      for k in sorted(self.polys)],
+            "polys": LazyJSON(sorted(self.polys.items()), _member_json),
         }
 
 

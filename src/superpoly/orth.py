@@ -64,27 +64,39 @@ class FavardData:
 
 
 def _moments(a: List[Fraction], order: int) -> List[Fraction]:
-    """moment_j = (J^j)_{00} by iterating v <- J v from e_0.
+    """moment_j = (J^j)_{00} by iterating v <- J v from e_0, in integers.
 
     J is the multiplication-by-c matrix in the monic basis: column t has 1 at
-    row t+1 and a_t at row t-1.  A path of length j from 0 back to 0 never
-    climbs above row j//2, so rows 0..order//2 suffice and dropped upward
-    transitions at the cap can never feed back into moment_j for j <= order.
+    row t+1 and a_t at row t-1.  A path from row 0 that is back at row 0
+    within `order` steps is at a row t <= min(j, order - j) after j steps, so
+    no other row is kept.
+
+    With a_t = A_t / L over one denominator L, a path of length j to row t
+    makes (j - t)/2 downward steps, so w_t = L^((j - t)/2) v_t is an integer:
+    an upward step carries w_t over unchanged and a downward one from row t
+    multiplies it by A_t.  moment_j = w_0 / L^(j/2) is the one Fraction built
+    per even j; odd moments are zero.
     """
     cap = order // 2
-    v = [Fraction(0)] * (cap + 1)
-    v[0] = Fraction(1)
-    out = [Fraction(1)]
-    for _ in range(order):
-        nxt = [Fraction(0)] * (cap + 1)
-        for t in range(cap + 1):
-            if v[t]:
-                if t + 1 <= cap:
-                    nxt[t + 1] += v[t]               # p_{t+1} component
-                if t >= 1:
-                    nxt[t - 1] += a[t] * v[t]        # a_t p_{t-1} component
-        v = nxt
-        out.append(v[0])
+    L = lcm(*(x.denominator for x in a[1:cap + 1]))
+    A = [x.numerator * (L // x.denominator) for x in a[:cap + 1]]
+    w = [1]  # rows 0..top of step j
+    out, scale = [Fraction(1)], 1
+    for j in range(1, order + 1):
+        top = min(j, order - j)  # a higher row cannot return to row 0 by step `order`
+        nxt = [0] * (top + 1)
+        for t, x in enumerate(w):
+            if x:
+                if t < top:
+                    nxt[t + 1] += x                  # p_{t+1} component
+                if t:
+                    nxt[t - 1] += A[t] * x           # a_t p_{t-1} component
+        w = nxt
+        if j % 2:
+            out.append(Fraction(0))
+        else:
+            scale *= L
+            out.append(Fraction(w[0], scale))
     return out
 
 

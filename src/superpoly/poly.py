@@ -209,3 +209,22 @@ class CPoly:
             g = gcd(a, den)
             out.append(str(a // g) if g == den else f"{a // g}/{den // g}")
         return out
+
+
+class LazyJSON(list):
+    """A report list that a JSON encoder reads as map(encode, items).
+
+    The list stores the items; iterating it yields encode(item) one at a
+    time, and both of json's encoders iterate a list subclass.  A large
+    report's strings are therefore built as the report is written, and none
+    is kept.  len and == read the stored items; so does indexing.
+    """
+
+    __slots__ = ("encode",)
+
+    def __init__(self, items: Iterable, encode):
+        super().__init__(items)
+        self.encode = encode
+
+    def __iter__(self):
+        return map(self.encode, super().__iter__())

@@ -80,3 +80,21 @@ def reference_gram(fd, N: int) -> dict:
         "findings": findings,
         "pass": not findings,
     }
+
+
+def reference_moments(a, order: int):
+    """moment_j = (J^j)_00 for j <= order, iterating v <- J v from e_0 in Fractions."""
+    cap = order // 2
+    v = [Fraction(1)] + [Fraction(0)] * cap
+    out = [Fraction(1)]
+    for _ in range(order):
+        nxt = [Fraction(0)] * (cap + 1)
+        for t in range(cap + 1):
+            if v[t]:
+                if t + 1 <= cap:
+                    nxt[t + 1] += v[t]
+                if t >= 1:
+                    nxt[t - 1] += a[t] * v[t]
+        v = nxt
+        out.append(v[0])
+    return out

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from superpoly import CPoly, gegenbauer
 from superpoly.cli import COMMANDS, build_parser, main, parse_span
 
 
@@ -100,6 +101,74 @@ def test_unwritable_out_exits_2(tmp_path, capsys, name):
     assert main(["gegenbauer", "--m", "3", "--nmax", "4", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+
+def run_cli(*argv, **kwargs):
+    """A superpoly process on argv: a Popen with kwargs if any are given, else the
+    CompletedProcess with stdout discarded and stderr captured."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "superpoly.cli", *argv]
+    if kwargs:
+        return subprocess.Popen(cmd, env=env, **kwargs)
+    return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=60)
+
+
+def assert_one_error_line(stderr: str, dest: str):
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in stderr
+    assert lines[0].startswith(f"error: cannot write the report to {dest}: ")
+
+
+# a report of about 0.5 MB, more than a pipe buffers
+LARGE_REPORT = ["gen", "--r", "2", "--m", "3", "--j0", "-4", "--kmax", "200"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["gegenbauer", "--m", "3", "--nmax", "4"], LARGE_REPORT],
+                         ids=["small", "large"])
+def test_full_device_exits_2(argv):
+    with open("/dev/full", "w") as full, run_cli(*argv, stdout=full, stderr=subprocess.PIPE,
+                                                   text=True) as proc:
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert_one_error_line(err, "stdout")
+    proc = run_cli(*argv, "--out", "/dev/full")
+    assert proc.returncode == 2
+    assert_one_error_line(proc.stderr, "/dev/full")
+
+
+def test_closed_pipe_exits_2():
+    with run_cli(*LARGE_REPORT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                 text=True) as proc:
+        assert proc.stdout.read(20).startswith('{\n  "argv"')
+        proc.stdout.close()  # the reader goes away with most of the report unread
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert_one_error_line(err, "stdout")
+
+
+def test_gegenbauer_strings_built_only_when_iterated(monkeypatch):
+    calls = []
+    to_strings = CPoly.to_strings
+
+    def counting(self):
+        calls.append(1)
+        return to_strings(self)
+
+    monkeypatch.setattr(CPoly, "to_strings", counting)
+    runner = {row[0]: row[3] for row in COMMANDS}["gegenbauer"]
+    report, ok = runner(build_parser("gegenbauer").parse_args(
+        ["gegenbauer", "--m", "3", "--nmax", "10"]))
+    assert ok and calls == [] and len(report["polys"]) == 11
+    eager = dict(report, polys=[p.to_strings() for p in gegenbauer(3, 10)])
+    calls.clear()
+    assert list(report["polys"]) == eager["polys"] and len(calls) == 11
+    assert json.dumps(report) == json.dumps(eager)
+    assert (json.dumps(report, indent=2, sort_keys=True)
+            == json.dumps(eager, indent=2, sort_keys=True))
 
 
 def test_series_subcommand(capsys):

@@ -149,6 +149,41 @@ def test_json_dump_schema():
     json.dumps(dump)  # must be serializable as-is
 
 
+def eager_members(fam):
+    """The "polys" entry as a plain list, every member's strings built at once."""
+    return [{"k": k, "coeffs": p.to_strings()} for k, p in sorted(fam.polys.items())]
+
+
+def test_to_json_builds_member_strings_only_when_iterated(monkeypatch):
+    calls = []
+    to_strings = CPoly.to_strings
+
+    def counting(self):
+        calls.append(1)
+        return to_strings(self)
+
+    monkeypatch.setattr(CPoly, "to_strings", counting)
+    fam = generate(3, 4, -6, 60)
+    polys = fam.to_json()["polys"]
+    assert calls == [] and len(polys) == len(fam.polys)
+    first = next(iter(polys))
+    assert first == {"k": -6, "coeffs": ["1"]} and len(calls) == 1
+    list(polys)
+    assert len(calls) == 1 + len(fam.polys)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("family_type", [1, 2])
+def test_lazy_members_encode_as_the_eager_list(r, family_type):
+    fam = generate(r, 3, canonical_j0(family_type, r), 20 * r)
+    lazy = fam.to_json()
+    eager = dict(lazy, polys=eager_members(fam))
+    assert list(lazy["polys"]) == eager["polys"]
+    assert json.dumps(lazy) == json.dumps(eager)  # the C encoder
+    assert (json.dumps(lazy, indent=2, sort_keys=True)  # the CLI's encoder
+            == json.dumps(eager, indent=2, sort_keys=True))
+
+
 def reference_members(r, m, j0, kmax):
     """P_k for k <= kmax by the recursion over plain Fraction coefficient lists."""
     polys = {j: [Fraction(1)] if j == j0 else [] for j in range(-2 * r, 0)}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -7,7 +8,7 @@ from superpoly import (CPoly, ParameterError, canonical_j0, closed_form_AB, fava
 from superpoly import orth
 from superpoly.families import Family
 
-from cpoly_helpers import parity, reference_gram
+from cpoly_helpers import parity, reference_gram, reference_moments
 
 
 def support(fam):
@@ -129,6 +130,31 @@ def test_gram_check_matches_direct_sums(family_type, r, m):
         report = gram_check(fd, N)
         assert report == reference_gram(fd, N)
         assert report["pass"]
+
+
+@pytest.mark.parametrize("family_type", [1, 2])
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_moments_match_fraction_iteration(family_type, r, m):
+    # each order keeps its own rows, so every order is compared, not a prefix
+    fd = favard(generate(r, m, canonical_j0(family_type, r), 33 * r), 30, gram_N=1)
+    for N in (1, 2, 7, 30):
+        assert orth._moments(fd.a, 2 * N) == reference_moments(fd.a, 2 * N)
+
+
+@pytest.mark.parametrize("family_type,r,m", [(1, 2, 3), (2, 4, 5)])
+def test_moments_match_fraction_iteration_at_N_100(family_type, r, m):
+    fd = favard_of(family_type, r, m, 100)
+    assert fd.moments == reference_moments(fd.a, 200)
+
+
+def test_moments_of_arbitrary_coefficients():
+    # negative, zero and unrelated a_t, every order from 0 to 16
+    rng = random.Random(5)
+    for _ in range(20):
+        a = [Fraction(0)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 40)) for _ in range(8)]
+        for order in range(17):
+            assert orth._moments(a, order) == reference_moments(a, order)
 
 
 def tamper_moment(fd):
