@@ -11,6 +11,7 @@ once, COMMANDS each subcommand.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from . import __version__
 from .classify import (classification_report, gegenbauer, superposition_fit,
                        verify_gegenbauer_reduction)
 from .errors import SuperpolyError
-from .families import canonical_j0, generate
+from .families import _check_kmax, _check_params, canonical_j0, generate, stream
 from .fitting import CLOSED_BOUNDS, fit_ode, in_span, operator_vector
 from .ode import align_index, build_operator, indicial, polynomial_kernel, residual_scan
 from .orth import favard, gram_check, identify_ultraspherical, orthogonality_report
@@ -113,13 +114,25 @@ def _verdict(report: dict, *keys: str) -> tuple[dict, bool]:
 # runners that do more than call a library function: ns -> (report, ok)
 # ---------------------------------------------------------------------------
 
+def _member_json(item) -> dict:
+    """A gen member's report entry, {"k": k, "coeffs": P_k in lowest-terms strings}."""
+    k, p = item
+    return {"k": k, "coeffs": p.to_strings()}
+
+
 def _gen(ns) -> tuple[dict, bool]:
-    fam = _family(ns, ns.kmax)
-    if ns.print_members:
-        for k in sorted(fam.polys):
-            if fam.polys[k]:
-                print(f"P_{k} = {fam.polys[k]!r}", file=sys.stderr)
-    return fam.to_json(), True
+    # the stream checks its arguments only once it is iterated, which is
+    # while the report is written; a bad one must fail before any output
+    _check_params(ns.r, ns.m, ns.j0)
+    kmax = _check_kmax(ns.r, ns.kmax)
+    members = functools.partial(stream, ns.r, ns.m, ns.j0, kmax)
+    if ns.print_members:  # a second generation, for this debug flag only
+        for k, p in members():
+            if p:
+                print(f"P_{k} = {p!r}", file=sys.stderr)
+    report = {"r": ns.r, "m": ns.m, "j0": ns.j0,
+              "polys": LazyJSON(members, _member_json, kmax + 2 * ns.r + 1)}
+    return report, True
 
 
 def _verify_ode(ns) -> tuple[dict, bool]:
@@ -152,9 +165,10 @@ def _kernel(ns) -> tuple[dict, bool]:
 
 
 def _gegenbauer(ns) -> tuple[dict, bool]:
+    qs = gegenbauer(ns.m, ns.nmax)  # every Q_n certified before any output
     report = {
         "m": ns.m, "lambda": f"{ns.m + 1}/{ns.m}",  # 1 + 1/m in lowest terms
-        "polys": LazyJSON(gegenbauer(ns.m, ns.nmax), CPoly.to_strings),
+        "polys": LazyJSON(qs.__iter__, CPoly.to_strings, len(qs)),
         "ode_certified": True,  # gegenbauer() raises if any member fails its equation
     }
     return report, True
@@ -311,10 +325,25 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return ap
 
 
+WRITE_SIZE = 1 << 16  # characters gathered per write; a report is ASCII, so bytes
+
+
 def _write_report(envelope: dict, fh) -> None:
-    """Stream the report into fh: the encoder writes it piece by piece, so the
-    whole text never exists at once.  The flush makes a failed write raise here."""
-    json.dump(envelope, fh, indent=2, sort_keys=True)
+    """Stream the report into fh, so the whole text never exists at once.
+
+    The encoder's pieces, most a few characters long, are gathered into
+    writes of at most WRITE_SIZE (a longer piece is written alone): under
+    PYTHONUNBUFFERED, stdout makes one system call per write.  The flush
+    makes a failed write raise here.
+    """
+    pending, size = [], 0
+    for piece in json.JSONEncoder(indent=2, sort_keys=True).iterencode(envelope):
+        if size + len(piece) > WRITE_SIZE and pending:
+            fh.write("".join(pending))
+            pending, size = [], 0
+        pending.append(piece)
+        size += len(piece)
+    fh.write("".join(pending))
     fh.write("\n")
     fh.flush()
 

@@ -12,10 +12,10 @@ generation is total.  Nonzero members live on the lattice k == j0 (mod r).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import ParameterError
-from .poly import CPoly, LazyJSON
+from .poly import CPoly
 
 
 def _check_params(r: int, m: int, j0: int = -1):
@@ -31,10 +31,13 @@ def _recursion_coefficients(r: int, m: int, k: int) -> Tuple[int, int, int]:
     return 2 * r + m + k * m, 2 * (r + (1 + k - r) * m), (k - (2 * r - 1)) * m
 
 
-def _member_json(item: Tuple[int, CPoly]) -> dict:
-    """A member's report entry, {"k": k, "coeffs": P_k in lowest-terms strings}."""
-    k, p = item
-    return {"k": k, "coeffs": p.to_strings()}
+def _check_kmax(r: int, kmax: int | None) -> int:
+    """kmax, or 12r when it is None; ParameterError when it is negative."""
+    if kmax is None:
+        return 12 * r
+    if kmax < 0:
+        raise ParameterError("kmax must be >= 0")
+    return kmax
 
 
 class Family:
@@ -75,24 +78,26 @@ class Family:
         """(k, P_k) for 0 <= k <= kmax with P_k != 0, in increasing k."""
         return [(k, self.polys[k]) for k in range(0, self.kmax + 1) if self.polys[k]]
 
-    def to_json(self) -> dict:
-        """The gen report; each member's strings are built as it is written."""
-        return {
-            "r": self.r,
-            "m": self.m,
-            "j0": self.j0,
-            "polys": LazyJSON(sorted(self.polys.items()), _member_json),
-        }
-
 
 def generate(r: int, m: int, j0: int, kmax: int | None = None) -> Family:
     """A new family seeded at j0, holding exactly P_k for k <= kmax; default kmax = 12r."""
     fam = Family(r, m, j0)
-    if kmax is None:
-        kmax = 12 * r
-    if kmax < 0:
-        raise ParameterError("kmax must be >= 0")
-    return fam.extend(kmax)
+    return fam.extend(_check_kmax(r, kmax))
+
+
+def stream(r: int, m: int, j0: int, kmax: int) -> Iterator[Tuple[int, CPoly]]:
+    """(k, P_k) for k = -2r..kmax in order, holding at most 2r + 1 members at once.
+
+    A private Family is extended one index at a time, and the member 2r
+    below the new one, which no later member reads, is dropped before it is
+    yielded.  Being a generator, it checks its arguments only when first
+    iterated: a caller that must fail before any output checks them first.
+    """
+    fam = Family(r, m, j0)
+    for k in range(-2 * r, kmax + 1):
+        fam.extend(k)
+        fam.polys.pop(k - 2 * r, None)
+        yield k, fam.polys[k]
 
 
 def canonical_j0(family_type: int, r: int) -> int:

@@ -212,19 +212,30 @@ class CPoly:
 
 
 class LazyJSON(list):
-    """A report list that a JSON encoder reads as map(encode, items).
+    """A report list that a JSON encoder reads as map(encode, source()).
 
-    The list stores the items; iterating it yields encode(item) one at a
-    time, and both of json's encoders iterate a list subclass.  A large
-    report's strings are therefore built as the report is written, and none
-    is kept.  len and == read the stored items; so does indexing.
+    Nothing is stored: each iteration calls source() for a fresh iterator
+    and yields encode(item) one at a time, and both of json's encoders
+    iterate a list subclass.  A large report's strings, and the items of a
+    source that generates them, are therefore built as the report is
+    written, and none is kept.  len is given in advance, as the encoders ask
+    it first.  == raises, since the empty storage would make any two equal:
+    compare list(...) of them.
     """
 
-    __slots__ = ("encode",)
+    __slots__ = ("source", "encode", "length")
 
-    def __init__(self, items: Iterable, encode):
-        super().__init__(items)
-        self.encode = encode
+    def __init__(self, source, encode, length: int):
+        super().__init__()
+        self.source, self.encode, self.length = source, encode, length
 
     def __iter__(self):
-        return map(self.encode, super().__iter__())
+        return map(self.encode, self.source())
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __eq__(self, other):
+        raise TypeError("a LazyJSON stores nothing to compare; compare list(...) of it")
+
+    __ne__ = __eq__

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from superpoly import CPoly, gegenbauer
+from superpoly import CPoly, gegenbauer, generate
 from superpoly.cli import COMMANDS, build_parser, main, parse_span
 
 
@@ -79,6 +79,14 @@ def test_domain_error_exits_2(capsys):
     assert code == 2
 
 
+def test_gen_print_lists_every_nonzero_member(capsys):
+    code = main(["gen", "--r", "3", "--m", "2", "--j0", "-5", "--kmax", "30", "--print"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 0 and err[-1].startswith("gen: PASS")
+    fam = generate(3, 2, -5, 30)
+    assert err[:-1] == [f"P_{k} = {fam.polys[k]!r}" for k in sorted(fam.polys) if fam.polys[k]]
+
+
 def test_report_idempotent(capsys):
     argv = ["identify", "--type", "1", "--r", "2", "--m", "3"]
     _, doc1 = capture(capsys, argv)
@@ -138,6 +146,22 @@ def test_full_device_exits_2(argv):
     proc = run_cli(*argv, "--out", "/dev/full")
     assert proc.returncode == 2
     assert_one_error_line(proc.stderr, "/dev/full")
+
+
+@pytest.mark.parametrize("argv", [LARGE_REPORT, ["verify-ode", "--type", "2", "--r-range",
+                                                 "2..3", "--m-range", "2..4"]],
+                         ids=" ".join)
+def test_report_bytes_independent_of_unbuffered_stdout(monkeypatch, argv):
+    reports = []
+    for unbuffered in ("1", None):
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        with run_cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+            reports.append(proc.communicate(timeout=60)[0])
+        assert proc.returncode == 0
+    assert reports[0] == reports[1] and reports[0].endswith(b"}\n")
 
 
 def test_closed_pipe_exits_2():
@@ -314,11 +338,15 @@ def test_one_command_parser_matches_the_full_parser(capsys, name, extra):
     ["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--holdout", "-1"],
     ["orth", "--type", "2", "--r", "2", "--m", "4", "--n-positive", "0"],
     ["orth", "--type", "2", "--r", "2", "--m", "4", "--closed-form-n", "-1"],
+    # gen's members are generated as the report is written, so its checks come first
+    ["gen", "--r", "2", "--m", "2", "--j0", "-4", "--kmax=-1"],
+    ["gen", "--r", "2", "--m", "2", "--j0", "0"],
+    ["gen", "--r", "1", "--m", "2", "--j0", "-1"],
 ], ids=" ".join)
 def test_vacuous_input_exits_2(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 # exit code and sha256 of the stdout report.  The first four were recorded

@@ -1,11 +1,24 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from superpoly import (CPoly, ParameterError, canonical_j0, first_order_residual,
                        generate)
-from superpoly.families import Family
+from superpoly.cli import build_parser
+from superpoly.families import Family, stream
+
+
+def gen_report(r, m, j0, kmax=None):
+    """gen's report object, as the CLI builds it before writing it."""
+    argv = ["gen", "--r", str(r), "--m", str(m), "--j0", str(j0)]
+    if kmax is not None:
+        argv.append(f"--kmax={kmax}")
+    ns = build_parser("gen").parse_args(argv)
+    report, ok = ns.fn(ns)
+    assert ok
+    return report
 
 
 def test_unit_initial_condition():
@@ -115,12 +128,13 @@ def test_results_independent_of_deeper_generation():
     # k = -4..10 and the 23 support members k = 0, 2, ..., 44, before and
     # after the same family was generated to k = 200
     def observe():
-        return (generate(2, 2, -4, 10).to_json(), len(generate(2, 2, -4, 44).nonzero_members()))
+        polys = gen_report(2, 2, -4, 10)["polys"]
+        return len(polys), list(polys), len(generate(2, 2, -4, 44).nonzero_members())
 
     before = observe()
     generate(2, 2, -4, 200)
     after = observe()
-    assert len(before[0]["polys"]) == 15 and before[1] == 23
+    assert before[0] == len(before[1]) == 15 and before[2] == 23
     assert after == before
 
 
@@ -142,7 +156,7 @@ def test_parameter_domain_errors():
 
 
 def test_json_dump_schema():
-    dump = generate(2, 2, -4, 4).to_json()
+    dump = gen_report(2, 2, -4, 4)
     assert dump["r"] == 2 and dump["m"] == 2 and dump["j0"] == -4
     entry = {e["k"]: e["coeffs"] for e in dump["polys"]}
     assert entry[4] == ["-1/7", "0", "32/35"]
@@ -154,34 +168,76 @@ def eager_members(fam):
     return [{"k": k, "coeffs": p.to_strings()} for k, p in sorted(fam.polys.items())]
 
 
-def test_to_json_builds_member_strings_only_when_iterated(monkeypatch):
-    calls = []
-    to_strings = CPoly.to_strings
+def test_gen_report_builds_members_only_when_iterated(monkeypatch):
+    calls, extends = [], []
+    to_strings, extend = CPoly.to_strings, Family.extend
 
     def counting(self):
         calls.append(1)
         return to_strings(self)
 
+    def counting_extend(self, kmax):
+        extends.append(kmax)
+        return extend(self, kmax)
+
     monkeypatch.setattr(CPoly, "to_strings", counting)
-    fam = generate(3, 4, -6, 60)
-    polys = fam.to_json()["polys"]
-    assert calls == [] and len(polys) == len(fam.polys)
+    monkeypatch.setattr(Family, "extend", counting_extend)
+    polys = gen_report(3, 4, -6, 60)["polys"]
+    assert calls == extends == [] and len(polys) == 67
     first = next(iter(polys))
     assert first == {"k": -6, "coeffs": ["1"]} and len(calls) == 1
-    list(polys)
-    assert len(calls) == 1 + len(fam.polys)
+    assert list(polys) == list(polys)  # each iteration generates afresh
+    assert len(calls) == 1 + 2 * 67 and extends == [-6] + 2 * list(range(-6, 61))
+    with pytest.raises(TypeError):
+        polys == list(polys)  # the storage is empty: only list(...) compares
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 @pytest.mark.parametrize("family_type", [1, 2])
 def test_lazy_members_encode_as_the_eager_list(r, family_type):
-    fam = generate(r, 3, canonical_j0(family_type, r), 20 * r)
-    lazy = fam.to_json()
-    eager = dict(lazy, polys=eager_members(fam))
-    assert list(lazy["polys"]) == eager["polys"]
-    assert json.dumps(lazy) == json.dumps(eager)  # the C encoder
-    assert (json.dumps(lazy, indent=2, sort_keys=True)  # the CLI's encoder
-            == json.dumps(eager, indent=2, sort_keys=True))
+    # both canonical seeds, and j0 = -r - 1 with the type-1 ones
+    for j0 in [canonical_j0(family_type, r)] + [-r - 1] * (family_type == 1):
+        for kmax in (0, 2 * r - 1, None, 20 * r):
+            lazy = gen_report(r, 3, j0, kmax)
+            eager = dict(lazy, polys=eager_members(generate(r, 3, j0, kmax)))
+            assert len(lazy["polys"]) == len(eager["polys"])
+            assert list(lazy["polys"]) == eager["polys"]
+            assert json.dumps(lazy) == json.dumps(eager)  # the C encoder
+            assert (json.dumps(lazy, indent=2, sort_keys=True)  # the CLI's encoder
+                    == json.dumps(eager, indent=2, sort_keys=True))
+
+
+@pytest.mark.parametrize("r,m,j0,kmax", [(2, 3, -4, 60), (3, 2, -5, 30), (4, 7, -1, 45)])
+def test_stream_holds_at_most_2r_plus_1_members(monkeypatch, r, m, j0, kmax):
+    held = []
+    extend = Family.extend
+
+    def recording(self, k):
+        out = extend(self, k)
+        held.append(len(self.polys))
+        return out
+
+    monkeypatch.setattr(Family, "extend", recording)
+    members = list(stream(r, m, j0, kmax))
+    assert members == sorted(generate(r, m, j0, kmax).polys.items())
+    assert max(held[:kmax + 2 * r + 1]) == 2 * r + 1
+
+
+def test_gen_report_memory_is_bounded():
+    # the family to k = 400 against the peak while its report is drained
+    tracemalloc.start()
+    try:
+        fam = generate(2, 3, -4, 400)
+        family_bytes = tracemalloc.get_traced_memory()[0]
+        del fam
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in gen_report(2, 3, -4, 400)["polys"]:
+            pass
+        drain_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert drain_peak < family_bytes / 10
 
 
 def reference_members(r, m, j0, kmax):
@@ -219,7 +275,7 @@ def test_generation_and_strings_build_no_fraction(monkeypatch):
         raise AssertionError("Fraction built")
     monkeypatch.setattr(poly, "Fraction", refuse)
     # 14 P_1 = 16 P_-5 and 26 P_4 = 22 c P_1 + 4 P_-2
-    coeffs = {e["k"]: e["coeffs"] for e in generate(3, 4, -5, 60).to_json()["polys"]}
+    coeffs = {e["k"]: e["coeffs"] for e in gen_report(3, 4, -5, 60)["polys"]}
     assert coeffs[1] == ["8/7"] and coeffs[4] == ["0", "88/91"]
 
 
