@@ -12,6 +12,7 @@ The kinds partition [-2r, -1]:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Literal, Optional, Tuple
 
 from .errors import FitError, ParameterError
@@ -45,6 +46,17 @@ def _canonical_pair(r: int, m: int, members: int) -> Tuple[Family, Family]:
     return tuple(generate(r, m, canonical_j0(t, r), (members + 6) * r) for t in (1, 2))
 
 
+def _two_term_rows(p: CPoly, q1: CPoly, q2: CPoly):
+    """p = x q1 + y q2 coefficient by coefficient, times the lcm of the three
+    denominators: integer rows [q1_i, q2_i] and integer right-hand sides p_i."""
+    den = lcm(p.den, q1.den, q2.den)
+    top = max(len(p), len(q1), len(q2))
+
+    def column(q):
+        return [a * (den // q.den) for a in q.num] + [0] * (top - len(q))
+    return [list(row) for row in zip(column(q1), column(q2))], column(p)
+
+
 def superposition_fit(r: int, m: int, j0: int, members: int = 10,
                       canonical: Optional[Tuple[Family, Family]] = None) -> dict:
     """Fit (alpha, beta) with P_{j0,.} = alpha P_{-2r,.} + beta P_{-r,.} and certify.
@@ -75,25 +87,18 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10,
     fam_b = generate(r, m, j0, (members + 6) * r)
     fam_1, fam_2 = canonical or _canonical_pair(r, m, members)
     mem_b = fam_b.nonzero_members()
-    by_degree_1 = {int(p.degree): (k, p) for k, p in fam_1.nonzero_members()}
-    by_degree_2 = {int(p.degree): (k, p) for k, p in fam_2.nonzero_members()}
+    by_degree_1 = {int(p.degree): p for _, p in fam_1.nonzero_members()}
+    by_degree_2 = {int(p.degree): p for _, p in fam_2.nonzero_members()}
 
     triples = []
     for k, p in mem_b:
         d = int(p.degree)
-        q1 = by_degree_1.get(d, (None, CPoly.zero()))[1]
-        q2 = by_degree_2.get(d, (None, CPoly.zero()))[1]
-        triples.append((k, p, q1, q2))
+        triples.append((k, p, by_degree_1.get(d, CPoly.zero()), by_degree_2.get(d, CPoly.zero())))
     if len(triples) < 3:
         raise FitError("not enough members to fit and certify")
 
-    rows, rhs = [], []
-    for _, p, q1, q2 in triples[:2]:
-        top = max(len(p), len(q1), len(q2))
-        for i in range(top):
-            rows.append([q1[i], q2[i]])
-            rhs.append(p[i])
-    sol = solve_exact(rows, rhs)
+    (rows_1, rhs_1), (rows_2, rhs_2) = (_two_term_rows(*t[1:]) for t in triples[:2])
+    sol = solve_exact(rows_1 + rows_2, rhs_1 + rhs_2)
     if sol is None:
         return report(None, None, [], [{
             "kind": "fit-degeneracy",
@@ -183,8 +188,7 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
         d = int(p.degree)
         q = basis[d]
         cq = basis[d - 1].shift(1) if d >= 1 else CPoly.zero()
-        top = max(len(p), len(q), len(cq))
-        fit = solve_exact([[q[i], cq[i]] for i in range(top)], [p[i] for i in range(top)])
+        fit = solve_exact(*_two_term_rows(p, q, cq))
         all_two_term = all_two_term and fit is not None
         ode_zero = gegenbauer_ode_residual(m, d, p).is_zero()
         entries.append({

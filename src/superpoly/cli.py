@@ -21,7 +21,7 @@ from . import __version__
 from .classify import (classification_report, gegenbauer, superposition_fit,
                        verify_gegenbauer_reduction)
 from .errors import SuperpolyError
-from .families import _check_kmax, _check_params, canonical_j0, generate, stream
+from .families import _check_kmax, canonical_j0, generate, stream
 from .fitting import CLOSED_BOUNDS, fit_ode, in_span, operator_vector
 from .ode import align_index, build_operator, indicial, polynomial_kernel, residual_scan
 from .orth import favard, gram_check, identify_ultraspherical, orthogonality_report
@@ -121,11 +121,9 @@ def _member_json(item) -> dict:
 
 
 def _gen(ns) -> tuple[dict, bool]:
-    # the stream checks its arguments only once it is iterated, which is
-    # while the report is written; a bad one must fail before any output
-    _check_params(ns.r, ns.m, ns.j0)
     kmax = _check_kmax(ns.r, ns.kmax)
     members = functools.partial(stream, ns.r, ns.m, ns.j0, kmax)
+    members()  # checks the arguments; the report is iterated only as it is written
     if ns.print_members:  # a second generation, for this debug flag only
         for k, p in members():
             if p:

@@ -88,16 +88,20 @@ def generate(r: int, m: int, j0: int, kmax: int | None = None) -> Family:
 def stream(r: int, m: int, j0: int, kmax: int) -> Iterator[Tuple[int, CPoly]]:
     """(k, P_k) for k = -2r..kmax in order, holding at most 2r + 1 members at once.
 
-    A private Family is extended one index at a time, and the member 2r
-    below the new one, which no later member reads, is dropped before it is
-    yielded.  Being a generator, it checks its arguments only when first
-    iterated: a caller that must fail before any output checks them first.
+    The arguments are checked when stream is called, as `generate` checks
+    them.  A private Family is extended one index at a time, and the member
+    2r below the new one, which no later member reads, is dropped before it
+    is yielded.
     """
     fam = Family(r, m, j0)
-    for k in range(-2 * r, kmax + 1):
-        fam.extend(k)
-        fam.polys.pop(k - 2 * r, None)
-        yield k, fam.polys[k]
+    kmax = _check_kmax(r, kmax)
+
+    def members():
+        for k in range(-2 * r, kmax + 1):
+            fam.extend(k)
+            fam.polys.pop(k - 2 * r, None)
+            yield k, fam.polys[k]
+    return members()
 
 
 def canonical_j0(family_type: int, r: int) -> int:

@@ -146,11 +146,13 @@ def operator_vector(family_type, r: int, m: int) -> List[Fraction]:
     index, ncols = _unknown_layout(CLOSED_BOUNDS)
     samples = list(range(N_DEGREE + 1))
     vec = [Fraction(0)] * ncols
-    coeff_lists = [build_operator(family_type, r, m, n).coefficients for n in samples]
-    vrows = [[Fraction(n) ** l for l in range(N_DEGREE + 1)] for n in samples]
+    # every operator coefficient is an integer polynomial: den 1, values num[j]
+    nums = [[q.num for q in build_operator(family_type, r, m, n).coefficients]
+            for n in samples]
+    vrows = [[n ** l for l in range(N_DEGREE + 1)] for n in samples]
     for i, b in enumerate(CLOSED_BOUNDS):
         for j in range(b + 1):
-            values = [coeff_lists[t][i][j] for t in range(len(samples))]
+            values = [num[i][j] if j < len(num[i]) else 0 for num in nums]
             sol = solve_exact(vrows, values)
             if sol is None:
                 raise FitError("operator coefficient not polynomial of degree <= 4 in n")

@@ -251,7 +251,7 @@ def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
         raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
     ncols = len(rows[0])
     _check_shape(rows, ncols)
-    aug = [r + [Fraction(b)] for r, b in zip(rows, rhs)]
+    aug = [r + [b] for r, b in zip(rows, rhs)]
     basis = _nullspace(aug, ncols + 1)
     if not basis or basis[-1][ncols] == 0:
         return None

@@ -9,9 +9,9 @@ polynomials have equal state:
     zero is ((), 1).
 
 Every operation runs on the integers and normalises its result with one
-content gcd, which starts from den and stops once it reaches 1.  `coeffs`
-gives the coefficients as `Fraction`s, built on first read.  Everything is
-immutable and exact; there is no floating-point path.
+content gcd, which starts from den and stops once it reaches 1.  The
+package reads a CPoly only through num and den.  Everything is immutable
+and exact; there is no floating-point path.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ NEG_INF = float("-inf")
 class CPoly:
     """Polynomial in c with exact rational coefficients, canonical form."""
 
-    __slots__ = ("num", "den", "_coeffs")
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable = (), den: int = 1):
         """The polynomial sum_i coeffs[i] c^i / den, for rational coeffs and int den > 0."""
@@ -44,13 +44,13 @@ class CPoly:
         if g != 1:
             num = [a // g for a in num]
             den //= g
-        self.num, self.den, self._coeffs = tuple(num), den, None
+        self.num, self.den = tuple(num), den
 
     @classmethod
     def _canonical(cls, num: tuple, den: int) -> "CPoly":
         """Wrap a (num, den) pair that is already canonical."""
         p = object.__new__(cls)
-        p.num, p.den, p._coeffs = num, den, None
+        p.num, p.den = num, den
         return p
 
     # -- constructors -------------------------------------------------
@@ -71,10 +71,11 @@ class CPoly:
     # -- basic queries ------------------------------------------------
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as a tuple of Fraction, index = power of c."""
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(a, self.den) for a in self.num)
-        return self._coeffs
+        """The coefficients as a tuple of Fraction, index = power of c.
+
+        Its only reader is perfbench/traced.py; it goes once that reads num/den.
+        """
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     @property
     def degree(self):
@@ -89,16 +90,6 @@ class CPoly:
 
     def __len__(self) -> int:
         return len(self.num)
-
-    def __getitem__(self, power: int) -> Fraction:
-        if 0 <= power < len(self.num):
-            return self.coeffs[power]
-        return Fraction(0)
-
-    def leading(self) -> Fraction:
-        if not self.num:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
 
     # -- arithmetic ---------------------------------------------------
     def combine(self, other: "CPoly", a: int, b: int, div: int = 1) -> "CPoly":
@@ -184,19 +175,12 @@ class CPoly:
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        if not self.num:
-            return "CPoly(0)"
         terms = []
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            if i == 0:
-                terms.append(str(a))
-            elif i == 1:
-                terms.append(f"{a}*c" if a != 1 else "c")
-            else:
-                terms.append(f"{a}*c^{i}" if a != 1 else f"c^{i}")
-        return "CPoly(" + " + ".join(terms) + ")"
+        for i, a in enumerate(self.to_strings()):
+            if a != "0":
+                power = "c" if i == 1 else f"c^{i}"
+                terms.append(a if i == 0 else power if a == "1" else f"{a}*{power}")
+        return "CPoly(" + (" + ".join(terms) or "0") + ")"
 
     # -- serialization --------------------------------------------------
     def to_strings(self) -> list[str]:

@@ -1,11 +1,40 @@
-"""Queries and reference computations that only the tests need: CPoly parity,
-evaluation and parsing, the operator's leading symbol, and a direct Gram matrix."""
+"""Queries and reference computations that only the tests need: a CPoly's
+coefficients as Fractions, its parity, evaluation and parsing, the operator's
+leading symbol, two-term fits on Fraction rows, and a direct Gram matrix."""
 
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from superpoly import CPoly, ParameterError, indicial_factors, is_resonant
+from superpoly import CPoly, ParameterError, indicial_factors, is_resonant, solve_exact
+
+
+def coefficients(p: CPoly) -> tuple:
+    """p's coefficients as Fractions, index = power of c."""
+    return tuple(Fraction(a, p.den) for a in p.num)
+
+
+def coefficient(p: CPoly, power: int) -> Fraction:
+    """The coefficient of c^power in p, 0 beyond its degree."""
+    return Fraction(p.num[power], p.den) if 0 <= power < len(p.num) else Fraction(0)
+
+
+def leading(p: CPoly) -> Fraction:
+    """The leading coefficient of a nonzero p."""
+    if not p.num:
+        raise ValueError("zero polynomial has no leading coefficient")
+    return Fraction(p.num[-1], p.den)
+
+
+def fraction_two_term_fit(*triples):
+    """(x, y) with p = x q1 + y q2 for every (p, q1, q2), or None: solve_exact
+    on one Fraction row per coefficient."""
+    rows, rhs = [], []
+    for p, q1, q2 in triples:
+        for i in range(max(len(p), len(q1), len(q2))):
+            rows.append([coefficient(q1, i), coefficient(q2, i)])
+            rhs.append(coefficient(p, i))
+    return solve_exact(rows, rhs)
 
 
 def parity(p: CPoly):
@@ -59,10 +88,10 @@ def reference_gram(fd, N: int) -> dict:
     for i in range(N + 1):
         for j in range(i, N + 1):
             val = Fraction(0)
-            for s, xs in enumerate(fd.monic[i].coeffs):
+            for s, xs in enumerate(coefficients(fd.monic[i])):
                 if not xs:
                     continue
-                for t, yt in enumerate(fd.monic[j].coeffs):
+                for t, yt in enumerate(coefficients(fd.monic[j])):
                     if yt:
                         val += xs * yt * fd.moments[s + t]
             if i == j:

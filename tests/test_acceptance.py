@@ -31,7 +31,7 @@ from superpoly import (CPoly, align_index, build_operator,
                        printed_indicial_factors, residual_scan,
                        superposition_fit, verify_gegenbauer_reduction)
 
-from cpoly_helpers import indicial_value, leading_symbol, resonant_pairs
+from cpoly_helpers import indicial_value, leading, leading_symbol, resonant_pairs
 from test_fitting import materialize
 
 GRID_R = range(2, 9)
@@ -77,9 +77,10 @@ def test_criterion_3_indicial():
     """Leading symbol == factored indicial products; resonant set over {2..10}^2.
 
     The printed products are asserted in the regime where they are correct
-    (type 1: every r; type 2: r = 2, the r >= 3 form being an erratum the
-    engine corrects); the operator-certified factorization is asserted on the
-    whole sample.
+    (type 1: every r; type 2: iff Delta = r^2 (r-2) m (2mn - 7mr + 2m + 4r)
+    vanishes, that is at r = 2 or where 2mn - 7mr + 2m + 4r = 0, sampled here
+    at r = 2; elsewhere the printed form is an erratum the engine corrects);
+    the operator-certified factorization is asserted on the whole sample.
     """
     random.seed(20250810)
     sampled = []
@@ -136,8 +137,7 @@ def test_criterion_4_uniqueness():
                     else:
                         basis = polynomial_kernel(op, bound, "both")
                     good = (len(basis) == 1 and not member.is_zero()
-                            and basis[0].scale(member.leading()
-                                               / basis[0].leading()) == member)
+                            and basis[0].scale(leading(member) / leading(basis[0])) == member)
                     ok = ok and good
     assert report("4 uniqueness of polynomial solutions", ok,
                   "type 1 and 2, r in {2,3,5}, m in {4,5,6}, n in {4r,6r}; "
@@ -400,7 +400,7 @@ def test_criterion_8_fit_recovery():
             for f, p in zip(fitted, paper):
                 ok = ok and f.is_zero() == p.is_zero()
                 if f:
-                    ratio = p.leading() / f.leading()
+                    ratio = leading(p) / leading(f)
                     ratios.add(ratio)
                     ok = ok and f.scale(ratio) == p
             ok = ok and len(ratios) == 1

@@ -7,7 +7,10 @@ import pytest
 from superpoly import (CPoly, ParameterError, classification_report, classify,
                        gegenbauer, gegenbauer_ode_residual, generate,
                        superposition_fit, verify_gegenbauer_reduction)
+from superpoly.classify import _canonical_pair, _two_term_rows
 from superpoly.linalg import solve_exact
+
+from cpoly_helpers import fraction_two_term_fit
 
 
 def test_classify_examples():
@@ -195,10 +198,12 @@ def test_reduction_reports_the_printed_mismatch():
 
 
 def test_two_term_fit_is_exact():
-    # the fit verify_gegenbauer_reduction makes: solve_exact on the columns [q, cq]
+    # the fit verify_gegenbauer_reduction makes: solve_exact on the integer
+    # columns [q, cq] over one common denominator
     def two_term_fit(p, q, cq):
-        top = max(len(p), len(q), len(cq))
-        return solve_exact([[q[i], cq[i]] for i in range(top)], [p[i] for i in range(top)])
+        rows, rhs = _two_term_rows(p, q, cq)
+        assert {type(x) for row in rows for x in row} | set(map(type, rhs)) == {int}
+        return solve_exact(rows, rhs)
 
     basis = gegenbauer(2, 3)
     c = CPoly.monomial(1)
@@ -207,6 +212,32 @@ def test_two_term_fit_is_exact():
     assert two_term_fit(basis[2] + (c * basis[1]).scale(Fraction(1, 2)),
                         basis[2], c * basis[1]) == [1, Fraction(1, 2)]
     assert two_term_fit(basis[3], basis[2], c * basis[1]) is None
+
+
+def test_integer_column_fits_equal_fraction_row_fits():
+    # both classify fits solve on integer columns; each (alpha, beta) and
+    # (x, y) equals solve_exact on the Fraction rows of the same members
+    for r in range(2, 6):
+        for m in range(2, 7):
+            fam_1, fam_2 = _canonical_pair(r, m, 10)
+            by_degree = [{int(p.degree): p for _, p in fam.nonzero_members()}
+                         for fam in (fam_1, fam_2)]
+            for j0 in range(-2 * r + 1, -r):
+                triples = [(p, by_degree[0].get(int(p.degree), CPoly.zero()),
+                            by_degree[1].get(int(p.degree), CPoly.zero()))
+                           for _, p in generate(r, m, j0, 16 * r).nonzero_members()]
+                rep = superposition_fit(r, m, j0, canonical=(fam_1, fam_2))
+                alpha, beta = fraction_two_term_fit(*triples[:2])
+                assert (rep["alpha"], rep["beta"]) == (str(alpha), str(beta))
+            for j0 in (-1, -r - 1):
+                report = verify_gegenbauer_reduction(r, m, j0)
+                basis = gegenbauer(m, max(e["degree"] for e in report["entries"]) + 1)
+                members = dict(generate(r, m, j0, 14 * r).nonzero_members())
+                for e in report["entries"]:
+                    d = e["degree"]
+                    cq = basis[d - 1].shift(1) if d >= 1 else CPoly.zero()
+                    fit = fraction_two_term_fit((members[e["k"]], basis[d], cq))
+                    assert fit is not None and [e["x"], e["y"]] == [str(x) for x in fit]
 
 
 def test_reduction_rejects_other_j0():

@@ -9,6 +9,8 @@ from superpoly import (CPoly, ParameterError, canonical_j0, first_order_residual
 from superpoly.cli import build_parser
 from superpoly.families import Family, stream
 
+from cpoly_helpers import coefficients
+
 
 def gen_report(r, m, j0, kmax=None):
     """gen's report object, as the CLI builds it before writing it."""
@@ -223,6 +225,16 @@ def test_stream_holds_at_most_2r_plus_1_members(monkeypatch, r, m, j0, kmax):
     assert max(held[:kmax + 2 * r + 1]) == 2 * r + 1
 
 
+@pytest.mark.parametrize("args", [(2, 3, -4, -1), (1, 2, -1, 5), (2, 1, -1, 5),
+                                  (2, 3, 0, 5), (2, 3, -5, 5)])
+def test_stream_checks_its_arguments_when_called(args):
+    # as generate does, before a member is asked for
+    with pytest.raises(ParameterError):
+        generate(*args)
+    with pytest.raises(ParameterError):
+        stream(*args)
+
+
 def test_gen_report_memory_is_bounded():
     # the family to k = 400 against the peak while its report is drained
     tracemalloc.start()
@@ -264,7 +276,7 @@ def test_members_match_fraction_recursion_to_k_200(r, m, j0):
     fam = generate(r, m, j0, 200)
     reference = reference_members(r, m, j0, 200)
     for k in range(-2 * r, 201):
-        assert fam[k].coeffs == tuple(reference[k])
+        assert coefficients(fam[k]) == tuple(reference[k])
         assert fam[k].to_strings() == [str(x) for x in reference[k]]
 
 

@@ -7,6 +7,8 @@ from superpoly import (CPoly, FitError, align_index, build_operator, fit_ode,
                        generate, in_span, nullspace, operator_vector)
 from superpoly.fitting import N_DEGREE
 
+from cpoly_helpers import coefficients, leading
+
 
 def materialize(vec, bounds, n):
     """A fitted kernel vector's c-coefficient polynomials [order 0 .. order] at index n."""
@@ -22,7 +24,7 @@ def proportional(fitted, paper):
         if f.is_zero() != p.is_zero():
             return False
         if f:
-            ratio = p.leading() / f.leading()
+            ratio = leading(p) / leading(f)
             if f.scale(ratio) != p:
                 return False
             ratios.add(ratio)
@@ -146,7 +148,7 @@ def fraction_rows(fam, delta, holdout=4, bounds=(0, 1, 2, 3, 4)):
         block = [[Fraction(0)] * ncols for _ in range(height)]
         for i, d in enumerate(derivs):
             for j in range(bounds[i] + 1):
-                for t, a in enumerate(d.coeffs):
+                for t, a in enumerate(coefficients(d)):
                     for l in range(N_DEGREE + 1):
                         block[t + j][index[(i, j, l)]] += a * npows[l]
         rows.extend(row for row in block if any(row))

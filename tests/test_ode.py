@@ -8,7 +8,8 @@ from superpoly import (AlignmentError, CPoly, ParameterError, align_index, build
                        polynomial_kernel, printed_indicial_factors,
                        residual_scan, scalar_coefficients, scan_cell)
 
-from cpoly_helpers import indicial_value, leading_symbol, parity, resonant_pairs
+from cpoly_helpers import (coefficient, indicial_value, leading, leading_symbol, parity,
+                           resonant_pairs)
 
 
 def reference_apply(op, p):
@@ -73,7 +74,7 @@ def test_banded_apply_equals_derivative_composition():
         p = random_poly(rng, rng.randint(0, 16))
         assert op.apply(p) == reference_apply(op, p)
         s = rng.randint(0, 30)
-        assert leading_symbol(op, s) == reference_apply(op, CPoly.monomial(s))[s]
+        assert leading_symbol(op, s) == coefficient(reference_apply(op, CPoly.monomial(s)), s)
 
 
 def test_apply_linearity_on_zero():
@@ -158,7 +159,8 @@ def test_leading_symbol_systematic_grid():
 
 
 def test_printed_factorization_matches_type1_and_r2():
-    # published type-1 products match everywhere; type-2 only at r = 2
+    # published type-1 products match everywhere; type-2 iff Delta = 0, that is
+    # at r = 2 or where 2mn - 7mr + 2m + 4r = 0 (sampled here at r = 2)
     for s in range(0, 13):
         for n in (4, 8, 12):
             assert (indicial_value(1, 4, 3, n, s)
@@ -184,7 +186,7 @@ def test_leading_symbol_examples():
     assert leading_symbol(op, 2) == 0
     # s = 0 value is the product of the published factors (8)(-4)(-8)(16) = 4096,
     # which equals the constant coefficient of apply(op, 1)
-    assert leading_symbol(op, 0) == 4096 == op.apply(CPoly.one())[0]
+    assert leading_symbol(op, 0) == 4096 == coefficient(op.apply(CPoly.one()), 0)
     # type-2 factor sr - n + r vanishes at s = 1 for n = 4 (the degree-1 member)
     assert leading_symbol(build_operator(2, 2, 4, 4), 1) == 0
     assert leading_symbol(build_operator(2, 2, 4, 6), 1) == -4800
@@ -254,7 +256,7 @@ def reference_kernel(images, bound, parity):
     if not powers:
         return []
     out = []
-    for vec in nullspace([[images[j][i] for j in powers] for i in range(bound + 1)],
+    for vec in nullspace([[coefficient(images[j], i) for j in powers] for i in range(bound + 1)],
                          len(powers)):
         coeffs = [0] * (bound + 1)
         for power, v in zip(powers, vec):
@@ -299,7 +301,7 @@ def test_kernel_type1_r3():
     basis = polynomial_kernel(build_operator(1, 3, 5, 12), 2, "both")
     assert len(basis) == 1
     member = generate(3, 5, -6, 6)[6]
-    ratio = member.leading() / basis[0].leading()
+    ratio = leading(member) / leading(basis[0])
     assert basis[0].scale(ratio) == member
 
 

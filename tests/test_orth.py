@@ -8,7 +8,7 @@ from superpoly import (CPoly, ParameterError, canonical_j0, closed_form_AB, fava
 from superpoly import orth
 from superpoly.families import Family
 
-from cpoly_helpers import parity, reference_gram, reference_moments
+from cpoly_helpers import coefficient, parity, reference_gram, reference_moments
 
 
 def support(fam):
@@ -100,7 +100,8 @@ def test_gram_hand_checks():
     m = fd.moments
     assert m[1] == 0
     p2 = fd.monic[2]
-    val = sum(p2[i] * p2[j] * m[i + j] for i in range(3) for j in range(3))
+    val = sum(coefficient(p2, i) * coefficient(p2, j) * m[i + j]
+              for i in range(3) for j in range(3))
     assert val == fd.a[1] * fd.a[2]
 
 
