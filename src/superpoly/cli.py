@@ -20,7 +20,7 @@ import time
 from . import __version__
 from .classify import (classification_report, gegenbauer, superposition_fit,
                        verify_gegenbauer_reduction)
-from .errors import SuperpolyError
+from .errors import AlignmentError, SuperpolyError
 from .families import _check_kmax, canonical_j0, generate, stream
 from .fitting import CLOSED_BOUNDS, fit_ode, in_span, operator_vector
 from .ode import align_index, build_operator, indicial, polynomial_kernel, residual_scan
@@ -133,11 +133,6 @@ def _gen(ns) -> tuple[dict, bool]:
     return report, True
 
 
-def _verify_ode(ns) -> tuple[dict, bool]:
-    report = residual_scan(ns.type, ns.r_range, ns.m_range, ns.points)
-    return report, report["summary"]["pass"]
-
-
 def _indicial(ns) -> tuple[dict, bool]:
     report = indicial(ns.type, ns.r, ns.m, ns.n)
     report["findings"] = [] if report["matches_printed_factorization"] else [{
@@ -192,7 +187,7 @@ def _fit_ode(ns) -> tuple[dict, bool]:
     if delta is None:
         try:
             delta = align_index(fam, ns.type)
-        except SuperpolyError:
+        except AlignmentError:
             delta = 0
     result = fit_ode(fam, coeff_degree_bounds=ns.bounds, delta=delta, holdout=ns.holdout)
     report = result.to_json()
@@ -239,7 +234,8 @@ COMMANDS = [
     *((name, "verify the fourth-order operator annihilates the family "
              f"(default points: {points})",
        {"--type": REQUIRED, "--r-range": "2..8", "--m-range": "2..10", "--points": points},
-       _verify_ode)
+       lambda ns: (rep := residual_scan(ns.type, ns.r_range, ns.m_range, ns.points),
+                   rep["summary"]["pass"]))
       for name, points in (("verify-ode", "paper"), ("scan", "all"))),
     ("indicial", "indicial roots, admissible degrees, resonance",
      {"--type": REQUIRED, "--r": REQUIRED, "--m": REQUIRED, "--n": REQUIRED},

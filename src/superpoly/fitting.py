@@ -5,8 +5,8 @@ n(k) = k + delta: each coefficient of each c-power of each derivative order is
 an unknown polynomial in n of degree <= 4.  The exact nullspace of the
 resulting linear system is the candidate space; each candidate is re-verified
 on held-out members.  A member's rows (`_member_rows`) are the one place a
-fitted operator acts: the fit stacks them, and the re-verification takes
-their dot products with each kernel vector.
+fitted operator acts: the fit stacks them, and the re-verification checks
+each kernel vector against them with linalg's exact row check.
 
 For the type-1 family the kernel is one-dimensional and recovers the closed
 operator up to scale.  Type-2 families admit a genuinely multi-dimensional
@@ -19,13 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import lcm
-from operator import mul
 from typing import List, Sequence, Tuple
 
 from .errors import FitError
 from .families import Family
-from .linalg import nullspace, solve_exact
+from .linalg import _first_violated_row, nullspace, solve_exact
 from .ode import build_operator
 from .poly import CPoly
 
@@ -125,12 +123,7 @@ def fit_ode(fam: Family, coeff_degree_bounds: Sequence[int] = CLOSED_BOUNDS,
                        f"for {ncols} unknowns")
     basis = nullspace(rows, ncols)
     held = [row for k, p in hold_members for row in _member_rows(p, k + delta, bounds)]
-    candidates = []
-    for vec in basis:
-        den = lcm(*(x.denominator for x in vec))
-        ints = [x.numerator * (den // x.denominator) for x in vec]
-        if not any(sum(map(mul, row, ints)) for row in held):
-            candidates.append(vec)
+    candidates = [vec for vec in basis if _first_violated_row(held, [vec]) is None]
     return FitResult(bounds, delta, candidates, kernel_dim=len(basis), unknowns=ncols,
                      fit_k=[k for k, _ in fit_members],
                      holdout_k=[k for k, _ in hold_members])
@@ -142,9 +135,10 @@ def operator_vector(family_type, r: int, m: int) -> List[Fraction]:
     Its c-coefficients are polynomial in n with degree <= 4, so the embedding
     is exact; used to certify span membership of a fitted kernel.
     """
-    # interpolate each (i, j) entry from N_DEGREE+1 sample values of n
+    # interpolate each (i, j) entry from N_DEGREE+2 sample values of n: one
+    # more than the fit needs, so a higher-degree coefficient has no solution
     index, ncols = _unknown_layout(CLOSED_BOUNDS)
-    samples = list(range(N_DEGREE + 1))
+    samples = list(range(N_DEGREE + 2))
     vec = [Fraction(0)] * ncols
     # every operator coefficient is an integer polynomial: den 1, values num[j]
     nums = [[q.num for q in build_operator(family_type, r, m, n).coefficients]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Callable, List, Literal, Sequence, Tuple
+from typing import Callable, List, Literal, Optional, Sequence, Tuple
 
 from .errors import AlignmentError, ParameterError
 from .families import Family, _check_params, canonical_j0, generate
@@ -107,23 +107,30 @@ def build_operator(family_type: FamilyType, r: int, m: int, n: int) -> OdeOperat
     return OdeOperator(family_type, r, m, n, scalar_coefficients(family_type, r, m, n))
 
 
+def _first_offset(offsets: Sequence[int], members: Sequence[Tuple[int, CPoly]],
+                  annihilates: Callable[[int, CPoly], bool]) -> Optional[int]:
+    """The first offset o with annihilates(k + o, p) for every member (k, p), else None."""
+    return next((o for o in offsets if all(annihilates(k + o, p) for k, p in members)), None)
+
+
 def align_index(fam: Family, family_type: FamilyType) -> int:
     """The shift delta with n = k + delta, searched over {0, r, 2r}.
 
     Certified by exact annihilation of the first three nonzero members;
-    deterministic: the smallest admissible delta.  Empirically delta = 2r for
-    both canonical families (n is the generating-function z-exponent k + 2r).
+    deterministic: the smallest admissible delta.  fit-ode searches, since a
+    non-canonical seed may align at another shift or at none; the scans fix
+    delta = 2r (n is the generating-function z-exponent k + 2r).
     """
     r, m = fam.r, fam.m
     members = fam.nonzero_members()[:3]
     if len(members) < 3:
         raise AlignmentError(f"{fam!r} has fewer than 3 nonzero members")
-    for delta in (0, r, 2 * r):
-        if all(build_operator(family_type, r, m, k + delta).apply(p).is_zero()
-               for k, p in members):
-            return delta
-    raise AlignmentError(
-        f"no shift in {{0, {r}, {2 * r}}} aligns {fam!r} with type {family_type}")
+    delta = _first_offset((0, r, 2 * r), members, lambda n, p: build_operator(
+        family_type, r, m, n).apply(p).is_zero())
+    if delta is None:
+        raise AlignmentError(
+            f"no shift in {{0, {r}, {2 * r}}} aligns {fam!r} with type {family_type}")
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +270,13 @@ def polynomial_kernel(op: OdeOperator, degree_bound: int,
 def scan_cell(family_type: FamilyType, r: int, m: int, n_points="paper") -> dict:
     """Verify apply(L_n, P_{n-2r}) = 0 for one (r, m) cell of the canonical family.
 
-    n_points: "paper" means checked at n = 5r..9r (sampled evidence, not a
-    proof for all n: P_{n-2r} is not polynomial in n); "all" checks every
-    aligned n of the members generated to k = 12r; a sequence of ints checks
-    the given n.
+    n is P_k's z-exponent k + 2r, the paper's index map, checked at every n.
+    n_points: "paper" means n = 5r..9r (sampled evidence, not a proof for all
+    n: P_{n-2r} is not polynomial in n); "all" means every member generated
+    to k = 12r; a sequence of ints, the given n.
     """
     fam = generate(r, m, canonical_j0(family_type, r))
-    delta = align_index(fam, family_type)
+    delta = 2 * r
     if n_points == "paper":
         ns = [t * r for t in range(5, 10)]
     elif n_points == "all":

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from superpoly import CPoly, gegenbauer, generate
+import superpoly.cli as cli
+from superpoly import CPoly, ParameterError, gegenbauer, generate
 from superpoly.cli import COMMANDS, build_parser, main, parse_span
 
 
@@ -221,6 +223,32 @@ def test_fit_ode_subcommand(capsys):
     assert doc["report"]["closed_operator_in_span"] is True
 
 
+def test_fit_ode_falls_back_to_delta_0_only_on_alignment_errors(capsys, monkeypatch):
+    def broken(fam, family_type):
+        raise ParameterError("not an alignment failure")
+
+    monkeypatch.setattr(cli, "align_index", broken)
+    assert main(["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--kmax", "40"]) == 2
+    assert "not an alignment failure" in capsys.readouterr().err
+
+
+def test_scan_reports_members_the_operator_misses(capsys, monkeypatch):
+    # L_n + 1 sends every member P to L_n P + P = P: each checked n fails
+    ode_module = sys.modules["superpoly.ode"]
+    closed = ode_module.scalar_coefficients
+
+    def perturbed(family_type, r, m, n):
+        W, X, Y, Z = closed(family_type, r, m, n)
+        return W + 1, X, Y, Z
+
+    monkeypatch.setattr(ode_module, "scalar_coefficients", perturbed)
+    code, doc = capture(capsys, ["scan", "--type", "1", "--r-range", "2", "--m-range", "3"])
+    cell = doc["report"]["cells"][0]
+    assert code == 1 and doc["status"] == "fail" and not cell["pass"]
+    assert cell["delta"] == 4 and cell["checked_n"]
+    assert [f["n"] for f in cell["failures"]] == cell["checked_n"]
+
+
 @pytest.mark.parametrize("flag,value", [("--r-range", "5..2"), ("--r-range", "x..3"),
                                         ("--m-range", "3..x"), ("--points", "x..3"),
                                         ("--bounds", "0,x"), ("--bounds", "0,1,2,3,4,5,6"),
@@ -302,6 +330,25 @@ def test_import_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export; every other module reads each name it
+    # imports, so a deletion that strands an import shows here
+    package = Path(__file__).resolve().parents[1] / "src" / "superpoly"
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert not unused
 
 
 def _parse_outcome(parser, argv, capsys):

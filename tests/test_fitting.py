@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -125,6 +126,20 @@ def test_operator_vector_roundtrip():
         assert materialize(vec, (0, 1, 2, 3, 4), n) == [op.coefficients[0], op.coefficients[1],
                                        op.coefficients[2], op.coefficients[3],
                                        op.coefficients[4]]
+
+
+def test_operator_vector_rejects_a_coefficient_above_degree_4(monkeypatch):
+    # W + n^5 is no polynomial of degree <= 4 in n: six samples of n show it
+    ode_module = sys.modules["superpoly.ode"]
+    closed = ode_module.scalar_coefficients
+
+    def perturbed(family_type, r, m, n):
+        W, X, Y, Z = closed(family_type, r, m, n)
+        return W + n ** 5, X, Y, Z
+
+    monkeypatch.setattr(ode_module, "scalar_coefficients", perturbed)
+    with pytest.raises(FitError):
+        operator_vector(1, 3, 5)
 
 
 def test_in_span_rejects_foreign_operator():

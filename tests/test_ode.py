@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from superpoly import (AlignmentError, CPoly, ParameterError, align_index, build_operator,
-                       delta_correction, generate, indicial, is_resonant, nullspace,
-                       polynomial_kernel, printed_indicial_factors,
+                       canonical_j0, delta_correction, generate, indicial, is_resonant,
+                       nullspace, polynomial_kernel, printed_indicial_factors,
                        residual_scan, scalar_coefficients, scan_cell)
 
 from cpoly_helpers import (coefficient, indicial_value, leading, leading_symbol, parity,
@@ -82,9 +82,13 @@ def test_apply_linearity_on_zero():
 
 
 def test_align_index_is_2r():
-    for (tp, r, m) in [(1, 2, 2), (1, 3, 5), (2, 2, 4), (2, 4, 3), (2, 5, 2)]:
-        fam = generate(r, m, -2 * r if tp == 1 else -r, 8 * r)
-        assert align_index(fam, tp) == 2 * r
+    # every canonical cell of the verify-ode and scan grids: the scans read
+    # n = k + 2r off instead of searching, so the search must agree there
+    for tp, r_max in ((1, 8), (2, 10)):
+        for r in range(2, r_max + 1):
+            for m in range(2, 11):
+                fam = generate(r, m, canonical_j0(tp, r), 8 * r)
+                assert align_index(fam, tp) == 2 * r, (tp, r, m)
 
 
 def test_align_degree_relation():
