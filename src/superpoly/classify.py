@@ -181,7 +181,7 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
     if not members:
         raise ParameterError(f"no member with k <= kmax = {kmax}: nothing to reduce")
     degmax = max(int(p.degree) for _, p in members)
-    basis = gegenbauer(m, degmax + 1)
+    basis = gegenbauer(m, degmax)
     entries = []
     all_two_term = True
     for k, p in members:

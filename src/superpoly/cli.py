@@ -114,22 +114,18 @@ def _verdict(report: dict, *keys: str) -> tuple[dict, bool]:
 # runners that do more than call a library function: ns -> (report, ok)
 # ---------------------------------------------------------------------------
 
-def _member_json(item) -> dict:
-    """A gen member's report entry, {"k": k, "coeffs": P_k in lowest-terms strings}."""
-    k, p = item
-    return {"k": k, "coeffs": p.to_strings()}
-
-
 def _gen(ns) -> tuple[dict, bool]:
     kmax = _check_kmax(ns.r, ns.kmax)
     members = functools.partial(stream, ns.r, ns.m, ns.j0, kmax)
     members()  # checks the arguments; the report is iterated only as it is written
-    if ns.print_members:  # a second generation, for this debug flag only
-        for k, p in members():
-            if p:
-                print(f"P_{k} = {p!r}", file=sys.stderr)
+
+    def member_json(item) -> dict:  # --print shows P_k as the report writes it
+        k, p = item
+        if ns.print_members and p:
+            print(f"P_{k} = {p!r}", file=sys.stderr)
+        return {"k": k, "coeffs": p.to_strings()}
     report = {"r": ns.r, "m": ns.m, "j0": ns.j0,
-              "polys": LazyJSON(members, _member_json, kmax + 2 * ns.r + 1)}
+              "polys": LazyJSON(members, member_json, kmax + 2 * ns.r + 1)}
     return report, True
 
 
@@ -168,9 +164,10 @@ def _gegenbauer(ns) -> tuple[dict, bool]:
 
 
 def _series(ns) -> tuple[dict, bool]:
-    fam = _family(ns, max(ns.K - 2 * ns.r, 12 * ns.r))
-    resid = first_order_residual(fam, ns.K)
     window = ns.K - 2 * ns.r
+    # a negative window is first_order_residual's "K must be at least 2r"
+    fam = _family(ns, max(window, 0))
+    resid = first_order_residual(fam, ns.K)
     bad = [k for k in range(window + 1) if resid[k]]
     report = {
         "r": ns.r, "m": ns.m, "j0": fam.j0, "K": ns.K,

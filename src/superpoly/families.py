@@ -59,7 +59,8 @@ class Family:
 
     def extend(self, kmax: int) -> "Family":
         """Generate P_k for k <= kmax, one integer CPoly.combine per k whose
-        inputs P_(k-r), P_(k-2r) are not both zero (else P_k is zero)."""
+        inputs P_(k-r), P_(k-2r) are not both zero (else P_k is zero).
+        Only `generate` and `stream` call it; a check generates its family once."""
         r, m = self.r, self.m
         for k in range(self.kmax + 1, kmax + 1):
             prev, prev2 = self.polys[k - r], self.polys[k - 2 * r]

@@ -272,24 +272,23 @@ def scan_cell(family_type: FamilyType, r: int, m: int, n_points="paper") -> dict
 
     n is P_k's z-exponent k + 2r, the paper's index map, checked at every n.
     n_points: "paper" means n = 5r..9r (sampled evidence, not a proof for all
-    n: P_{n-2r} is not polynomial in n); "all" means every member generated
-    to k = 12r; a sequence of ints, the given n.
+    n: P_{n-2r} is not polynomial in n); "all" means every member to
+    k = 12r; a sequence of ints, the given n.  The family is generated once,
+    to the deepest member read (k = 7r for the paper points, never below 0).
     """
-    fam = generate(r, m, canonical_j0(family_type, r))
     delta = 2 * r
     if n_points == "paper":
         ns = [t * r for t in range(5, 10)]
     elif n_points == "all":
-        ns = sorted(k + delta for k, _ in fam.nonzero_members())
+        ns = [k + delta for k in range(12 * r + 1)]
     else:
         ns = list(n_points)
+    fam = generate(r, m, canonical_j0(family_type, r), max([0] + [n - delta for n in ns]))
     checked, failures = [], []
     for n in ns:
         k = n - delta
         if k < -2 * r:
             continue  # before the initial block: no member
-        if k > fam.kmax:
-            fam.extend(k)
         if not fam[k]:
             continue  # off the support lattice: nothing to check
         checked.append(n)

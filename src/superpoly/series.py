@@ -151,7 +151,7 @@ def pde_residual(family_type: FamilyType, r: int, m: int, K: int,
     """
     if K < 2 * r:
         raise ParameterError("K must be at least 2r")
-    fam = generate(r, m, canonical_j0(family_type, r), max(K - 2 * r, 12 * r))
+    fam = generate(r, m, canonical_j0(family_type, r), K - 2 * r)
     offset = certify_exponent_mapping(family_type, fam, min(K, 6 * r), corrected)
     residuals = []  # the nonzero ones only
     if offset is not None:

@@ -187,6 +187,16 @@ def test_reduction_ignores_deeper_cached_members():
     assert deep == fresh
 
 
+def test_reduction_builds_the_basis_to_the_last_degree_read(monkeypatch):
+    # kmax = 48 at r = 3: the deepest member, P_47, has degree 16
+    # (the package attribute superpoly.classify is the function, not the module)
+    degrees = []
+    monkeypatch.setattr(sys.modules["superpoly.classify"], "gegenbauer",
+                        lambda m, nmax: degrees.append(nmax) or gegenbauer(m, nmax))
+    report = verify_gegenbauer_reduction(3, 2, -1, kmax=48)
+    assert degrees == [max(e["degree"] for e in report["entries"])] == [16]
+
+
 def test_reduction_reports_the_printed_mismatch():
     # j0 = -1: every member after the degree-1 one fails the printed equation,
     # reported as one finding that does not fail the reduction

@@ -11,6 +11,7 @@ import pytest
 import superpoly.cli as cli
 from superpoly import CPoly, ParameterError, gegenbauer, generate
 from superpoly.cli import COMMANDS, build_parser, main, parse_span
+from superpoly.families import stream
 
 
 def capture(capsys, argv):
@@ -87,6 +88,19 @@ def test_gen_print_lists_every_nonzero_member(capsys):
     assert code == 0 and err[-1].startswith("gen: PASS")
     fam = generate(3, 2, -5, 30)
     assert err[:-1] == [f"P_{k} = {fam.polys[k]!r}" for k in sorted(fam.polys) if fam.polys[k]]
+
+
+def test_gen_print_generates_the_family_once(monkeypatch, capsys):
+    # one call checks the arguments and one streams the report; --print
+    # prints each member as the report writes it, so it adds none
+    counts = {}
+    for flags in ([], ["--print"]):
+        calls = []
+        monkeypatch.setattr(cli, "stream", lambda *a: calls.append(a) or stream(*a))
+        assert main(["gen", "--r", "2", "--m", "3", "--j0", "-4", "--kmax", "8"] + flags) == 0
+        counts[tuple(flags)] = len(calls)
+    capsys.readouterr()
+    assert counts == {(): 2, ("--print",): 2}
 
 
 def test_report_idempotent(capsys):
@@ -372,11 +386,15 @@ def test_one_command_parser_matches_the_full_parser(capsys, name, extra):
             == _parse_outcome(build_parser(), argv, capsys))
 
 
-# inputs that would check nothing: an empty series window, no held-out
-# member, an empty positivity range, an empty closed-form range, points with
-# no nonzero member, a reduction below the first member
+# inputs that would check nothing: an empty series or PDE window, an empty
+# Gegenbauer basis, too few members to fit, no held-out member, an empty
+# positivity range, an empty closed-form range, points with no nonzero
+# member, a reduction below the first member
 @pytest.mark.parametrize("argv", [
     ["series", "--type", "2", "--r", "2", "--m", "3", "--K", "3"],
+    ["pde", "--type", "1", "--r", "3", "--m", "2", "--K", "5"],
+    ["gegenbauer", "--m", "3", "--nmax", "-1"],
+    ["superpose", "--r", "3", "--m", "2", "--j0", "-4", "--members", "-5"],
     ["verify-ode", "--type", "2", "--r-range", "2..2", "--m-range", "3..3",
      "--points=-20..-12"],
     ["scan", "--type", "2", "--r-range", "2..2", "--m-range", "3..3", "--points", "7"],
@@ -394,6 +412,13 @@ def test_vacuous_input_exits_2(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["series", "pde"])
+def test_window_below_2r_is_reported_as_such(capsys, command):
+    # the family is generated only to k = K - 2r, which is never negative
+    assert main([command, "--type", "1", "--r", "2", "--m", "3", "--K", "3"]) == 2
+    assert capsys.readouterr().err == "error: K must be at least 2r\n"
 
 
 # exit code and sha256 of the stdout report.  The first four were recorded

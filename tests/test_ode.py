@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import superpoly.ode as ode
 from superpoly import (AlignmentError, CPoly, ParameterError, align_index, build_operator,
                        canonical_j0, delta_correction, generate, indicial, is_resonant,
                        nullspace, polynomial_kernel, printed_indicial_factors,
@@ -362,9 +363,38 @@ def test_scan_lists_only_nonzero_members():
 
 
 def test_scan_cell_extends_past_the_default_depth():
-    # the family is generated to k = 12r = 24; n = 60 reads P_56
+    # n = 60 reads P_56, past the default depth 12r = 24
     assert scan_cell(1, 2, 2, [60]) == {"r": 2, "m": 2, "delta": 4, "checked_n": [60],
                                         "pass": True, "failures": []}
+
+
+def test_scan_checks_exactly_the_requested_points_past_12r():
+    # k = 36 and 56, both past 12r = 24, on the even lattice of type 2 at r = 2
+    report = residual_scan(2, [2], [3], [40, 60])
+    assert report["summary"]["pass"]
+    assert report["cells"][0]["checked_n"] == [40, 60]
+
+
+@pytest.mark.parametrize("points, kmax, checks", [
+    ("paper", 21, True), ("all", 36, True), ([42, 60], 54, True),
+    ([0], 0, True),  # n = 0 reads the seed P_(-6) = 1, which L_0 annihilates
+    ([-20, 5], 0, False), ([], 0, False)])
+def test_scan_cell_generates_once_to_the_deepest_member_read(monkeypatch, points, kmax,
+                                                             checks):
+    # type 1, r = 3: the paper points n = 15..27 read k <= 7r = 21, "all"
+    # reads k <= 12r = 36; a list with no nonzero member still raises
+    calls = []
+
+    def recording(r, m, j0, depth=None):
+        calls.append(depth)
+        return generate(r, m, j0, depth)
+    monkeypatch.setattr(ode, "generate", recording)
+    if checks:
+        assert scan_cell(1, 3, 2, points)["pass"]
+    else:
+        with pytest.raises(ParameterError):
+            scan_cell(1, 3, 2, points)
+    assert calls == [kmax]
 
 
 def test_scan_all_ignores_deeper_cached_members():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import superpoly.series as series
 from superpoly import (CPoly, TruncationError, build_operator,
                        certify_exponent_mapping, first_order_residual,
                        generate, pde_reduced, pde_residual)
@@ -158,3 +159,13 @@ def test_corrected_type1_reduction_equals_operator():
 
 def test_pde_off_lattice_zero_coefficient():
     assert pde_reduced(2, 2, 4, 7, CPoly.zero()).is_zero()
+
+
+def test_pde_residual_generates_to_the_last_exponent_read(monkeypatch):
+    # exponent K reads P_(K-2r); at K = 2r that is P_0, far below 12r
+    depths = []
+    monkeypatch.setattr(series, "generate",
+                        lambda r, m, j0, kmax: depths.append(kmax) or generate(r, m, j0, kmax))
+    for K in (4, 10, 60):
+        assert pde_residual(2, 2, 3, K)["pass"]
+    assert depths == [0, 6, 56]
