@@ -16,9 +16,8 @@ from .ode import (OdeOperator, align_index, build_operator, delta_correction, in
 from .fitting import FitResult, fit_ode, in_span, operator_vector
 from .series import (certify_exponent_mapping, first_order_residual, pde_reduced,
                      pde_residual)
-from .classify import (classification_report, classify, gegenbauer,
-                       gegenbauer_ode_residual, superposition_fit,
-                       verify_gegenbauer_reduction)
+from .classify import (classification_report, gegenbauer, gegenbauer_ode_residual,
+                       seed_kind, superposition_fit, verify_gegenbauer_reduction)
 from .orth import (FavardData, closed_form_AB, favard, gram_check,
                    identify_ultraspherical, orthogonality_report)
 

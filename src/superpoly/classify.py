@@ -23,7 +23,7 @@ from .poly import CPoly
 Kind = Literal["A_type1", "A_prime_type2", "B_linear_combination", "C_case3", "C_new"]
 
 
-def classify(r: int, m: int, j0: int) -> Kind:
+def seed_kind(r: int, m: int, j0: int) -> Kind:
     _check_params(r, m, j0)
     type1, type2 = canonical_j0(1, r), canonical_j0(2, r)
     if j0 == type1:
@@ -76,7 +76,7 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10,
                 "alpha": None if alpha is None else str(alpha),
                 "beta": None if beta is None else str(beta),
                 "certified_k": certified_k, "findings": findings}
-    kind = classify(r, m, j0)
+    kind = seed_kind(r, m, j0)
     if kind == "A_type1":
         return report(1, 0, [], [])
     if kind == "A_prime_type2":
@@ -222,7 +222,7 @@ def classification_report(r: int, m: int, members: int = 10) -> dict:
     entries = []
     canonical = _canonical_pair(r, m, members)
     for j0 in range(-2 * r, 0):
-        kind = classify(r, m, j0)
+        kind = seed_kind(r, m, j0)
         entry: Dict = {"j0": j0, "kind": kind}
         if kind in ("A_type1", "A_prime_type2", "B_linear_combination"):
             rep = superposition_fit(r, m, j0, members=members, canonical=canonical)

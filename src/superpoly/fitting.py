@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import perm
 from typing import List, Sequence, Tuple
 
 from .errors import FitError
@@ -32,8 +33,10 @@ CLOSED_BOUNDS = (0, 1, 2, 3, 4)  # c-degree bounds of the closed operator, by de
 
 
 class FitResult:
-    """The kernel of a fit: `candidates` are the kernel vectors, laid out by
-    `_unknown_layout(bounds)`, that also annihilate every held-out member."""
+    """The kernel of a fit: `candidates` are the kernel vectors that also
+    annihilate every held-out member.  A vector is the (i, j) blocks in
+    order, i = 0.. and j = 0..bounds[i], each the N_DEGREE + 1 coefficients,
+    low power first, of the n-polynomial at c^j d^i/dc^i."""
 
     def __init__(self, bounds: Tuple[int, ...], delta: int, candidates: List[List[Fraction]],
                  kernel_dim: int, unknowns: int, fit_k: List[int], holdout_k: List[int]):
@@ -58,38 +61,26 @@ class FitResult:
         }
 
 
-def _unknown_layout(bounds: Sequence[int]):
-    index = {}
-    pos = 0
-    for i, b in enumerate(bounds):
-        for j in range(b + 1):
-            for l in range(N_DEGREE + 1):
-                index[(i, j, l)] = pos
-                pos += 1
-    return index, pos
-
-
 def _member_rows(p: CPoly, n: int, bounds: Sequence[int]) -> List[List[int]]:
     """How the fitted operators act on the member p at index n, as integer rows.
 
     Row t is den(p) times the c^t coefficient of sum w_(i,j,l) n^l c^j d^i p/dc^i,
-    linear in the unknowns w; zero rows are dropped.  The fit stacks these
+    linear in the unknowns w; zero rows are dropped.  d^i c^s is
+    s!/(s-i)! c^(s-i), read straight from p.num.  The fit stacks these
     rows, and a kernel vector annihilates p iff it is orthogonal to each.
     """
-    index, ncols = _unknown_layout(bounds)
-    npows = [n ** l for l in range(N_DEGREE + 1)]
-    derivs = [p]
-    for _ in bounds[1:]:
-        derivs.append(derivs[-1].derive(1))
-    block = [[0] * ncols for _ in range(max(len(d) + b for d, b in zip(derivs, bounds)))]
-    for i, (d, b) in enumerate(zip(derivs, bounds)):
-        scale = p.den // d.den
-        coeffs = [a * scale for a in d.num]
+    width = N_DEGREE + 1
+    npows = [n ** l for l in range(width)]
+    block = [[0] * (width * sum(b + 1 for b in bounds)) for _ in range(len(p.num) + max(bounds))]
+    col = 0
+    for i, b in enumerate(bounds):
+        # each c^(s-i) of d^i p times n^0..n^N_DEGREE, shared by every c^j
+        terms = [(s - i, [a * perm(s, i) * x for x in npows])
+                 for s, a in enumerate(p.num) if a and s >= i]
         for j in range(b + 1):
-            for t, a in enumerate(coeffs):
-                if a:
-                    for l in range(N_DEGREE + 1):
-                        block[t + j][index[(i, j, l)]] += a * npows[l]
+            for t, products in terms:  # block (i, j) meets row t + j once per t
+                block[t + j][col:col + width] = products
+            col += width
     return [row for row in block if any(row)]
 
 
@@ -116,7 +107,7 @@ def fit_ode(fam: Family, coeff_degree_bounds: Sequence[int] = CLOSED_BOUNDS,
     fit_members = members[:len(members) - holdout]
     hold_members = members[len(members) - holdout:]
 
-    _, ncols = _unknown_layout(bounds)
+    ncols = (N_DEGREE + 1) * sum(b + 1 for b in bounds)  # one n-polynomial per (i, j)
     rows = [row for k, p in fit_members for row in _member_rows(p, k + delta, bounds)]
     if len(rows) < ncols:
         raise FitError(f"fitting system underdetermined: {len(rows)} equations "
@@ -132,26 +123,19 @@ def fit_ode(fam: Family, coeff_degree_bounds: Sequence[int] = CLOSED_BOUNDS,
 def operator_vector(family_type, r: int, m: int) -> List[Fraction]:
     """The closed operator as a vector in the coordinates of a CLOSED_BOUNDS fit.
 
-    Its c-coefficients are polynomial in n with degree <= 4, so the embedding
-    is exact; used to certify span membership of a fitted kernel.
+    Built once at the polynomial n = CPoly((0, 1)), each coefficient-table
+    entry is exact in n and its n-coefficients are its coordinates, so the
+    embedding holds for every n; an entry above degree N_DEGREE in n raises
+    FitError.  Used to certify span membership of a fitted kernel.
     """
-    # interpolate each (i, j) entry from N_DEGREE+2 sample values of n: one
-    # more than the fit needs, so a higher-degree coefficient has no solution
-    index, ncols = _unknown_layout(CLOSED_BOUNDS)
-    samples = list(range(N_DEGREE + 2))
-    vec = [Fraction(0)] * ncols
-    # every operator coefficient is an integer polynomial: den 1, values num[j]
-    nums = [[q.num for q in build_operator(family_type, r, m, n).coefficients]
-            for n in samples]
-    vrows = [[n ** l for l in range(N_DEGREE + 1)] for n in samples]
-    for i, b in enumerate(CLOSED_BOUNDS):
-        for j in range(b + 1):
-            values = [num[i][j] if j < len(num[i]) else 0 for num in nums]
-            sol = solve_exact(vrows, values)
-            if sol is None:
-                raise FitError("operator coefficient not polynomial of degree <= 4 in n")
-            for l in range(N_DEGREE + 1):
-                vec[index[(i, j, l)]] = sol[l]
+    vec = []
+    for row in build_operator(family_type, r, m, CPoly((0, 1))).coefficient_table():
+        for entry in row:
+            q = CPoly.zero() + entry  # an int entry is a constant in n
+            if len(q) > N_DEGREE + 1:
+                raise FitError(f"operator coefficient of degree {q.degree} in n, "
+                               f"above {N_DEGREE}")
+            vec.extend(Fraction(a, q.den) for a in q.num + (0,) * (N_DEGREE + 1 - len(q)))
     return vec
 
 

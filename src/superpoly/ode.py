@@ -32,7 +32,8 @@ def delta_correction(r: int, m: int, n: int) -> int:
 
 
 def scalar_coefficients(family_type: FamilyType, r: int, m: int, n: int) -> Tuple[int, int, int, int]:
-    """(W, X, Y, Z) for the requested family type."""
+    """(W, X, Y, Z) for the requested family type; integer +, - and * only,
+    n on the left of every + and -, so n = CPoly((0, 1)) gives them in n."""
     _check_params(r, m)
     if family_type == 1:
         W = n * (n - 2 * r) * (m * (n - 2 * r + 2) + 2 * r) * (m * (n - 4 * r + 2) + 2 * r)
@@ -60,21 +61,26 @@ def scalar_coefficients(family_type: FamilyType, r: int, m: int, n: int) -> Tupl
 
 
 class OdeOperator:
-    """L_n, fixed by its four integer scalars (W, X, Y, Z) in (r, m, n)."""
+    """L_n, fixed by its four integer scalars (W, X, Y, Z) in (r, m, n); at
+    n = CPoly((0, 1)) only `coefficient_table` is read, exact in n."""
 
     def __init__(self, family_type: FamilyType, r: int, m: int, n: int,
                  scalars: Tuple[int, int, int, int]):
         self.family_type, self.r, self.m, self.n = family_type, r, m, n
         self.scalars = scalars  # (W, X, Y, Z) of scalar_coefficients
 
-    @property
-    def coefficients(self) -> Tuple[CPoly, ...]:
-        """(coeff0, ..., coeff4): the c-polynomial multiplying d^i/dc^i."""
+    def coefficient_table(self) -> Tuple[tuple, ...]:
+        """Row i: the c-coefficients, low power first, of the factor of d^i/dc^i."""
         W, X, Y, Z = self.scalars
         M = self.m * self.m * self.r ** 4
-        return (CPoly((W,)), CPoly((0, Z)), CPoly((Y, 0, X)),
-                CPoly((0, -10 * M, 0, 10 * M)),  # 10 M c (c^2 - 1)
-                CPoly((M, 0, -2 * M, 0, M)))  # M (c^2 - 1)^2
+        return ((W,), (0, Z), (Y, 0, X),
+                (0, -10 * M, 0, 10 * M),  # 10 M c (c^2 - 1)
+                (M, 0, -2 * M, 0, M))  # M (c^2 - 1)^2
+
+    @property
+    def coefficients(self) -> Tuple[CPoly, ...]:
+        """(coeff0, ..., coeff4): the c-polynomial multiplying d^i/dc^i, at an int n."""
+        return tuple(CPoly(row) for row in self.coefficient_table())
 
     def band_symbols(self) -> Tuple[Callable[[int], int], ...]:
         """(I, J, K) with L_n(c^s) = I(s) c^s + J(s) c^(s-2) + K(s) c^(s-4).

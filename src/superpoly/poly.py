@@ -105,11 +105,12 @@ class CPoly:
             out[i] += fb * y
         return CPoly(out, den * div)
 
-    def __add__(self, other: "CPoly") -> "CPoly":
-        return self.combine(other, 1, 1)
+    # + and - read an int on the right as a constant polynomial
+    def __add__(self, other) -> "CPoly":
+        return self.combine(other if isinstance(other, CPoly) else CPoly((other,)), 1, 1)
 
-    def __sub__(self, other: "CPoly") -> "CPoly":
-        return self.combine(other, 1, -1)
+    def __sub__(self, other) -> "CPoly":
+        return self.combine(other if isinstance(other, CPoly) else CPoly((other,)), 1, -1)
 
     def __neg__(self) -> "CPoly":
         return CPoly._canonical(tuple(-a for a in self.num), self.den)

@@ -1,11 +1,12 @@
 import random
-import sys
+import types
 from fractions import Fraction
 
 import pytest
 
-from superpoly import (CPoly, ParameterError, classification_report, classify,
-                       gegenbauer, gegenbauer_ode_residual, generate,
+import superpoly.classify as classify_module
+from superpoly import (CPoly, FitError, ParameterError, classification_report,
+                       gegenbauer, gegenbauer_ode_residual, generate, seed_kind,
                        superposition_fit, verify_gegenbauer_reduction)
 from superpoly.classify import _canonical_pair, _two_term_rows
 from superpoly.linalg import solve_exact
@@ -14,16 +15,16 @@ from cpoly_helpers import fraction_two_term_fit
 
 
 def test_classify_examples():
-    assert classify(4, 2, -8) == "A_type1"
-    assert classify(4, 2, -5) == "B_linear_combination"
-    assert classify(4, 2, -2) == "C_new"
-    assert classify(4, 2, -4) == "A_prime_type2"
-    assert classify(4, 2, -1) == "C_case3"
+    assert seed_kind(4, 2, -8) == "A_type1"
+    assert seed_kind(4, 2, -5) == "B_linear_combination"
+    assert seed_kind(4, 2, -2) == "C_new"
+    assert seed_kind(4, 2, -4) == "A_prime_type2"
+    assert seed_kind(4, 2, -1) == "C_case3"
 
 
 def test_taxonomy_partitions():
     for r in range(2, 8):
-        kinds = [classify(r, 2, j0) for j0 in range(-2 * r, 0)]
+        kinds = [seed_kind(r, 2, j0) for j0 in range(-2 * r, 0)]
         assert len(kinds) == 2 * r
         assert kinds.count("A_type1") == 1
         assert kinds.count("A_prime_type2") == 1
@@ -75,7 +76,6 @@ def test_superposition_ignores_deeper_cached_members():
 
 
 def test_classification_report_generates_the_canonical_pair_once(monkeypatch):
-    classify_module = sys.modules["superpoly.classify"]  # the attribute is the function
     seeds = []
     generate = classify_module.generate
 
@@ -88,6 +88,13 @@ def test_classification_report_generates_the_canonical_pair_once(monkeypatch):
     assert classification_report(4, 3, members=6) == fresh
     # the two canonical families, then the three type-B seeds
     assert seeds == [-8, -4, -7, -6, -5]
+
+
+def test_the_classify_import_is_the_module():
+    import superpoly
+    assert isinstance(classify_module, types.ModuleType)
+    assert superpoly.classify is classify_module
+    assert classify_module.seed_kind is seed_kind
 
 
 def test_classification_report_schema():
@@ -189,9 +196,8 @@ def test_reduction_ignores_deeper_cached_members():
 
 def test_reduction_builds_the_basis_to_the_last_degree_read(monkeypatch):
     # kmax = 48 at r = 3: the deepest member, P_47, has degree 16
-    # (the package attribute superpoly.classify is the function, not the module)
     degrees = []
-    monkeypatch.setattr(sys.modules["superpoly.classify"], "gegenbauer",
+    monkeypatch.setattr(classify_module, "gegenbauer",
                         lambda m, nmax: degrees.append(nmax) or gegenbauer(m, nmax))
     report = verify_gegenbauer_reduction(3, 2, -1, kmax=48)
     assert degrees == [max(e["degree"] for e in report["entries"])] == [16]
@@ -259,3 +265,24 @@ def test_reduction_grid():
     for (r, m) in [(3, 2), (3, 3), (4, 2), (4, 3), (5, 3)]:
         assert verify_gegenbauer_reduction(r, m, -1)["all_two_term"]
         assert verify_gegenbauer_reduction(r, m, -r - 1)["all_single_Q_with_ode"]
+
+
+def test_first_members_outside_the_canonical_span_are_a_fit_degeneracy(monkeypatch):
+    # P_4 of (3, 2, -5) is 7c; 7c + 1 has no odd-parity (alpha, beta) fit
+    def tampered(r, m, j0, kmax=None):
+        fam = generate(r, m, j0, kmax)
+        if j0 == -5:
+            fam.polys[4] = fam.polys[4] + CPoly.one()
+        return fam
+    monkeypatch.setattr(classify_module, "generate", tampered)
+    report = superposition_fit(3, 2, -5)
+    assert report["alpha"] is None and report["beta"] is None
+    assert [f["kind"] for f in report["findings"]] == ["fit-degeneracy"]
+
+
+def test_gegenbauer_raises_when_a_member_fails_its_equation(monkeypatch):
+    # Q_0 and Q_1 satisfy the equation of every m; Q_2 only its own
+    monkeypatch.setattr(classify_module, "gegenbauer_ode_residual",
+                        lambda m, n, y: gegenbauer_ode_residual(m + 1, n, y))
+    with pytest.raises(FitError, match="Q_2 fails"):
+        gegenbauer(3, 5)

@@ -135,11 +135,50 @@ def test_operator_vector_rejects_a_coefficient_above_degree_4(monkeypatch):
 
     def perturbed(family_type, r, m, n):
         W, X, Y, Z = closed(family_type, r, m, n)
-        return W + n ** 5, X, Y, Z
+        return W + n * n * n * n * n, X, Y, Z
 
     monkeypatch.setattr(ode_module, "scalar_coefficients", perturbed)
     with pytest.raises(FitError):
         operator_vector(1, 3, 5)
+
+
+def test_operator_vector_rejects_a_term_that_vanishes_at_six_samples(monkeypatch):
+    # n(n-1)...(n-5) is zero at n = 0..5, so no six samples 0..5 of the
+    # operator see it; read at the polynomial n it has degree 6
+    ode_module = sys.modules["superpoly.ode"]
+    closed = ode_module.scalar_coefficients
+
+    def perturbed(family_type, r, m, n):
+        W, X, Y, Z = closed(family_type, r, m, n)
+        return W + n * (n - 1) * (n - 2) * (n - 3) * (n - 4) * (n - 5), X, Y, Z
+
+    monkeypatch.setattr(ode_module, "scalar_coefficients", perturbed)
+    with pytest.raises(FitError):
+        operator_vector(1, 3, 5)
+
+
+def test_operator_vector_builds_one_operator_and_solves_nothing(monkeypatch):
+    import superpoly.fitting as fitting
+    built, solves = [], []
+    monkeypatch.setattr(fitting, "build_operator",
+                        lambda *args: built.append(args) or build_operator(*args))
+    monkeypatch.setattr(fitting, "solve_exact", lambda *args: solves.append(args))
+    vec = operator_vector(2, 3, 4)
+    assert len(built) == 1 and not solves
+    assert len(vec) == (N_DEGREE + 1) * sum(b + 1 for b in (0, 1, 2, 3, 4))
+
+
+# the canonical cells of the grid workloads: verify-ode and scan
+GRID_CELLS = [(t, r, m) for t, rs in ((1, range(2, 9)), (2, range(2, 11)))
+              for r in rs for m in range(2, 11)]
+
+
+def test_operator_vector_reads_back_the_operator_on_every_grid_cell():
+    for t, r, m in GRID_CELLS:
+        vec = operator_vector(t, r, m)
+        for n in (-3, 7, 1000):
+            assert materialize(vec, (0, 1, 2, 3, 4), n) == list(
+                build_operator(t, r, m, n).coefficients), (t, r, m, n)
 
 
 def test_in_span_rejects_foreign_operator():
@@ -152,8 +191,12 @@ def test_in_span_rejects_foreign_operator():
 
 def fraction_rows(fam, delta, holdout=4, bounds=(0, 1, 2, 3, 4)):
     """The fit rows assembled with Fraction arithmetic, as a reference."""
-    from superpoly.fitting import _unknown_layout
-    index, ncols = _unknown_layout(bounds)
+    index = {}  # (i, j, l) -> column: n^l c^j d^i, in the fit's block order
+    for i, b in enumerate(bounds):
+        for j in range(b + 1):
+            for l in range(N_DEGREE + 1):
+                index[(i, j, l)] = len(index)
+    ncols = len(index)
     members = fam.nonzero_members()
     rows = []
     for k, p in members[:len(members) - holdout]:
@@ -213,3 +256,9 @@ def test_integer_rows_give_the_fraction_kernel(monkeypatch, family_type, r, m, j
     kernel = nullspace(reference, ncols)
     assert result.kernel_dim == len(kernel)
     assert [list(c) for c in result.candidates] == kernel
+
+
+def test_fit_with_fewer_equations_than_unknowns_raises():
+    # 9 fitted members give 99 rows for the 210 unknowns of six degree-6 bounds
+    with pytest.raises(FitError, match="99 equations for 210 unknowns"):
+        fit_ode(generate(2, 2, -4, 24), coeff_degree_bounds=(6,) * 6, delta=4)

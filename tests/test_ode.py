@@ -404,3 +404,9 @@ def test_scan_all_ignores_deeper_cached_members():
     deep = residual_scan(2, [2], [3], "all")
     assert len(fresh["cells"][0]["checked_n"]) == 13
     assert deep == fresh
+
+
+def test_align_index_needs_three_members():
+    # k <= 2 holds P_0 and P_2 only
+    with pytest.raises(AlignmentError, match="fewer than 3"):
+        align_index(generate(2, 3, -4, 2), 1)

@@ -288,3 +288,10 @@ def test_orthogonality_report_checks_each_relation_once(monkeypatch, flags):
     report = orthogonality_report(generate(2, 3, -4, 96), **flags)
     assert checked == list(range(1, 48))
     assert report["identified"] == {"nu": "4/3", "c0": "1/2", "shift": -1}
+
+
+def test_gram_check_rejects_a_depth_beyond_the_favard_data():
+    fd = favard(generate(2, 3, -4, 40), 5)
+    assert gram_check(fd, 5)["pass"]
+    with pytest.raises(ParameterError, match="gram_check needs N"):
+        gram_check(fd, 6)

@@ -15,6 +15,13 @@ def test_difference_of_squares():
     assert p * q == CPoly((-1, 0, 1))
 
 
+def test_an_int_on_the_right_is_a_constant():
+    p = CPoly((Fraction(1, 2), 3))
+    assert p + 2 == p + CPoly((2,)) == CPoly((Fraction(5, 2), 3))
+    assert p - 2 == p - CPoly((2,)) == CPoly((Fraction(-3, 2), 3))
+    assert CPoly((-2,)) + 2 == CPoly.zero() and CPoly.zero() - 0 == CPoly.zero()
+
+
 def test_additive_identity():
     p = CPoly((3, 0, Fraction(1, 2)))
     assert p + CPoly.zero() == p

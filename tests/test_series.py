@@ -169,3 +169,16 @@ def test_pde_residual_generates_to_the_last_exponent_read(monkeypatch):
     for K in (4, 10, 60):
         assert pde_residual(2, 2, 3, K)["pass"]
     assert depths == [0, 6, 56]
+
+
+def test_a_tampered_member_past_the_mapping_prefix_is_a_pde_residual(monkeypatch):
+    # the mapping is certified on exponents <= 6r = 12; exponent 20 reads P_16
+    def tampered(r, m, j0, kmax):
+        fam = generate(r, m, j0, kmax)
+        fam.polys[16] = fam.polys[16] + CPoly.one()
+        return fam
+    monkeypatch.setattr(series, "generate", tampered)
+    report = pde_residual(2, 2, 4, 24)
+    assert report["offset"] == 0 and not report["pass"]
+    assert [f["kind"] for f in report["findings"]] == ["pde-residual"]
+    assert [e["exponent"] for e in report["residuals"]] == [20]
