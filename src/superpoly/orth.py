@@ -41,14 +41,14 @@ def _relation_failures(q: List[CPoly], A: List[Fraction], B: List[Fraction],
 
 
 class FavardData:
-    """The members q_t from k_0; A_t, B_t and a_t = B_t A_(t-1) (t >= 1); the
-    abstract monic OPS p_0 = 1, p_(t+1) = c p_t - a_t p_(t-1); moment_j =
-    (J^j)_00 of its Jacobi matrix."""
+    """The members q_t from k_0 and the stored t >= 1 whose relation fails; A_t,
+    B_t and a_t = B_t A_(t-1) (t <= N); the abstract monic OPS p_0 = 1, p_(t+1)
+    = c p_t - a_t p_(t-1); moment_j = (J^j)_00 of its Jacobi matrix."""
 
     def __init__(self, k0: int, q: List[CPoly], A: List[Fraction], B: List[Fraction],
                  a: List[Fraction], monic: List[CPoly], moments: List[Fraction],
-                 relation_certified_t: List[int], findings: List[dict]):
-        self.k0, self.q = k0, q
+                 relation_certified_t: List[int], failed: List[int], findings: List[dict]):
+        self.k0, self.q, self.failed = k0, q, failed
         self.A, self.B, self.a, self.monic, self.moments = A, B, a, monic, moments
         self.relation_certified_t, self.findings = relation_certified_t, findings
 
@@ -105,9 +105,10 @@ def favard(fam: Family, N: int, gram_N: Optional[int] = None) -> FavardData:
 
     q_t is the member at k_t = k_0 + t r, k_0 the first nonzero one; a family
     with no nonzero member up to kmax is a ParameterError.  The three-term
-    relation is certified on every stored member for 1 <= t <= N (the t = 0
-    relation reads a seed initial value for the type-2 family and is not a
-    pure three-term statement).  a_t must be positive for 1 <= t <= N; a
+    relation is checked once, for every stored 1 <= t <= len(q) - 2, and the
+    failing t are kept as `failed` (the t = 0 relation reads a seed initial
+    value for the type-2 family and is not a pure three-term statement); the
+    report stays within t <= N.  a_t must be positive for 1 <= t <= N; a
     violation is reported as a finding.  The monic sequence and the moments
     (to order 2*gram_N) only need the Gram depth, which defaults to N; both
     must be at least 1.
@@ -119,19 +120,20 @@ def favard(fam: Family, N: int, gram_N: Optional[int] = None) -> FavardData:
     if not members:
         raise ParameterError(f"{fam!r} has no nonzero member up to kmax={fam.kmax}")
     k0, q = members[0][0], [p for _, p in members]
-    A, B = _coefficients(fam.r, fam.m, k0, range(N + 1))
+    tmax = len(q) - 2
+    A, B = _coefficients(fam.r, fam.m, k0, range(max(N, tmax) + 1))
+    failed = _relation_failures(q, A, B, range(1, tmax + 1))
+    A, B = A[:N + 1], B[:N + 1]
     a = [Fraction(0)] + [B[t] * A[t - 1] for t in range(1, N + 1)]
     findings = [{"kind": "positivity-violation", "t": t, "a": str(a[t])}
                 for t in range(1, N + 1) if a[t] <= 0]
-    tmax = min(N, len(q) - 2)
-    failed = _relation_failures(q, A, B, range(1, tmax + 1))
-    findings += [{"kind": "recurrence-violation", "t": t} for t in failed]
-    certified = [t for t in range(1, tmax + 1) if t not in failed]
+    findings += [{"kind": "recurrence-violation", "t": t} for t in failed if t <= N]
+    certified = [t for t in range(1, min(N, tmax) + 1) if t not in failed]
     monic = [CPoly.one(), CPoly.monomial(1)]
     for t in range(1, gram_N):
         monic.append(monic[t].shift(1) - monic[t - 1].scale(a[t]))
     moments = _moments(a, 2 * gram_N)
-    return FavardData(k0, q, A, B, a, monic, moments, certified, findings)
+    return FavardData(k0, q, A, B, a, monic, moments, certified, failed, findings)
 
 
 def gram_check(fd: FavardData, N: int) -> dict:
@@ -197,23 +199,18 @@ def closed_form_AB(nu: Fraction, c0: Fraction, n: Fraction) -> Tuple[Fraction, F
 
 
 def _identification(r: int, m: int, fd: Optional[FavardData]) -> dict:
-    """identify_ultraspherical's report from favard's k_0, q_t, A_t, B_t and relation
-    certificate (fd is None if no member is nonzero).  Past favard's N, the coefficients
-    and relations up to the last stored t are taken here: each t is checked once."""
+    """identify_ultraspherical's report from favard's k_0, q_t and relation
+    failures (fd is None if no member is nonzero): a match needs at least 5
+    members, no failed relation and the closed form at t = 1, 2, 3."""
     nu = 1 + Fraction(1, m)
-    tmax = len(fd.q) - 2 if fd else 0
-    if tmax >= 3:
+    if fd and len(fd.q) >= 5 and not fd.failed:
         s0 = Fraction(fd.k0 + 1, r) - 1
         shift = ceil(s0) - 1
         c0 = s0 - shift
-        done = min(len(fd.A) - 1, tmax)  # favard certified or failed each t <= done
-        A, B = _coefficients(r, m, fd.k0, range(len(fd.A), tmax + 1))
-        A, B = fd.A + A, fd.B + B
-        if (len(fd.relation_certified_t) == done
-                and all(closed_form_AB(nu, c0, t + shift) == (A[t], B[t]) for t in (1, 2, 3))
-                and not _relation_failures(fd.q, A, B, range(done + 1, tmax + 1))):
+        A, B = _coefficients(r, m, fd.k0, range(4))
+        if all(closed_form_AB(nu, c0, t + shift) == (A[t], B[t]) for t in (1, 2, 3)):
             return {"identified": {"nu": str(nu), "c0": str(c0), "shift": shift},
-                    "certified_t": tmax}
+                    "certified_t": len(fd.q) - 2}
     return {"identified": None, "nu": str(nu), "certified_t": 0}
 
 
@@ -224,15 +221,15 @@ def identify_ultraspherical(fam: Family) -> dict:
     c0 + shift = (k_0 + 1)/r - 1, split so that c0 lies in (0, 1].  Then
     closed_form_AB(nu, c0, t + shift) = (A_t, B_t) is, cross-multiplied, an
     identity of degree 2 in t, so checking it at t = 1, 2, 3 proves it for
-    every t.  A match also certifies, for every stored t >= 1,
+    every t.  favard's relation check over every stored member then also
+    certifies, for every stored t >= 1,
 
         2c (t + shift + nu + c0) q_t
             = (t + shift + c0) q_{t-1} + (t + shift + 2 nu + c0) q_{t+1}
 
     exactly.  Fewer than 5 members or a failed relation is a recorded no match.
     """
-    # favard to t = 3 holds the coefficients the closed-form proof reads
-    fd = favard(fam, 3, gram_N=1) if fam.nonzero_members() else None
+    fd = favard(fam, 1) if fam.nonzero_members() else None
     return _identification(fam.r, fam.m, fd)
 
 

@@ -365,6 +365,21 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused
 
 
+def test_every_private_function_is_read():
+    # a private module-level function has its readers in src/ alone, so one
+    # whose last reader is deleted shows here
+    package = Path(__file__).resolve().parents[1] / "src" / "superpoly"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    private = [(name, node.name) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_")]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert private
+    assert [f"{name}: {fn}" for name, fn in private if fn not in read] == []
+
+
 def _parse_outcome(parser, argv, capsys):
     try:
         ns = vars(parser.parse_args(argv))

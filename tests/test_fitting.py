@@ -118,6 +118,11 @@ def test_fit_underdetermined_raises():
         fit_ode(fam, delta=4, holdout=4)
 
 
+def test_fit_needs_a_degree_bound():
+    with pytest.raises(FitError, match="need a degree bound"):
+        fit_ode(generate(2, 2, -4, 40), coeff_degree_bounds=())
+
+
 def test_operator_vector_roundtrip():
     # the embedding evaluated back at concrete n reproduces the operator
     vec = operator_vector(1, 3, 5)

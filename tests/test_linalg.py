@@ -194,6 +194,14 @@ def test_solve_exact_needs_one_rhs_per_row():
         solve_exact([[1, 0], [0, 1]], [1])
 
 
+def test_empty_systems_are_rejected():
+    # an empty matrix has no width to read, and an empty system no solution to pin
+    with pytest.raises(ValueError, match="ncols required"):
+        nullspace([])
+    with pytest.raises(ValueError, match="at least one row"):
+        solve_exact([], [])
+
+
 def test_integer_rows_are_passed_through():
     rows = [[2, 4], [Fraction(1, 2), 1]]
     out = linalg._integer_rows(rows)

@@ -295,6 +295,16 @@ def test_kernel_rejects_negative_bound():
         polynomial_kernel(build_operator(1, 2, 2, 8), -1)
 
 
+def test_scalar_coefficients_rejects_an_unknown_type():
+    with pytest.raises(ParameterError, match="family_type must be 1 or 2"):
+        scalar_coefficients(3, 2, 3, 8)
+
+
+def test_scan_rejects_an_empty_grid():
+    with pytest.raises(ParameterError, match="empty"):
+        residual_scan(1, [], [3])
+
+
 def test_kernel_type2_matches_member():
     basis = polynomial_kernel(build_operator(2, 2, 4, 6), 2, "both")
     assert len(basis) == 1

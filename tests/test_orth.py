@@ -238,6 +238,18 @@ def test_identification_reads_the_relation_failures_favard_found():
     assert report["identified"] is None
 
 
+def test_favard_checks_relations_past_its_depth():
+    # favard checks every stored relation, but reports only t <= N: a member
+    # past N breaks the identification through favard's failed list alone
+    fam = generate(2, 3, -4, 40)
+    fam.polys[20] = fam[20] + CPoly.one()  # q_10, read by the relations at t = 9, 10, 11
+    fd = favard(fam, 3)
+    assert fd.failed == [9, 10, 11]
+    assert fd.findings == []
+    assert fd.relation_certified_t == [1, 2, 3]
+    assert identify_ultraspherical(fam)["identified"] is None
+
+
 def test_favard_rejects_a_family_with_no_member():
     fam = Family(2, 2, -4)
     fam.polys[-4] = CPoly.zero()  # blank the seed: nothing can be nonzero
@@ -275,8 +287,8 @@ def test_orthogonality_report_ignores_deeper_cached_members():
 
 @pytest.mark.parametrize("flags", [{}, {"N": 1, "n_positive": 1}])
 def test_orthogonality_report_checks_each_relation_once(monkeypatch, flags):
-    # favard checks t <= min(N', 47) and the identification the rest, so the
-    # 47 stored relations are checked once each at any flags
+    # favard checks all 47 stored relations and the identification reads its
+    # failures, so each relation is checked once at any flags
     checked = []
     relation_failures = orth._relation_failures
 

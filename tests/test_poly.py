@@ -41,6 +41,11 @@ def test_derivative_hand_value():
     assert CPoly((-5, 0, 32)).derive(2) == CPoly((64,))
 
 
+def test_derivative_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        CPoly((1, 2)).derive(-1)
+
+
 def test_canonical_trailing_zeros():
     p = CPoly((1, 2, 0, 0))
     assert p.num == (1, 2) and p.den == 1
