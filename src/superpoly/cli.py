@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .classify import (classification_report, gegenbauer, superposition_fit,
@@ -25,7 +25,7 @@ from .families import _check_kmax, canonical_j0, generate, stream
 from .fitting import CLOSED_BOUNDS, fit_ode, in_span, operator_vector
 from .ode import align_index, build_operator, indicial, polynomial_kernel, residual_scan
 from .orth import favard, gram_check, identify_ultraspherical, orthogonality_report
-from .poly import CPoly, LazyJSON
+from .poly import CPoly, LazyJSON, RationalStrings
 from .series import first_order_residual, pde_residual
 
 
@@ -202,7 +202,7 @@ FLAGS = {
     # (k ~ 2000, N ~ 80) and every value the tests and benchmark use
     **dict.fromkeys(("--r", "--m", "--n", "--n-positive", "--closed-form-n",
                      "--kmax", "--K", "--bound"), {"type": capped(INDEX_CAP)}),
-    # streamed, so this bounds size and time at 600: 52 MB, ~3 s (m 3); 212 MB, 18 s (m 2500)
+    # streamed, so this bounds size and time at 600: 52 MB, ~2.3 s (m 3); 212 MB, 21 s (m 2500)
     "--nmax": {"type": capped(600)},
     "--N": {"type": capped(100)},
     "--members": {"type": capped(100)},
@@ -319,16 +319,65 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 WRITE_SIZE = 1 << 16  # characters gathered per write; a report is ASCII, so bytes
 
 
+# the JSON text of each scalar type; a subclass of str or int is looked up by isinstance
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+            bool: lambda value: "true" if value else "false"}
+
+
+def _json_pieces(value, indent: str = ""):
+    """Yield json.dumps(value, indent=2, sort_keys=True) in pieces.
+
+    Dicts need str keys; lists, tuples and LazyJSON are arrays; str, int,
+    bool and None are scalars; anything else raises TypeError.  A
+    RationalStrings list needs no escaping, so its entries are joined in one
+    pass.
+    """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        yield scalar(value)
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            yield "{}" if isinstance(value, dict) else "[]"
+            return
+        inner = indent + "  "
+        if isinstance(value, RationalStrings):  # the joined entries are not copied again
+            yield "[\n" + inner + '"'
+            yield ('",\n' + inner + '"').join(value)
+            yield '"\n' + indent + "]"
+            return
+        if isinstance(value, dict):  # sorted or quoting a non-str key raises TypeError
+            brackets = "{}"
+            items = [(encode_basestring_ascii(key) + ": ", value[key]) for key in sorted(value)]
+        else:
+            brackets, items = "[]", (("", item) for item in value)
+        sep = brackets[0] + "\n" + inner
+        for prefix, item in items:
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                yield sep + prefix + scalar(item)
+            else:
+                yield sep + prefix
+                yield from _json_pieces(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + brackets[1]
+    elif isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif isinstance(value, int):  # bool has no subclasses
+        yield int.__repr__(value)
+    else:
+        raise TypeError(f"{type(value).__name__} is not part of a JSON report")
+
+
 def _write_report(envelope: dict, fh) -> None:
     """Stream the report into fh, so the whole text never exists at once.
 
-    The encoder's pieces, most a few characters long, are gathered into
+    The writer's pieces, most a few characters long, are gathered into
     writes of at most WRITE_SIZE (a longer piece is written alone): under
     PYTHONUNBUFFERED, stdout makes one system call per write.  The flush
     makes a failed write raise here.
     """
     pending, size = [], 0
-    for piece in json.JSONEncoder(indent=2, sort_keys=True).iterencode(envelope):
+    for piece in _json_pieces(envelope):
         if size + len(piece) > WRITE_SIZE and pending:
             fh.write("".join(pending))
             pending, size = [], 0

@@ -76,14 +76,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_PRIMES = [_P]  # the primes _primes() has reached, in its order
+
+
 def _primes() -> Iterator[int]:
-    """2^61 - 1, then every prime below it in descending order."""
-    yield _P
-    n = _P - 2
+    """2^61 - 1, then every prime below it in descending order.
+
+    Each prime is found by Miller-Rabin once per process: a walk reads
+    _PRIMES and extends it only past its last entry.
+    """
+    i = 0
     while True:
-        if _is_prime(n):
-            yield n
-        n -= 2
+        if i == len(_PRIMES):
+            n = _PRIMES[-1] - 2
+            while not _is_prime(n):
+                n -= 2
+            _PRIMES.append(n)
+        yield _PRIMES[i]
+        i += 1
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[Sequence[int]]:

@@ -184,28 +184,41 @@ class CPoly:
         return "CPoly(" + (" + ".join(terms) or "0") + ")"
 
     # -- serialization --------------------------------------------------
-    def to_strings(self) -> list[str]:
+    def to_strings(self) -> "RationalStrings":
         """JSON form: "p/q" in lowest terms ("p" when q = 1), index = power of c."""
         den = self.den
         if den == 1:
-            return [str(a) for a in self.num]
-        out = []
+            return RationalStrings(map(str, self.num))
+        out = RationalStrings()
         for a in self.num:
+            if not a:
+                out.append("0")
+                continue
             g = gcd(a, den)
             out.append(str(a // g) if g == den else f"{a // g}/{den // g}")
         return out
 
 
+class RationalStrings(list):
+    r"""to_strings' list: each entry matches -?\d+(/\d+)? by construction.
+
+    The report writer reads the type as proof that no entry needs a JSON
+    escape, and joins the entries without scanning them.
+    """
+
+    __slots__ = ()
+
+
 class LazyJSON(list):
-    """A report list that a JSON encoder reads as map(encode, source()).
+    """A report list that the report writer reads as map(encode, source()).
 
     Nothing is stored: each iteration calls source() for a fresh iterator
-    and yields encode(item) one at a time, and both of json's encoders
-    iterate a list subclass.  A large report's strings, and the items of a
-    source that generates them, are therefore built as the report is
-    written, and none is kept.  len is given in advance, as the encoders ask
-    it first.  == raises, since the empty storage would make any two equal:
-    compare list(...) of them.
+    and yields encode(item) one at a time, and the report writer iterates
+    it like any list.  A large report's strings, and the items of a source
+    that generates them, are therefore built as the report is written, and
+    none is kept.  len is given in advance, as the writer and json's
+    encoders ask it first.  == raises, since the empty storage would make
+    any two equal: compare list(...) of them.
     """
 
     __slots__ = ("source", "encode", "length")

@@ -1,9 +1,13 @@
 import ast
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from enum import IntEnum
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,7 @@ import superpoly.cli as cli
 from superpoly import CPoly, ParameterError, gegenbauer, generate
 from superpoly.cli import COMMANDS, build_parser, main, parse_span
 from superpoly.families import stream
+from superpoly.poly import LazyJSON
 
 
 def capture(capsys, argv):
@@ -209,6 +214,66 @@ def test_gegenbauer_strings_built_only_when_iterated(monkeypatch):
     assert json.dumps(report) == json.dumps(eager)
     assert (json.dumps(report, indent=2, sort_keys=True)
             == json.dumps(eager, indent=2, sort_keys=True))
+
+
+TEXT = 'az09-/ "\\\n\t\x00\x1f\x7féλ€\U0001d11e'  # quotes, escapes, non-ASCII
+
+
+def random_report_value(rng, depth=0):
+    """A nested value of every kind the report writer takes."""
+    kinds = ["str", "int", "bool", "none"]
+    if depth < 4:
+        kinds += ["list", "tuple", "dict", "lazy", "rational"]
+    kind = rng.choice(kinds)
+    if kind == "str":
+        return "".join(rng.choice(TEXT) for _ in range(rng.randint(0, 6)))
+    if kind == "int":
+        return rng.choice([0, -1, 7, -(1 << 2000) - 3, rng.randint(-10 ** 40, 10 ** 40)])
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "none":
+        return None
+    if kind == "rational":  # empty or with zeros, integers and fractions
+        return CPoly(Fraction(rng.randint(-99, 99), rng.choice([1, 1, 3, 10 ** 30]))
+                     for _ in range(rng.randint(0, 5))).to_strings()
+    items = [random_report_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == "dict":
+        return {"".join(rng.choice(TEXT) for _ in range(3)) + str(i): item
+                for i, item in enumerate(items)}
+    if kind == "lazy":
+        return LazyJSON(items.__iter__, lambda item: item, len(items))
+    return tuple(items) if kind == "tuple" else items
+
+
+def written(value) -> str:
+    fh = io.StringIO()
+    cli._write_report(value, fh)
+    return fh.getvalue()
+
+
+def test_report_writer_matches_json_dumps():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        value = random_report_value(rng)
+        assert written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    subclasses = [type("Text", (str,), {})('a"\\é'), IntEnum("Small", "ONE TWO").TWO]
+    assert written(subclasses) == json.dumps(subclasses, indent=2, sort_keys=True) + "\n"
+    # one report of many writes: pieces far above and below WRITE_SIZE
+    value = {"polys": LazyJSON(lambda: stream(2, 3, -4, 300),
+                               lambda item: {"k": item[0], "coeffs": item[1].to_strings()}, 305),
+             "notes": [random_report_value(rng) for _ in range(2000)]}
+    text = written(value)
+    assert len(text) > 20 * cli.WRITE_SIZE
+    assert text == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [float("nan")]}, {1, 2}, [{3: "key"}],
+                                   {"a": 1, 2: "b"}, Fraction(1, 2)],
+                         ids=["float", "nested float", "set", "int key", "mixed keys",
+                              "Fraction"])
+def test_report_writer_rejects_what_json_would_convert_or_reject(value):
+    with pytest.raises(TypeError):
+        written(value)
 
 
 def test_series_subcommand(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -178,6 +179,20 @@ def test_prime_with_other_pivots_gives_the_rational_basis(monkeypatch):
     assert nullspace(M) == rref_nullspace(M, 3) == [[F(1), F(-1), F(-P)]]
     assert tried[0] == [1] and tried[1:] == [[2]] * (len(tried) - 1)
     assert len(tried) == 4  # the entries 1/p of (-1/p, 1/p, 1) need three primes
+
+
+def test_each_prime_is_found_once(monkeypatch):
+    calls = []
+    is_prime = linalg._is_prime
+    monkeypatch.setattr(linalg, "_PRIMES", [P])  # a fresh process's cache
+    monkeypatch.setattr(linalg, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+    first = list(islice(linalg._primes(), 30))
+    # 2^61 - 1, then every prime below it: each odd number in between was tried
+    assert first[0] == P and calls == list(range(P - 2, first[-1] - 1, -2))
+    assert first == [n for n in [P] + calls if is_prime(n)]
+    calls.clear()
+    assert list(islice(linalg._primes(), 30)) == first
+    assert calls == []
 
 
 def test_malformed_rows_are_rejected():

@@ -5,6 +5,8 @@ from math import gcd
 import pytest
 
 from superpoly import CPoly
+from superpoly.families import stream
+from superpoly.poly import RationalStrings
 
 from cpoly_helpers import coefficients, evaluate, from_strings, parity
 
@@ -175,6 +177,7 @@ def assert_canonical(p, reference):
     assert coefficients(p) == reference
     assert all(Fraction(a, p.den) == c for a, c in zip(p.num, reference))
     assert p.to_strings() == [str(c) for c in reference]
+    assert type(p.to_strings()) is RationalStrings  # the writer skips escaping it
     built = CPoly(reference)
     assert built == p and hash(built) == hash(p)
     assert from_strings(p.to_strings()) == p
@@ -206,6 +209,13 @@ def test_integer_representation_matches_fraction_reference():
         assert evaluate(a, x) == ref_call(ra, x)
         n = rng.randint(-5, 5)
         assert evaluate(a, n) == ref_call(ra, n)
+    # an integer polynomial with interior zeros, and a member of the deep
+    # family, whose coefficients alternate zeros with numbers of hundreds of
+    # digits, each reduced on its own
+    assert_canonical(CPoly((5, 0, 0, -7, 0, 1)), ref_trim((5, 0, 0, -7, 0, 1)))
+    k, deep = list(stream(2, 3, -4, 200))[-1]
+    assert k == 200 and deep.den > 1 and 0 in deep.num
+    assert_canonical(deep, coefficients(deep))
 
 
 def test_band_with_int_and_fraction_symbols():
