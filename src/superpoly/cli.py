@@ -202,7 +202,7 @@ FLAGS = {
     # (k ~ 2000, N ~ 80) and every value the tests and benchmark use
     **dict.fromkeys(("--r", "--m", "--n", "--n-positive", "--closed-form-n",
                      "--kmax", "--K", "--bound"), {"type": capped(INDEX_CAP)}),
-    # streamed, so this bounds size and time at 600: 52 MB, ~2.3 s (m 3); 212 MB, 21 s (m 2500)
+    # streamed, so this bounds size and time at 600: 52 MB, ~2.5 s (m 3); 212 MB, 21 s (m 2500)
     "--nmax": {"type": capped(600)},
     "--N": {"type": capped(100)},
     "--members": {"type": capped(100)},
@@ -319,11 +319,6 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 WRITE_SIZE = 1 << 16  # characters gathered per write; a report is ASCII, so bytes
 
 
-# the JSON text of each scalar type; a subclass of str or int is looked up by isinstance
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
-            bool: lambda value: "true" if value else "false"}
-
-
 def _json_pieces(value, indent: str = ""):
     """Yield json.dumps(value, indent=2, sort_keys=True) in pieces.
 
@@ -332,9 +327,14 @@ def _json_pieces(value, indent: str = ""):
     RationalStrings list needs no escaping, so its entries are joined in one
     pass.
     """
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        yield scalar(value)
+    if value is None:
+        yield "null"
+    elif value is True or value is False:
+        yield "true" if value else "false"
+    elif isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif isinstance(value, int):
+        yield int.__repr__(value)
     elif isinstance(value, (list, tuple, dict)):
         if not value:
             yield "{}" if isinstance(value, dict) else "[]"
@@ -352,18 +352,10 @@ def _json_pieces(value, indent: str = ""):
             brackets, items = "[]", (("", item) for item in value)
         sep = brackets[0] + "\n" + inner
         for prefix, item in items:
-            scalar = _SCALARS.get(type(item))
-            if scalar is not None:
-                yield sep + prefix + scalar(item)
-            else:
-                yield sep + prefix
-                yield from _json_pieces(item, inner)
+            yield sep + prefix
+            yield from _json_pieces(item, inner)
             sep = ",\n" + inner
         yield "\n" + indent + brackets[1]
-    elif isinstance(value, str):
-        yield encode_basestring_ascii(value)
-    elif isinstance(value, int):  # bool has no subclasses
-        yield int.__repr__(value)
     else:
         raise TypeError(f"{type(value).__name__} is not part of a JSON report")
 

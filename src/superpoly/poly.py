@@ -191,9 +191,6 @@ class CPoly:
             return RationalStrings(map(str, self.num))
         out = RationalStrings()
         for a in self.num:
-            if not a:
-                out.append("0")
-                continue
             g = gcd(a, den)
             out.append(str(a // g) if g == den else f"{a // g}/{den // g}")
         return out
