@@ -2,7 +2,8 @@
 
 Reports are streamed to stdout (or --out FILE) as JSON with sorted keys; a
 one-line human summary goes to stderr.  Exit codes: 0 all checks pass,
-1 verification finding, 2 usage error or a failed report write.  Identical
+1 verification finding, 2 usage error or a report that could not be written
+whole (a failed write, or a dead strings worker).  Identical
 inputs produce byte-identical reports (wall time is kept outside the report
 object).  The parser is built from two tables: FLAGS declares each flag
 once, COMMANDS each subcommand.
@@ -16,6 +17,7 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import __version__
 from .classify import (classification_report, gegenbauer, superposition_fit,
@@ -25,7 +27,7 @@ from .families import _check_kmax, canonical_j0, generate, stream
 from .fitting import CLOSED_BOUNDS, fit_ode, in_span, operator_vector
 from .ode import align_index, build_operator, indicial, polynomial_kernel, residual_scan
 from .orth import favard, gram_check, identify_ultraspherical, orthogonality_report
-from .poly import CPoly, LazyJSON, RationalStrings
+from .poly import LazyJSON, RationalStrings, split_strings
 from .series import first_order_residual, pde_residual
 
 
@@ -119,13 +121,14 @@ def _gen(ns) -> tuple[dict, bool]:
     members = functools.partial(stream, ns.r, ns.m, ns.j0, kmax)
     members()  # checks the arguments; the report is iterated only as it is written
 
-    def member_json(item) -> dict:  # --print shows P_k as the report writes it
-        k, p = item
+    def member_json(pair) -> dict:  # --print shows P_k as the report writes it
+        (k, p), strings = pair
         if ns.print_members and p:
             print(f"P_{k} = {p!r}", file=sys.stderr)
-        return {"k": k, "coeffs": p.to_strings()}
+        return {"k": k, "coeffs": strings}
     report = {"r": ns.r, "m": ns.m, "j0": ns.j0,
-              "polys": LazyJSON(members, member_json, kmax + 2 * ns.r + 1)}
+              "polys": LazyJSON(split_strings(members, itemgetter(1)), member_json,
+                                kmax + 2 * ns.r + 1)}
     return report, True
 
 
@@ -157,7 +160,7 @@ def _gegenbauer(ns) -> tuple[dict, bool]:
     qs = gegenbauer(ns.m, ns.nmax)  # every Q_n certified before any output
     report = {
         "m": ns.m, "lambda": f"{ns.m + 1}/{ns.m}",  # 1 + 1/m in lowest terms
-        "polys": LazyJSON(qs.__iter__, CPoly.to_strings, len(qs)),
+        "polys": LazyJSON(split_strings(qs.__iter__), itemgetter(1), len(qs)),
         "ode_certified": True,  # gegenbauer() raises if any member fails its equation
     }
     return report, True
@@ -407,28 +410,27 @@ def run(argv) -> int:
     started = time.monotonic()
     try:
         report, ok = ns.fn(ns)
-    except SuperpolyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.monotonic() - started
-    envelope = {
-        "command": ns.command,
-        "argv": list(argv),
-        "report": report,
-        "status": "pass" if ok else "fail",
-    }
-    try:
+        envelope = {
+            "command": ns.command,
+            "argv": list(argv),
+            "report": report,
+            "status": "pass" if ok else "fail",
+        }
         if ns.out:
             with open(ns.out, "w") as fh:
                 _write_report(envelope, fh)
         else:
             _write_report(envelope, sys.stdout)
+    except SuperpolyError as exc:  # bad input, or a streamed report's worker that died
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         if not ns.out:
             _discard_stdout()
         print(f"error: cannot write the report to {ns.out or 'stdout'}: {exc.strerror}",
               file=sys.stderr)
         return 2
+    elapsed = time.monotonic() - started  # a streamed report is built as it is written
     print(f"{ns.command}: {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s)", file=sys.stderr)
     return 0 if ok else 1
 

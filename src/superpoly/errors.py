@@ -26,3 +26,7 @@ class TruncationError(SuperpolyError):
 
 class FitError(SuperpolyError):
     """An exact linear fit is degenerate or the fitting system is underdetermined."""
+
+
+class WorkerError(SuperpolyError):
+    """The forked worker writing a report's coefficient strings ended before its data did."""

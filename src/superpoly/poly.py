@@ -12,13 +12,21 @@ Every operation runs on the integers and normalises its result with one
 content gcd, which starts from den and stops once it reaches 1.  The
 package reads a CPoly only through num and den.  Everything is immutable
 and exact; there is no floating-point path.
+
+A streamed report's strings can be split between this process and one
+forked worker (split_strings), which is the one place the package starts a
+process.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
+
+from .errors import WorkerError
 
 NEG_INF = float("-inf")
 
@@ -234,3 +242,93 @@ class LazyJSON(list):
         raise TypeError("a LazyJSON stores nothing to compare; compare list(...) of it")
 
     __ne__ = __eq__
+
+
+SIGKILL = 9  # fixed by POSIX; the signal module would cost every process start an import
+
+
+def _can_fork_worker() -> bool:
+    """True when os.fork exists, this process runs one thread (a fork copies
+    no other thread, nor releases the locks one holds), and it may run on at
+    least two CPUs."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this system
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _received(reader) -> str:
+    """The worker's next line, without its newline; WorkerError when its data ends."""
+    line = reader.readline()
+    if not line.endswith("\n"):
+        raise WorkerError("the worker writing coefficient strings ended early")
+    return line[:-1]
+
+
+def _workers_share(items, poly):
+    """(item, p = poly(item), whether the worker builds p's strings), in order:
+    the worker builds every other nonzero member's, the 2nd, 4th, ..."""
+    nonzero = 0
+    for item in items:
+        p = poly(item)
+        yield item, p, bool(p) and nonzero % 2 == 1
+        nonzero += bool(p)
+
+
+def _fork_worker(items, poly):
+    """Fork the worker on its copy of items; return its pid and a reader of its pipe.
+
+    The worker writes each of its members as a count line and one line per
+    entry, flushed per member, so this process never waits on a buffer.  It
+    writes nothing else, and leaves only through os._exit, so no inherited
+    buffer is flushed and no caller's cleanup runs twice.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, encoding="ascii")
+    code = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "w", encoding="ascii") as out:
+            for _, p, theirs in _workers_share(items, poly):
+                if theirs:
+                    strings = p.to_strings()
+                    print(len(strings), *strings, sep="\n", file=out, flush=True)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def split_strings(source, poly=lambda item: item):
+    """A re-callable source of (item, poly(item).to_strings()), in source's order.
+
+    source is LazyJSON's: each call returns a fresh iterator over the same
+    deterministic items.  With a second CPU, each iteration forks one worker
+    that walks its own copy of the iterator and builds the strings of every
+    other nonzero member; this process builds the rest, reads the worker's
+    line by line (holding one member's strings at a time, as when it builds
+    them), and kills and reaps the worker on every way out.  Without a
+    second CPU this process builds every member's strings.
+    """
+    def pairs():
+        items = source()
+        pid, reader = _fork_worker(items, poly) if _can_fork_worker() else (None, None)
+        try:
+            for item, p, theirs in _workers_share(items, poly):
+                if reader and theirs:
+                    count = int(_received(reader))
+                    strings = RationalStrings(_received(reader) for _ in range(count))
+                else:
+                    strings = p.to_strings()
+                yield item, strings
+        finally:
+            if reader:
+                reader.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return pairs

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ import superpoly.cli as cli
 from superpoly import CPoly, ParameterError, gegenbauer, generate
 from superpoly.cli import COMMANDS, build_parser, main, parse_span
 from superpoly.families import stream
-from superpoly.poly import LazyJSON
+from superpoly.poly import LazyJSON, split_strings
 
 
 def capture(capsys, argv):
@@ -196,24 +197,130 @@ def test_closed_pipe_exits_2():
 
 
 def test_gegenbauer_strings_built_only_when_iterated(monkeypatch):
-    calls = []
-    to_strings = CPoly.to_strings
+    # with a second CPU a forked worker builds Q_1, Q_3, ..., Q_9's strings,
+    # and its calls are not counted here
+    for cpus, share in (({0}, 11), ({0, 1}, 11 - 5 * hasattr(os, "fork"))):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        calls = []
+        to_strings = CPoly.to_strings
 
-    def counting(self):
-        calls.append(1)
+        def counting(self):
+            calls.append(1)
+            return to_strings(self)
+
+        monkeypatch.setattr(CPoly, "to_strings", counting)
+        runner = {row[0]: row[3] for row in COMMANDS}["gegenbauer"]
+        report, ok = runner(build_parser("gegenbauer").parse_args(
+            ["gegenbauer", "--m", "3", "--nmax", "10"]))
+        assert ok and calls == [] and len(report["polys"]) == 11
+        eager = dict(report, polys=[to_strings(p) for p in gegenbauer(3, 10)])
+        assert list(report["polys"]) == eager["polys"] and len(calls) == share
+        assert json.dumps(report) == json.dumps(eager)
+        assert (json.dumps(report, indent=2, sort_keys=True)
+                == json.dumps(eager, indent=2, sort_keys=True))
+        monkeypatch.undo()
+
+
+def two_cpus(monkeypatch):
+    """Let split_strings fork its worker, whatever this host's CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_beside_another_thread(monkeypatch):
+    # a fork copies only the calling thread, so with another one running
+    # every member's strings are built in this process
+    two_cpus(monkeypatch)
+    calls, to_strings = [], CPoly.to_strings
+    monkeypatch.setattr(CPoly, "to_strings", lambda self: calls.append(1) or to_strings(self))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert len(list(split_strings(gegenbauer(3, 10).__iter__)())) == 11
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and len(calls) == 11
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this system")
+@pytest.mark.parametrize("argv", [["gen", "--r", "2", "--m", "3", "--j0", "-4", "--kmax", "60"],
+                                  ["gegenbauer", "--m", "3", "--nmax", "10"]], ids=" ".join)
+def test_dead_worker_exits_2_with_one_error_line(monkeypatch, capsys, argv):
+    two_cpus(monkeypatch)
+    parent, to_strings = os.getpid(), CPoly.to_strings
+
+    def dying(self):
+        if os.getpid() != parent:
+            os._exit(0)  # the worker ends without writing its first member
         return to_strings(self)
 
-    monkeypatch.setattr(CPoly, "to_strings", counting)
-    runner = {row[0]: row[3] for row in COMMANDS}["gegenbauer"]
-    report, ok = runner(build_parser("gegenbauer").parse_args(
-        ["gegenbauer", "--m", "3", "--nmax", "10"]))
-    assert ok and calls == [] and len(report["polys"]) == 11
-    eager = dict(report, polys=[p.to_strings() for p in gegenbauer(3, 10)])
-    calls.clear()
-    assert list(report["polys"]) == eager["polys"] and len(calls) == 11
-    assert json.dumps(report) == json.dumps(eager)
-    assert (json.dumps(report, indent=2, sort_keys=True)
-            == json.dumps(eager, indent=2, sort_keys=True))
+    monkeypatch.setattr(CPoly, "to_strings", dying)
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "worker" in lines[0]
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this system")
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_failed_write_reaps_the_worker(monkeypatch, capsys):
+    two_cpus(monkeypatch)
+    assert main([*LARGE_REPORT, "--out", "/dev/full"]) == 2
+    assert_one_error_line(capsys.readouterr().err, "/dev/full")
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this system")
+def test_abandoned_or_failed_iteration_reaps_the_worker(monkeypatch):
+    two_cpus(monkeypatch)
+    ns = build_parser("gen").parse_args(LARGE_REPORT)
+    report, _ = ns.fn(ns)
+    assert next(iter(report["polys"]))["k"] == -4  # the worker is running, then abandoned
+    assert_no_child_left()
+    calls, to_strings = [], CPoly.to_strings
+
+    def failing(self):
+        calls.append(1)
+        if len(calls) == 20:
+            raise ValueError("a failure in this process")
+        return to_strings(self)
+
+    monkeypatch.setattr(CPoly, "to_strings", failing)
+    with pytest.raises(ValueError):
+        list(report["polys"])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("argv", [LARGE_REPORT, ["gegenbauer", "--m", "3", "--nmax", "60"]],
+                         ids=" ".join)
+def test_cold_split_report_matches_the_one_process_report(monkeypatch, capsys, argv):
+    # the cold process splits its strings when its host has two CPUs; this one does not
+    with run_cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+        cold = proc.communicate(timeout=60)[0]
+    assert proc.returncode == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(argv) == 0
+    assert cold.decode() == capsys.readouterr().out
+
+
+def test_summary_time_includes_the_report_write(monkeypatch, capsys):
+    now = [100.0]
+    write = cli._write_report
+
+    def slow_write(envelope, fh):
+        now[0] += 5  # the write takes five seconds on the fake clock
+        write(envelope, fh)
+
+    monkeypatch.setattr(cli.time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(cli, "_write_report", slow_write)
+    assert main(["gegenbauer", "--m", "3", "--nmax", "4"]) == 0
+    assert capsys.readouterr().err == "gegenbauer: PASS (5.00s)\n"
 
 
 TEXT = 'az09-/ "\\\n\t\x00\x1f\x7féλ€\U0001d11e'  # quotes, escapes, non-ASCII
@@ -401,10 +508,11 @@ def test_report_integers_longer_than_the_digit_limit(capsys):
 
 def test_import_loads_no_process_pool():
     # each module costs every process start its import time; dataclasses
-    # imports inspect, and a process pool loads multiprocessing
+    # imports inspect, a process pool loads multiprocessing, and the report's
+    # strings worker is started with os alone
     code = ("import sys, superpoly.cli; "
             "sys.exit(any(name in sys.modules for name in "
-            "('concurrent.futures', 'dataclasses')))")
+            "('concurrent.futures', 'dataclasses', 'multiprocessing', 'subprocess')))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}

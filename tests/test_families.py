@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -171,27 +172,33 @@ def eager_members(fam):
 
 
 def test_gen_report_builds_members_only_when_iterated(monkeypatch):
-    calls, extends = [], []
-    to_strings, extend = CPoly.to_strings, Family.extend
+    # 67 members, 22 of them nonzero.  With a second CPU a forked worker
+    # builds the strings of every other nonzero member, 11 per pass, and its
+    # calls are not counted here; generation stays in this process either way.
+    for cpus, share in (({0}, 67), ({0, 1}, 67 - 11 * hasattr(os, "fork"))):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        calls, extends = [], []
+        to_strings, extend = CPoly.to_strings, Family.extend
 
-    def counting(self):
-        calls.append(1)
-        return to_strings(self)
+        def counting(self):
+            calls.append(1)
+            return to_strings(self)
 
-    def counting_extend(self, kmax):
-        extends.append(kmax)
-        return extend(self, kmax)
+        def counting_extend(self, kmax):
+            extends.append(kmax)
+            return extend(self, kmax)
 
-    monkeypatch.setattr(CPoly, "to_strings", counting)
-    monkeypatch.setattr(Family, "extend", counting_extend)
-    polys = gen_report(3, 4, -6, 60)["polys"]
-    assert calls == extends == [] and len(polys) == 67
-    first = next(iter(polys))
-    assert first == {"k": -6, "coeffs": ["1"]} and len(calls) == 1
-    assert list(polys) == list(polys)  # each iteration generates afresh
-    assert len(calls) == 1 + 2 * 67 and extends == [-6] + 2 * list(range(-6, 61))
-    with pytest.raises(TypeError):
-        polys == list(polys)  # the storage is empty: only list(...) compares
+        monkeypatch.setattr(CPoly, "to_strings", counting)
+        monkeypatch.setattr(Family, "extend", counting_extend)
+        polys = gen_report(3, 4, -6, 60)["polys"]
+        assert calls == extends == [] and len(polys) == 67
+        first = next(iter(polys))
+        assert first == {"k": -6, "coeffs": ["1"]} and len(calls) == 1
+        assert list(polys) == list(polys)  # each iteration generates afresh
+        assert len(calls) == 1 + 2 * share and extends == [-6] + 2 * list(range(-6, 61))
+        with pytest.raises(TypeError):
+            polys == list(polys)  # the storage is empty: only list(...) compares
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
