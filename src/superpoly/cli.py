@@ -12,10 +12,10 @@ once, COMMANDS each subcommand.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 import time
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -23,11 +23,11 @@ from . import __version__
 from .classify import (classification_report, gegenbauer, superposition_fit,
                        verify_gegenbauer_reduction)
 from .errors import AlignmentError, SuperpolyError
-from .families import _check_kmax, canonical_j0, generate, stream
+from .families import canonical_j0, generate, stream
 from .fitting import CLOSED_BOUNDS, fit_ode, in_span, operator_vector
 from .ode import align_index, build_operator, indicial, polynomial_kernel, residual_scan
 from .orth import favard, gram_check, identify_ultraspherical, orthogonality_report
-from .poly import LazyJSON, RationalStrings, split_strings
+from .poly import RationalStrings, shown, split_strings
 from .series import first_order_residual, pde_residual
 
 
@@ -117,18 +117,16 @@ def _verdict(report: dict, *keys: str) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 def _gen(ns) -> tuple[dict, bool]:
-    kmax = _check_kmax(ns.r, ns.kmax)
-    members = functools.partial(stream, ns.r, ns.m, ns.j0, kmax)
-    members()  # checks the arguments; the report is iterated only as it is written
+    # stream checks the arguments; the members are generated as the report is written
+    members = stream(ns.r, ns.m, ns.j0, ns.kmax)
 
-    def member_json(pair) -> dict:  # --print shows P_k as the report writes it
-        (k, p), strings = pair
-        if ns.print_members and p:
-            print(f"P_{k} = {p!r}", file=sys.stderr)
+    def member_json(pair) -> dict:  # --print shows P_k from the strings the report writes
+        (k, _), strings = pair
+        if ns.print_members and strings:
+            print(f"P_{k} = {shown(strings)}", file=sys.stderr)
         return {"k": k, "coeffs": strings}
     report = {"r": ns.r, "m": ns.m, "j0": ns.j0,
-              "polys": LazyJSON(split_strings(members, itemgetter(1)), member_json,
-                                kmax + 2 * ns.r + 1)}
+              "polys": map(member_json, split_strings(members, itemgetter(1)))}
     return report, True
 
 
@@ -160,7 +158,7 @@ def _gegenbauer(ns) -> tuple[dict, bool]:
     qs = gegenbauer(ns.m, ns.nmax)  # every Q_n certified before any output
     report = {
         "m": ns.m, "lambda": f"{ns.m + 1}/{ns.m}",  # 1 + 1/m in lowest terms
-        "polys": LazyJSON(split_strings(qs.__iter__), itemgetter(1), len(qs)),
+        "polys": map(itemgetter(1), split_strings(qs)),
         "ode_certified": True,  # gegenbauer() raises if any member fails its equation
     }
     return report, True
@@ -325,10 +323,10 @@ WRITE_SIZE = 1 << 16  # characters gathered per write; a report is ASCII, so byt
 def _json_pieces(value, indent: str = ""):
     """Yield json.dumps(value, indent=2, sort_keys=True) in pieces.
 
-    Dicts need str keys; lists, tuples and LazyJSON are arrays; str, int,
-    bool and None are scalars; anything else raises TypeError.  A
-    RationalStrings list needs no escaping, so its entries are joined in one
-    pass.
+    Dicts need str keys; lists, tuples and iterators are arrays, an
+    iterator's items read as it is written; str, int, bool and None are
+    scalars; anything else raises TypeError.  A RationalStrings list needs
+    no escaping, so its entries are joined in one pass.
     """
     if value is None:
         yield "null"
@@ -338,16 +336,16 @@ def _json_pieces(value, indent: str = ""):
         yield encode_basestring_ascii(value)
     elif isinstance(value, int):
         yield int.__repr__(value)
-    elif isinstance(value, (list, tuple, dict)):
-        if not value:
-            yield "{}" if isinstance(value, dict) else "[]"
-            return
-        inner = indent + "  "
-        if isinstance(value, RationalStrings):  # the joined entries are not copied again
+    elif isinstance(value, RationalStrings):
+        if value:  # the joined entries are not copied again
+            inner = indent + "  "
             yield "[\n" + inner + '"'
             yield ('",\n' + inner + '"').join(value)
             yield '"\n' + indent + "]"
-            return
+        else:
+            yield "[]"
+    elif isinstance(value, (list, tuple, dict, Iterator)):
+        inner = indent + "  "
         if isinstance(value, dict):  # sorted or quoting a non-str key raises TypeError
             brackets = "{}"
             items = [(encode_basestring_ascii(key) + ": ", value[key]) for key in sorted(value)]
@@ -358,7 +356,7 @@ def _json_pieces(value, indent: str = ""):
             yield sep + prefix
             yield from _json_pieces(item, inner)
             sep = ",\n" + inner
-        yield "\n" + indent + brackets[1]
+        yield "\n" + indent + brackets[1] if sep[0] == "," else brackets  # [] or {} when empty
     else:
         raise TypeError(f"{type(value).__name__} is not part of a JSON report")
 

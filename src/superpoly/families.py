@@ -86,13 +86,13 @@ def generate(r: int, m: int, j0: int, kmax: int | None = None) -> Family:
     return fam.extend(_check_kmax(r, kmax))
 
 
-def stream(r: int, m: int, j0: int, kmax: int) -> Iterator[Tuple[int, CPoly]]:
+def stream(r: int, m: int, j0: int, kmax: int | None) -> Iterator[Tuple[int, CPoly]]:
     """(k, P_k) for k = -2r..kmax in order, holding at most 2r + 1 members at once.
 
-    The arguments are checked when stream is called, as `generate` checks
-    them.  A private Family is extended one index at a time, and the member
-    2r below the new one, which no later member reads, is dropped before it
-    is yielded.
+    The arguments are checked when stream is called, and kmax = None read
+    as 12r, as `generate` does.  A private Family is extended one index at
+    a time, and the member 2r below the new one, which no later member
+    reads, is dropped before it is yielded.
     """
     fam = Family(r, m, j0)
     kmax = _check_kmax(r, kmax)

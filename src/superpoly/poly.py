@@ -13,9 +13,9 @@ content gcd, which starts from den and stops once it reaches 1.  The
 package reads a CPoly only through num and den.  Everything is immutable
 and exact; there is no floating-point path.
 
-A streamed report's strings can be split between this process and one
-forked worker (split_strings), which is the one place the package starts a
-process.
+A report array's strings can be built as it is written, split between
+this process and one forked worker (split_strings), which is the one
+place the package starts a process.
 """
 
 from __future__ import annotations
@@ -120,9 +120,6 @@ class CPoly:
     def __sub__(self, other) -> "CPoly":
         return self.combine(other if isinstance(other, CPoly) else CPoly((other,)), 1, -1)
 
-    def __neg__(self) -> "CPoly":
-        return CPoly._canonical(tuple(-a for a in self.num), self.den)
-
     def __mul__(self, other):
         if isinstance(other, CPoly):
             if not self.num or not other.num:
@@ -184,12 +181,7 @@ class CPoly:
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        terms = []
-        for i, a in enumerate(self.to_strings()):
-            if a != "0":
-                power = "c" if i == 1 else f"c^{i}"
-                terms.append(a if i == 0 else power if a == "1" else f"{a}*{power}")
-        return "CPoly(" + (" + ".join(terms) or "0") + ")"
+        return shown(self.to_strings())
 
     # -- serialization --------------------------------------------------
     def to_strings(self) -> "RationalStrings":
@@ -214,34 +206,15 @@ class RationalStrings(list):
     __slots__ = ()
 
 
-class LazyJSON(list):
-    """A report list that the report writer reads as map(encode, source()).
-
-    Nothing is stored: each iteration calls source() for a fresh iterator
-    and yields encode(item) one at a time, and the report writer iterates
-    it like any list.  A large report's strings, and the items of a source
-    that generates them, are therefore built as the report is written, and
-    none is kept.  len is given in advance, as the writer and json's
-    encoders ask it first.  == raises, since the empty storage would make
-    any two equal: compare list(...) of them.
-    """
-
-    __slots__ = ("source", "encode", "length")
-
-    def __init__(self, source, encode, length: int):
-        super().__init__()
-        self.source, self.encode, self.length = source, encode, length
-
-    def __iter__(self):
-        return map(self.encode, self.source())
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __eq__(self, other):
-        raise TypeError("a LazyJSON stores nothing to compare; compare list(...) of it")
-
-    __ne__ = __eq__
+def shown(strings) -> str:
+    """A CPoly's repr, read off its to_strings list: a caller that holds the
+    strings builds none again."""
+    terms = []
+    for i, a in enumerate(strings):
+        if a != "0":
+            power = "c" if i == 1 else f"c^{i}"
+            terms.append(a if i == 0 else power if a == "1" else f"{a}*{power}")
+    return "CPoly(" + (" + ".join(terms) or "0") + ")"
 
 
 SIGKILL = 9  # fixed by POSIX; the signal module would cost every process start an import
@@ -304,31 +277,28 @@ def _fork_worker(items, poly):
         os._exit(code)
 
 
-def split_strings(source, poly=lambda item: item):
-    """A re-callable source of (item, poly(item).to_strings()), in source's order.
+def split_strings(items, poly=lambda item: item):
+    """Yield (item, poly(item).to_strings()) for each of items, in order.
 
-    source is LazyJSON's: each call returns a fresh iterator over the same
-    deterministic items.  With a second CPU, each iteration forks one worker
-    that walks its own copy of the iterator and builds the strings of every
-    other nonzero member; this process builds the rest, reads the worker's
-    line by line (holding one member's strings at a time, as when it builds
-    them), and kills and reaps the worker on every way out.  Without a
-    second CPU this process builds every member's strings.
+    Nothing runs before the first next().  With a second CPU, that call
+    forks one worker, which walks its own copy of items and builds the
+    strings of every other nonzero member; this process builds the rest,
+    reads the worker's line by line (holding one member's strings at a
+    time, as when it builds them), and kills and reaps the worker on every
+    way out, a generator closed unfinished included.  Without a second CPU
+    this process builds every member's strings.
     """
-    def pairs():
-        items = source()
-        pid, reader = _fork_worker(items, poly) if _can_fork_worker() else (None, None)
-        try:
-            for item, p, theirs in _workers_share(items, poly):
-                if reader and theirs:
-                    count = int(_received(reader))
-                    strings = RationalStrings(_received(reader) for _ in range(count))
-                else:
-                    strings = p.to_strings()
-                yield item, strings
-        finally:
-            if reader:
-                reader.close()
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-    return pairs
+    pid, reader = _fork_worker(items, poly) if _can_fork_worker() else (None, None)
+    try:
+        for item, p, theirs in _workers_share(items, poly):
+            if reader and theirs:
+                count = int(_received(reader))
+                strings = RationalStrings(_received(reader) for _ in range(count))
+            else:
+                strings = p.to_strings()
+            yield item, strings
+    finally:
+        if reader:
+            reader.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)

@@ -17,7 +17,7 @@ import superpoly.cli as cli
 from superpoly import CPoly, ParameterError, gegenbauer, generate
 from superpoly.cli import COMMANDS, build_parser, main, parse_span
 from superpoly.families import stream
-from superpoly.poly import LazyJSON, split_strings
+from superpoly.poly import split_strings
 
 
 def capture(capsys, argv):
@@ -97,7 +97,7 @@ def test_gen_print_lists_every_nonzero_member(capsys):
 
 
 def test_gen_print_generates_the_family_once(monkeypatch, capsys):
-    # one call checks the arguments and one streams the report; --print
+    # the one call checks the arguments and streams the report; --print
     # prints each member as the report writes it, so it adds none
     counts = {}
     for flags in ([], ["--print"]):
@@ -106,7 +106,22 @@ def test_gen_print_generates_the_family_once(monkeypatch, capsys):
         assert main(["gen", "--r", "2", "--m", "3", "--j0", "-4", "--kmax", "8"] + flags) == 0
         counts[tuple(flags)] = len(calls)
     capsys.readouterr()
-    assert counts == {(): 2, ("--print",): 2}
+    assert counts == {(): 1, ("--print",): 1}
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one CPU", "two CPUs"])
+def test_gen_print_builds_no_more_strings(monkeypatch, capsys, cpus):
+    # --print shows each member from the strings the report writes; a forked
+    # worker's calls land in its own copy of the list and are not counted
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    counts, to_strings = {}, CPoly.to_strings
+    for flags in ([], ["--print"]):
+        calls = []
+        monkeypatch.setattr(CPoly, "to_strings", lambda self: calls.append(1) or to_strings(self))
+        assert main(["gen", "--r", "3", "--m", "2", "--j0", "-5", "--kmax", "30"] + flags) == 0
+        counts[tuple(flags)] = len(calls)
+    assert len(capsys.readouterr().err.splitlines()) > 10
+    assert counts[("--print",)] <= counts[()]
 
 
 def test_report_idempotent(capsys):
@@ -210,14 +225,12 @@ def test_gegenbauer_strings_built_only_when_iterated(monkeypatch):
 
         monkeypatch.setattr(CPoly, "to_strings", counting)
         runner = {row[0]: row[3] for row in COMMANDS}["gegenbauer"]
-        report, ok = runner(build_parser("gegenbauer").parse_args(
-            ["gegenbauer", "--m", "3", "--nmax", "10"]))
-        assert ok and calls == [] and len(report["polys"]) == 11
+        ns = build_parser("gegenbauer").parse_args(["gegenbauer", "--m", "3", "--nmax", "10"])
+        report, ok = runner(ns)
+        assert ok and calls == []
         eager = dict(report, polys=[to_strings(p) for p in gegenbauer(3, 10)])
         assert list(report["polys"]) == eager["polys"] and len(calls) == share
-        assert json.dumps(report) == json.dumps(eager)
-        assert (json.dumps(report, indent=2, sort_keys=True)
-                == json.dumps(eager, indent=2, sort_keys=True))
+        assert written(runner(ns)[0]) == json.dumps(eager, indent=2, sort_keys=True) + "\n"
         monkeypatch.undo()
 
 
@@ -241,7 +254,7 @@ def test_no_worker_beside_another_thread(monkeypatch):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert len(list(split_strings(gegenbauer(3, 10).__iter__)())) == 11
+        assert len(list(split_strings(gegenbauer(3, 10)))) == 11
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -281,8 +294,10 @@ def test_abandoned_or_failed_iteration_reaps_the_worker(monkeypatch):
     two_cpus(monkeypatch)
     ns = build_parser("gen").parse_args(LARGE_REPORT)
     report, _ = ns.fn(ns)
-    assert next(iter(report["polys"]))["k"] == -4  # the worker is running, then abandoned
+    assert next(report["polys"])["k"] == -4  # the worker is running, then abandoned
+    del report  # the last reference to its iterator, which closes it
     assert_no_child_left()
+    report, _ = ns.fn(ns)
     calls, to_strings = [], CPoly.to_strings
 
     def failing(self):
@@ -327,29 +342,34 @@ TEXT = 'az09-/ "\\\n\t\x00\x1f\x7féλ€\U0001d11e'  # quotes, escapes, non-ASC
 
 
 def random_report_value(rng, depth=0):
-    """A nested value of every kind the report writer takes."""
+    """A nested value of every kind the report writer takes, and its twin for
+    json.dumps: the same value with each iterator in it made a list."""
     kinds = ["str", "int", "bool", "none"]
     if depth < 4:
-        kinds += ["list", "tuple", "dict", "lazy", "rational"]
+        kinds += ["list", "tuple", "dict", "iterator", "rational"]
     kind = rng.choice(kinds)
     if kind == "str":
-        return "".join(rng.choice(TEXT) for _ in range(rng.randint(0, 6)))
-    if kind == "int":
-        return rng.choice([0, -1, 7, -(1 << 2000) - 3, rng.randint(-10 ** 40, 10 ** 40)])
-    if kind == "bool":
-        return rng.random() < 0.5
-    if kind == "none":
-        return None
-    if kind == "rational":  # empty or with zeros, integers and fractions
-        return CPoly(Fraction(rng.randint(-99, 99), rng.choice([1, 1, 3, 10 ** 30]))
-                     for _ in range(rng.randint(0, 5))).to_strings()
-    items = [random_report_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
-    if kind == "dict":
-        return {"".join(rng.choice(TEXT) for _ in range(3)) + str(i): item
-                for i, item in enumerate(items)}
-    if kind == "lazy":
-        return LazyJSON(items.__iter__, lambda item: item, len(items))
-    return tuple(items) if kind == "tuple" else items
+        value = "".join(rng.choice(TEXT) for _ in range(rng.randint(0, 6)))
+    elif kind == "int":
+        value = rng.choice([0, -1, 7, -(1 << 2000) - 3, rng.randint(-10 ** 40, 10 ** 40)])
+    elif kind == "bool":
+        value = rng.random() < 0.5
+    elif kind == "none":
+        value = None
+    elif kind == "rational":  # empty or with zeros, integers and fractions
+        value = CPoly(Fraction(rng.randint(-99, 99), rng.choice([1, 1, 3, 10 ** 30]))
+                      for _ in range(rng.randint(0, 5))).to_strings()
+    else:
+        pairs = [random_report_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        items, twins = [item for item, _ in pairs], [twin for _, twin in pairs]
+        if kind == "dict":
+            keys = ["".join(rng.choice(TEXT) for _ in range(3)) + str(i)
+                    for i in range(len(pairs))]
+            return dict(zip(keys, items)), dict(zip(keys, twins))
+        if kind == "iterator":
+            return (item for item in items), twins
+        return (tuple(items), tuple(twins)) if kind == "tuple" else (items, twins)
+    return value, value
 
 
 def written(value) -> str:
@@ -361,17 +381,25 @@ def written(value) -> str:
 def test_report_writer_matches_json_dumps():
     rng = random.Random(20261019)
     for _ in range(300):
-        value = random_report_value(rng)
-        assert written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        value, twin = random_report_value(rng)
+        assert written(value) == json.dumps(twin, indent=2, sort_keys=True) + "\n"
     subclasses = [type("Text", (str,), {})('a"\\é'), IntEnum("Small", "ONE TWO").TWO]
     assert written(subclasses) == json.dumps(subclasses, indent=2, sort_keys=True) + "\n"
+    # an empty iterator, alone and nested in a dict beside a full one
+    assert written(iter(())) == "[]\n"
+    nested = {"a": iter([]), "b": (x for x in [1, {"c": iter(["d"])}])}
+    assert written(nested) == json.dumps({"a": [], "b": [1, {"c": ["d"]}]}, indent=2,
+                                         sort_keys=True) + "\n"
     # one report of many writes: pieces far above and below WRITE_SIZE
-    value = {"polys": LazyJSON(lambda: stream(2, 3, -4, 300),
-                               lambda item: {"k": item[0], "coeffs": item[1].to_strings()}, 305),
-             "notes": [random_report_value(rng) for _ in range(2000)]}
+    notes, note_twins = zip(*(random_report_value(rng) for _ in range(2000)))
+    value = {"polys": map(lambda item: {"k": item[0], "coeffs": item[1].to_strings()},
+                          stream(2, 3, -4, 300)),
+             "notes": notes}
+    twin = {"polys": [{"k": k, "coeffs": p.to_strings()} for k, p in stream(2, 3, -4, 300)],
+            "notes": note_twins}
     text = written(value)
     assert len(text) > 20 * cli.WRITE_SIZE
-    assert text == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(twin, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("value", [1.5, {"a": [float("nan")]}, {1, 2}, [{3: "key"}],

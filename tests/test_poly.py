@@ -195,7 +195,7 @@ def test_integer_representation_matches_fraction_reference():
         assert_canonical(a + b, ref_add(ra, rb))
         assert_canonical(a - b, ref_add(ra, rb, -1))
         assert_canonical(a - a, ())
-        assert_canonical(-a, ref_trim(-x for x in ra))
+        assert_canonical(a.scale(-1), ref_trim(-x for x in ra))
         assert_canonical(a * b, ref_mul(ra, rb))
         s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         assert_canonical(a.scale(s), ref_trim(x * s for x in ra))
