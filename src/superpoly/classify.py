@@ -125,12 +125,10 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10,
 def gegenbauer_ode_residual(m: int, n: int, y: CPoly) -> CPoly:
     """(1 - c^2) y'' - c (2/m + 3) y' + n (2/m + n + 2) y.
 
-    On c^s: [n (2/m + n + 2) - s (s + 2 + 2/m)] c^s + s(s-1) c^(s-2).  The band
-    runs on m times these integer symbols and the result is divided by m once.
+    Its table is m times the equation's, so that every entry is an integer;
+    the result is divided by m once.
     """
-    eig = n * (2 + m * (n + 2))
-    return y.band(lambda s: eig - s * (2 + m * (s + 2)),
-                  lambda s: m * s * (s - 1)).scale(Fraction(1, m))
+    return y.act(((n * (2 + m * (n + 2)),), (0, -(2 + 3 * m)), (m, 0, -m))).scale(Fraction(1, m))
 
 
 def gegenbauer(m: int, nmax: int) -> List[CPoly]:

@@ -7,10 +7,11 @@ Both operators share the leading structure
 
 with (W, X, Y, Z) scalar in (r, m, n) per family type; the type-2 scalars
 carry the correction Delta = r^2 (r-2) m (2mn - 7mr + 2m + 4r), which
-vanishes for r = 2 and wherever 2mn - 7mr + 2m + 4r = 0.  Each operator
-sends c^s to at most three monomials, c^s, c^(s-2) and c^(s-4)
-(`OdeOperator.band_symbols`); applying it, its leading symbol and its
-polynomial kernel are all read off that band.
+vanishes for r = 2 and wherever 2mn - 7mr + 2m + 4r = 0.  Each operator is
+stated once, as its coefficient table (`OdeOperator.coefficient_table`).
+It sends c^s to c^s, c^(s-2) and c^(s-4) only; applying it (`CPoly.act`),
+its leading symbol I(s) and its polynomial kernel all read the table's
+per-shift symbols (`poly.shift_symbols`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, List, Literal, Optional, Sequence, Tuple
 from .errors import AlignmentError, ParameterError
 from .families import Family, _check_params, canonical_j0, generate
 from .linalg import nullspace
-from .poly import CPoly
+from .poly import CPoly, shift_symbols
 
 FamilyType = Literal[1, 2]
 
@@ -82,31 +83,9 @@ class OdeOperator:
         """(coeff0, ..., coeff4): the c-polynomial multiplying d^i/dc^i, at an int n."""
         return tuple(CPoly(row) for row in self.coefficient_table())
 
-    def band_symbols(self) -> Tuple[Callable[[int], int], ...]:
-        """(I, J, K) with L_n(c^s) = I(s) c^s + J(s) c^(s-2) + K(s) c^(s-4).
-
-        With M = m^2 r^4 and f3 = s(s-1)(s-2), read off the coefficients:
-
-            K = M f3 (s-3),   J = -2 M f3 (s+2) + Y s(s-1),
-            I = M f3 (s+7) + X s(s-1) + Z s + W.
-        """
-        W, X, Y, Z = self.scalars
-        M = self.m * self.m * self.r ** 4
-
-        def diag(s):
-            return (M * (s - 2) * (s + 7) + X) * s * (s - 1) + Z * s + W
-
-        def sub2(s):
-            return (Y - 2 * M * (s - 2) * (s + 2)) * s * (s - 1)
-
-        def sub4(s):
-            return M * s * (s - 1) * (s - 2) * (s - 3)
-
-        return diag, sub2, sub4
-
     def apply(self, p: CPoly) -> CPoly:
         """Exact residual: the sum over i of coefficients[i] times the i-th derivative of p."""
-        return p.band(*self.band_symbols())
+        return p.act(self.coefficient_table())
 
 
 def build_operator(family_type: FamilyType, r: int, m: int, n: int) -> OdeOperator:
@@ -196,8 +175,7 @@ def indicial(family_type: FamilyType, r: int, m: int, n: int) -> dict:
     s = 0..4 decide whether they are equal: the certified factors must
     reproduce I, and the printed ones match it iff Delta = 0.
     """
-    diag = build_operator(family_type, r, m, n).band_symbols()[0]
-    symbol = [diag(s) for s in range(5)]
+    symbol = shift_symbols(build_operator(family_type, r, m, n).coefficient_table(), range(5))[0]
 
     def is_symbol(factors) -> bool:
         return [_factor_product(factors, s) for s in range(5)] == symbol
@@ -229,8 +207,9 @@ def polynomial_kernel(op: OdeOperator, degree_bound: int,
                       parity: Literal["even", "odd", "both"] = "both") -> List[CPoly]:
     """Exact basis of {p : deg p <= bound, requested parity, op(p) = 0}.
 
-    Coefficient t of op(p) is I(t) a_t + J(t+2) a_(t+2) + K(t+4) a_(t+4), so
-    the a_s are solved downward from the top power.  Where I(s) != 0, a_s is
+    With I, J and K the table's symbols at shifts 0, -2 and -4, coefficient
+    t of op(p) is I(t) a_t + J(t+2) a_(t+2) + K(t+4) a_(t+4), so the a_s are
+    solved downward from the top power.  Where I(s) != 0, a_s is
     fixed by the two above it.  Where I(s) = 0, a_s is a free parameter and
     the equation at t = s constrains the parameters above it.  I has degree 4
     in s, so the constraints have at most 4 columns; they go through
@@ -243,21 +222,22 @@ def polynomial_kernel(op: OdeOperator, degree_bound: int,
         raise ParameterError("degree_bound must be >= 0")
     powers = range(1 if parity == "odd" else 0, degree_bound + 1,
                    1 if parity == "both" else 2)
-    diag, sub2, sub4 = op.band_symbols()
-    params = [s for s in powers if diag(s) == 0]
+    symbols = shift_symbols(op.coefficient_table(), range(degree_bound + 5))
+    diag, sub2, sub4 = symbols[0], symbols[-2], symbols[-4]
+    params = [s for s in powers if diag[s] == 0]
     if not params:
         return []
     zero = [Fraction(0)] * len(params)
     coords = {}  # power s -> a_s as a vector over the parameters
     constraints = []
     for s in reversed(powers):
-        above = [-(sub2(s + 2) * x + sub4(s + 4) * y)
+        above = [-(sub2[s + 2] * x + sub4[s + 4] * y)
                  for x, y in zip(coords.get(s + 2, zero), coords.get(s + 4, zero))]
         if s in params:
             constraints.append(above)
             coords[s] = [Fraction(int(s == t)) for t in params]
         else:
-            d = diag(s)
+            d = diag[s]
             coords[s] = [x / d for x in above]
     out = []
     for u in nullspace(constraints, len(params)):

@@ -147,30 +147,23 @@ class CPoly:
             return self
         return CPoly._canonical((0,) * powers + self.num, self.den)
 
-    def derive(self, order: int = 1) -> "CPoly":
-        """Exact order-th derivative."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        cs = self.num
-        for _ in range(order):
-            cs = [cs[i] * i for i in range(1, len(cs))]
-        return CPoly(cs, self.den)
+    def act(self, table) -> "CPoly":
+        """The image of self under the operator sum_i table[i](c) d^i/dc^i.
 
-    def band(self, diag, sub2, sub4=None) -> "CPoly":
-        """Image under c^s -> diag(s) c^s + sub2(s) c^(s-2) + sub4(s) c^(s-4).
-
-        diag, sub2 and sub4 are functions of the power s with integer values
-        (every caller scales its symbols to integers), so the result is formed
-        over den; coefficient s of it is diag(s) p[s] + sub2(s+2) p[s+2]
-        + sub4(s+4) p[s+4].  Every operator in the package has this shape.
+        Row i of table holds the integer c-coefficients, low power first, of
+        the factor of d^i/dc^i, so entry j of row i sends c^s to
+        s!/(s-i)! c^(s-i+j).  The result is formed over den and normalised
+        once: coefficient s + d of it sums f(s) p[s] over the table's
+        shift_symbols (d, f), at the powers s where p[s] != 0.
         """
         cs = self.num
-        out = [0] * len(cs)
-        for f, lower in ((diag, 0), (sub2, 2), (sub4, 4)):
-            if f is not None:
-                for s in range(lower, len(cs)):
-                    if cs[s]:
-                        out[s - lower] += f(s) * cs[s]
+        powers = [s for s, x in enumerate(cs) if x]
+        symbols = shift_symbols(table, powers)
+        out = [0] * (len(cs) + max([0, *symbols]))
+        for d, f in symbols.items():
+            for s, v in zip(powers, f):
+                if v:  # f(s) = 0 wherever s + d < 0
+                    out[s + d] += v * cs[s]
         return CPoly(out, self.den)
 
     # -- equality / hashing / display ----------------------------------
@@ -194,6 +187,26 @@ class CPoly:
             g = gcd(a, den)
             out.append(str(a // g) if g == den else f"{a // g}/{den // g}")
         return out
+
+
+def shift_symbols(table, powers) -> dict:
+    """{d: [f(s) for s in powers]}, where the operator of CPoly.act's table
+    sends c^s to the sum over d of f(s) c^(s+d); powers is a list or range
+    of ints >= 0.
+
+    f(s) sums table[i][j] s!/(s-i)! over the entries with j - i = d; the
+    falling factorial s!/(s-i)! is 0 for s < i.
+    """
+    entries = [(i, j - i, a) for i, row in enumerate(table) for j, a in enumerate(row) if a]
+    symbols = {d: [0] * len(powers) for _, d, _ in entries}
+    for t, s in enumerate(powers):
+        falling, k = 1, 0  # falling = s!/(s-k)!
+        for i, d, a in entries:
+            while k < i:
+                falling *= s - k
+                k += 1
+            symbols[d][t] += a * falling
+    return symbols
 
 
 class RationalStrings(list):

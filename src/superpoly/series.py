@@ -64,48 +64,29 @@ def first_order_residual(fam: Family, K: int) -> List[CPoly]:
 # fourth-order PDE, reduced per z-exponent
 # ---------------------------------------------------------------------------
 
-def _bracket(family_type: FamilyType, r: int, m: int, v: int):
-    """m * [r^2((1-c^2) d^2 - 3c d) + v^2 + (2/m)(r+(1-2r)m) v + const] as band symbols.
-
-    Multiplied through by m so all coefficients stay integral; the constant is
-    (2r/m)(m(r-1)-r) for type 1 and -r^2 for type 2.  With S the scalar part,
-    the bracket maps c^e to [S - m r^2 e(e+2)] c^e + m r^2 e(e-1) c^(e-2);
-    returns those two coefficients as functions of e.
-    """
-    const = 2 * r * (m * (r - 1) - r) if family_type == 1 else -m * r * r
-    S = m * v * v + 2 * (r + (1 - 2 * r) * m) * v + const
-    mr2 = m * r * r
-
-    def diag(e):
-        return S - mr2 * e * (e + 2)
-
-    def sub2(e):
-        return mr2 * e * (e - 1)
-
-    return diag, sub2
-
-
 def pde_reduced(family_type: FamilyType, r: int, m: int, v: int, g: CPoly,
                 corrected: bool = False) -> CPoly:
     """The per-exponent reduction of the printed fourth-order PDE applied to g.
 
     The PDE operators contain no multiplication by z, so d/dv acts diagonally
     as the z-exponent v.  The reduction is the bracket applied twice plus
-    lower terms.  Type 1 subtracts 4 r^2 (m(r-1)-r)^2 g,
-    12 r^2 (-(m+r)^2 + mr(2r+m(r+2))) c g' and adds
+    lower terms.  The bracket is
+
+        m [r^2 ((1-c^2) d^2 - 3c d) + v^2 + (2/m)(r+(1-2r)m) v + const],
+
+    multiplied through by m so that its table is integral; the constant is
+    (2r/m)(m(r-1)-r) for type 1 and -r^2 for type 2.  Type 1 subtracts
+    4 r^2 (m(r-1)-r)^2 g, 12 r^2 (-(m+r)^2 + mr(2r+m(r+2))) c g' and adds
     4 r^2 ((m+r)^2 + mr(-2r+m(r-2))) (1-c^2) g''.  With corrected=True it also
     subtracts the two terms the published statement is missing,
     4 r^4 (m+1) g'' + 24 r^2 (m^2 - 2m^2 r + 2mr - 2mr^2 + r^2) c g',
     which makes it identical to the type-1 fourth-order operator at n = v.
     Type 2 subtracts 4 r^2 (m+r-2mr)^2 (-(1-c^2) g'' + 3c g' + g) and
     4 r^4 (m+1) g''; it equals the type-2 operator at n = v as printed.
-
-    On c^s the lower terms give -(q0 + q1 s + q2 s(s-1)) c^s + t s(s-1) c^(s-2),
-    and the bracket composed with itself gives a(s)^2 c^s
-    + b(s)(a(s) + a(s-2)) c^(s-2) + b(s) b(s-2) c^(s-4), so the whole
-    reduction is one band.
     """
-    a, b = _bracket(family_type, r, m, v)
+    const = 2 * r * (m * (r - 1) - r) if family_type == 1 else -m * r * r
+    mr2 = m * r * r
+    bracket = ((m * v * v + 2 * (r + (1 - 2 * r) * m) * v + const,), (0, -3 * mr2), (mr2, 0, -mr2))
     if family_type == 1:
         q0 = 4 * r * r * (m * (r - 1) - r) ** 2
         q1 = 12 * r * r * (-(m + r) ** 2 + m * r * (2 * r + m * (r + 2)))
@@ -116,17 +97,9 @@ def pde_reduced(family_type: FamilyType, r: int, m: int, v: int, g: CPoly,
     else:
         q2 = 4 * r * r * (m + r - 2 * m * r) ** 2
         q0, q1, t = q2, 3 * q2, q2 - 4 * r ** 4 * (m + 1)
-
-    def diag(s):
-        return a(s) ** 2 - q0 - q1 * s - q2 * s * (s - 1)
-
-    def sub2(s):
-        return b(s) * (a(s) + a(s - 2)) + t * s * (s - 1)
-
-    def sub4(s):
-        return b(s) * b(s - 2)
-
-    return g.band(diag, sub2, sub4)
+    # -q0 g - q1 c g' + (t - q2 c^2) g''
+    lower = ((-q0,), (0, -q1), (t, 0, -q2))
+    return g.act(bracket).act(bracket) + g.act(lower)
 
 
 def certify_exponent_mapping(family_type: FamilyType, fam: Family, K: int,

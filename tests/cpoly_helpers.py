@@ -1,12 +1,14 @@
 """Queries and reference computations that only the tests need: a CPoly's
-coefficients as Fractions, its parity, evaluation and parsing, the operator's
-leading symbol, two-term fits on Fraction rows, and a direct Gram matrix."""
+coefficients as Fractions, its derivatives, parity, evaluation and parsing,
+the operator's leading symbol, two-term fits on Fraction rows, and a direct
+Gram matrix."""
 
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
 from superpoly import CPoly, ParameterError, indicial_factors, is_resonant, solve_exact
+from superpoly.poly import shift_symbols
 
 
 def coefficients(p: CPoly) -> tuple:
@@ -35,6 +37,16 @@ def fraction_two_term_fit(*triples):
             rows.append([coefficient(q1, i), coefficient(q2, i)])
             rhs.append(coefficient(p, i))
     return solve_exact(rows, rhs)
+
+
+def derive(p: CPoly, order: int) -> CPoly:
+    """p's exact order-th derivative: the reference CPoly.act is checked against."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    cs = p.num
+    for _ in range(order):
+        cs = [cs[i] * i for i in range(1, len(cs))]
+    return CPoly(cs, p.den)
 
 
 def parity(p: CPoly):
@@ -70,10 +82,10 @@ def indicial_value(family_type, r, m, n, s) -> int:
 
 
 def leading_symbol(op, s) -> Fraction:
-    """Coefficient of c^s in op(c^s): the diagonal I(s) of the banded action."""
+    """Coefficient of c^s in op(c^s): the shift-0 symbol I(s) of its table."""
     if s < 0:
         raise ParameterError("s must be >= 0")
-    return Fraction(op.band_symbols()[0](s))
+    return Fraction(shift_symbols(op.coefficient_table(), [s])[0][0])
 
 
 def resonant_pairs(r_range, m_range):

@@ -581,6 +581,23 @@ def test_every_private_function_is_read():
     assert [f"{name}: {fn}" for name, fn in private if fn not in read] == []
 
 
+def test_every_public_cpoly_method_is_read():
+    # a public CPoly method or property has a reader in src/ or perfbench/
+    # (coeffs has only perfbench/traced.py); one that only the tests call
+    # belongs in tests/cpoly_helpers.py
+    root = Path(__file__).resolve().parents[1]
+    paths = [*(root / "src" / "superpoly").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    trees = [ast.parse(path.read_text()) for path in paths]
+    cpoly = next(node for tree in trees for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "CPoly")
+    public = [node.name for node in cpoly.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    assert "scale" in public and "coeffs" in public
+    assert [name for name in public if name not in read] == []
+
+
 def _parse_outcome(parser, argv, capsys):
     try:
         ns = vars(parser.parse_args(argv))

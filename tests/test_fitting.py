@@ -8,7 +8,7 @@ from superpoly import (CPoly, FitError, align_index, build_operator, fit_ode,
                        generate, in_span, nullspace, operator_vector)
 from superpoly.fitting import N_DEGREE
 
-from cpoly_helpers import coefficients, leading
+from cpoly_helpers import coefficients, derive, leading
 
 
 def materialize(vec, bounds, n):
@@ -62,7 +62,7 @@ def test_fit_type2_kernel_contains_operator():
 
 def residual(vec, p, n, bounds=(0, 1, 2, 3, 4)):
     """Reference action of a fitted operator: sum_i materialize(n)[i] * p^(i)."""
-    return sum((coeff * p.derive(i) for i, coeff in enumerate(materialize(vec, bounds, n))),
+    return sum((coeff * derive(p, i) for i, coeff in enumerate(materialize(vec, bounds, n))),
                CPoly.zero())
 
 
@@ -206,7 +206,7 @@ def fraction_rows(fam, delta, holdout=4, bounds=(0, 1, 2, 3, 4)):
     rows = []
     for k, p in members[:len(members) - holdout]:
         npows = [Fraction(k + delta) ** l for l in range(N_DEGREE + 1)]
-        derivs = [p.derive(i) for i in range(len(bounds))]
+        derivs = [derive(p, i) for i in range(len(bounds))]
         height = max(len(d) + b for d, b in zip(derivs, bounds) if d)
         block = [[Fraction(0)] * ncols for _ in range(height)]
         for i, d in enumerate(derivs):

@@ -9,15 +9,15 @@ from superpoly import (AlignmentError, CPoly, ParameterError, align_index, build
                        nullspace, polynomial_kernel, printed_indicial_factors,
                        residual_scan, scalar_coefficients, scan_cell)
 
-from cpoly_helpers import (coefficient, indicial_value, leading, leading_symbol, parity,
-                           resonant_pairs)
+from cpoly_helpers import (coefficient, derive, indicial_value, leading, leading_symbol,
+                           parity, resonant_pairs)
 
 
 def reference_apply(op, p):
     """The operator as coefficient polynomials times derivatives, the reference
-    the banded action is checked against."""
-    return (op.coefficients[4] * p.derive(4) + op.coefficients[3] * p.derive(3)
-            + op.coefficients[2] * p.derive(2) + op.coefficients[1] * p.derive(1)
+    the table-driven action is checked against."""
+    return (op.coefficients[4] * derive(p, 4) + op.coefficients[3] * derive(p, 3)
+            + op.coefficients[2] * derive(p, 2) + op.coefficients[1] * derive(p, 1)
             + op.coefficients[0] * p)
 
 

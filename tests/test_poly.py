@@ -4,11 +4,11 @@ from math import gcd
 
 import pytest
 
-from superpoly import CPoly
+from superpoly import CPoly, build_operator
 from superpoly.families import stream
-from superpoly.poly import RationalStrings
+from superpoly.poly import RationalStrings, shift_symbols
 
-from cpoly_helpers import coefficients, evaluate, from_strings, parity
+from cpoly_helpers import coefficient, coefficients, derive, evaluate, from_strings, parity
 
 
 def test_difference_of_squares():
@@ -34,18 +34,18 @@ def test_inverse_scaling():
 
 
 def test_derivative_basic():
-    assert CPoly((0, 0, 0, 1)).derive(1) == CPoly((0, 0, 3))
-    assert CPoly((0, 0, 0, 1)).derive(4) == CPoly.zero()
+    assert derive(CPoly((0, 0, 0, 1)), 1) == CPoly((0, 0, 3))
+    assert derive(CPoly((0, 0, 0, 1)), 4) == CPoly.zero()
 
 
 def test_derivative_hand_value():
     # d^2/dc^2 (32 c^2 - 5) = 64
-    assert CPoly((-5, 0, 32)).derive(2) == CPoly((64,))
+    assert derive(CPoly((-5, 0, 32)), 2) == CPoly((64,))
 
 
 def test_derivative_rejects_a_negative_order():
     with pytest.raises(ValueError, match="order must be >= 0"):
-        CPoly((1, 2)).derive(-1)
+        derive(CPoly((1, 2)), -1)
 
 
 def test_canonical_trailing_zeros():
@@ -142,15 +142,6 @@ def ref_derive(a, order):
     return ref_trim(a)
 
 
-def ref_band(a, diag, sub2, sub4=None):
-    out = [diag(s) * x for s, x in enumerate(a)]
-    for f, lower in ((sub2, 2), (sub4, 4)):
-        if f is not None:
-            for s in range(lower, len(a)):
-                out[s - lower] += f(s) * a[s]
-    return ref_trim(out)
-
-
 def ref_call(a, x):
     return sum((c * Fraction(x) ** i for i, c in enumerate(a)), Fraction(0))
 
@@ -204,7 +195,7 @@ def test_integer_representation_matches_fraction_reference():
         k = rng.randint(0, 3)
         assert_canonical(a.shift(k), ref_trim([0] * k + list(ra)) if ra else ())
         order = rng.randint(0, 5)
-        assert_canonical(a.derive(order), ref_derive(ra, order))
+        assert_canonical(derive(a, order), ref_derive(ra, order))
         x = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
         assert evaluate(a, x) == ref_call(ra, x)
         n = rng.randint(-5, 5)
@@ -218,22 +209,40 @@ def test_integer_representation_matches_fraction_reference():
     assert_canonical(deep, coefficients(deep))
 
 
-def test_band_with_int_and_fraction_symbols():
+def ref_act(p, table):
+    """The table's operator as coefficient polynomials times derivatives."""
+    return sum((CPoly(row) * derive(p, i) for i, row in enumerate(table)), CPoly.zero())
+
+
+def random_table(rng, top):
+    # up to six rows; a row is empty or up to i + 3 entries long, so some
+    # entries shift powers up
+    lengths = [rng.choice((0, rng.randint(1, i + 3))) for i in range(rng.randint(0, 6))]
+    return tuple(tuple(rng.randint(-top, top) for _ in range(n)) for n in lengths)
+
+
+def test_act_matches_derivatives_and_products():
     rng = random.Random(4)
-    lam = Fraction(7, 3)
-    symbol_sets = [
-        # integer symbols, as every operator band in ode and series has
-        (lambda s: 3 * s * s - 5, lambda s: s * (s - 1), lambda s: -2 * s),
-        (lambda s: s + 1, lambda s: 4, None),
-        # rational symbols, as the Gegenbauer band in classify has
-        (lambda s: lam * s - 1, lambda s: s * (s - 1), None),
-        (lambda s: Fraction(1, s + 2), lambda s: Fraction(s, 5), lambda s: lam),
-    ]
-    for _ in range(60):
-        coeffs = random_rational_coeffs(rng, length=rng.randint(0, 9))
-        p, ref = CPoly(coeffs), ref_trim(coeffs)
-        for diag, sub2, sub4 in symbol_sets:
-            assert_canonical(p.band(diag, sub2, sub4), ref_band(ref, diag, sub2, sub4))
+    fixed = [(), ((),), ((), (), (), (1,)), ((1, 2, 3),), ((0,), (), (0, 0, 0, 0, 5)),
+             ((7,), (0, -3), (2, 0, -2))]
+    for trial in range(300):
+        top = 10 ** 30 if trial % 5 == 0 else 9
+        table = fixed[trial] if trial < len(fixed) else random_table(rng, top)
+        p = CPoly(random_rational_coeffs(rng, length=rng.randint(0, 9), big=trial % 3 == 0))
+        assert_canonical(p.act(table), coefficients(ref_act(p, table)))
+        assert CPoly.zero().act(table) == CPoly.zero()
+        symbols = shift_symbols(table, range(7))
+        for s in range(7):
+            image = ref_act(CPoly.monomial(s), table)
+            for d, f in symbols.items():
+                assert f[s] == (coefficient(image, s + d) if s + d >= 0 else 0)
+    # a deep member, whose coefficients run to hundreds of digits, under its
+    # own operator and under a table with 30-digit entries
+    k, deep = list(stream(2, 3, -4, 200))[-1]
+    big = random_table(random.Random(5), 10 ** 30)
+    for table in (build_operator(1, 2, 3, k + 4).coefficient_table(), big):
+        assert_canonical(deep.act(table), coefficients(ref_act(deep, table)))
+    assert deep.act(build_operator(1, 2, 3, k + 4).coefficient_table()) == CPoly.zero()
 
 
 def test_integer_input_builds_no_fraction(monkeypatch):
@@ -246,9 +255,10 @@ def test_integer_input_builds_no_fraction(monkeypatch):
     assert (p.num, p.den) == ((6, 0, -4, 0, 2), 1)
     q = CPoly([4, 6], 8)
     assert (q.num, q.den) == ((2, 3), 4)
-    assert q.shift(1) + p.scale(5) - q.derive(1) == CPoly([117, 2, -77, 0, 40], 4)
+    assert q.shift(1) + p.scale(5) - derive(q, 1) == CPoly([117, 2, -77, 0, 40], 4)
     assert (p * q).to_strings() == ["3", "9/2", "-2", "-3", "1", "3/2"]
-    assert p.band(lambda s: s, lambda s: 1) == CPoly((-4, 0, -6, 0, 8))
+    assert p.act(((0,), (0, 1), (1,))) == CPoly((-8, 0, 16, 0, 8))
+    assert q.act(((1, 2), (0, 0, 3))) == CPoly([2, 7, 15], 4)
 
 
 def test_constructor_rejects_nonpositive_den():

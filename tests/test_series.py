@@ -9,6 +9,8 @@ from superpoly import (CPoly, TruncationError, build_operator,
                        generate, pde_reduced, pde_residual)
 from superpoly.families import Family
 
+from cpoly_helpers import derive
+
 
 def zero_through(resid, bound):
     return all(resid[k].is_zero() for k in range(bound + 1))
@@ -74,30 +76,30 @@ def test_zseries_convention():
 def reference_bracket(family_type, r, m, v, g):
     const = 2 * r * (m * (r - 1) - r) if family_type == 1 else -m * r * r
     s = m * v * v + 2 * (r + (1 - 2 * r) * m) * v + const
-    return ((CPoly((1, 0, -1)) * g.derive(2)).scale(m * r * r)
-            - (CPoly((0, 1)) * g.derive(1)).scale(3 * m * r * r)
+    return ((CPoly((1, 0, -1)) * derive(g, 2)).scale(m * r * r)
+            - (CPoly((0, 1)) * derive(g, 1)).scale(3 * m * r * r)
             + g.scale(s))
 
 
 def reference_pde_reduced(family_type, r, m, v, g, corrected):
     """The printed reduction by derivatives and polynomial products, the
-    reference the banded reduction is checked against."""
+    reference the table-driven reduction is checked against."""
     omc2, c = CPoly((1, 0, -1)), CPoly((0, 1))
     res = reference_bracket(family_type, r, m, v, reference_bracket(family_type, r, m, v, g))
     if family_type == 1:
         res = res - g.scale(4 * r * r * (m * (r - 1) - r) ** 2)
-        res = res - (c * g.derive(1)).scale(
+        res = res - (c * derive(g, 1)).scale(
             12 * r * r * (-(m + r) ** 2 + m * r * (2 * r + m * (r + 2))))
-        res = res + (omc2 * g.derive(2)).scale(
+        res = res + (omc2 * derive(g, 2)).scale(
             4 * r * r * ((m + r) ** 2 + m * r * (-2 * r + m * (r - 2))))
         if corrected:
-            res = res - g.derive(2).scale(4 * r ** 4 * (m + 1))
-            res = res - (c * g.derive(1)).scale(
+            res = res - derive(g, 2).scale(4 * r ** 4 * (m + 1))
+            res = res - (c * derive(g, 1)).scale(
                 24 * r * r * (m * m - 2 * m * m * r + 2 * m * r - 2 * m * r * r + r * r))
     else:
-        res = res - (omc2.scale(-1) * g.derive(2) + (c * g.derive(1)).scale(3) + g).scale(
+        res = res - (omc2.scale(-1) * derive(g, 2) + (c * derive(g, 1)).scale(3) + g).scale(
             4 * r * r * (m + r - 2 * m * r) ** 2)
-        res = res - g.derive(2).scale(4 * r ** 4 * (m + 1))
+        res = res - derive(g, 2).scale(4 * r ** 4 * (m + 1))
     return res
 
 
