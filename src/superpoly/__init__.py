@@ -6,7 +6,7 @@ degree restrictions, kernel uniqueness, initial-condition classification,
 Gegenbauer reductions, Favard orthogonality) with no approximation anywhere.
 """
 
-from .errors import AlignmentError, FitError, ParameterError, SuperpolyError, TruncationError
+from .errors import FitError, ParameterError, SuperpolyError, TruncationError
 from .poly import CPoly
 from .linalg import nullspace, solve_exact
 from .families import Family, canonical_j0, generate

@@ -46,14 +46,14 @@ def _canonical_pair(r: int, m: int, members: int) -> Tuple[Family, Family]:
     return tuple(generate(r, m, canonical_j0(t, r), (members + 6) * r) for t in (1, 2))
 
 
-def _two_term_rows(p: CPoly, q1: CPoly, q2: CPoly):
-    """p = x q1 + y q2 coefficient by coefficient, times the lcm of the three
-    denominators: integer rows [q1_i, q2_i] and integer right-hand sides p_i."""
+def _two_term_rows(p: CPoly, q1: CPoly, q2: CPoly, powers: Optional[List[int]] = None):
+    """p = x q1 + y q2 at each power i of c (default all), times the lcm of the
+    three denominators: integer rows [q1_i, q2_i] and right-hand sides p_i."""
     den = lcm(p.den, q1.den, q2.den)
-    top = max(len(p), len(q1), len(q2))
+    powers = range(max(len(p), len(q1), len(q2))) if powers is None else powers
 
     def column(q):
-        return [a * (den // q.den) for a in q.num] + [0] * (top - len(q))
+        return [q.num[i] * (den // q.den) if i < len(q.num) else 0 for i in powers]
     return [list(row) for row in zip(column(q1), column(q2))], column(p)
 
 
@@ -160,15 +160,16 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
     engine additionally certifies which single basis element carries each
     member and whether the member satisfies the printed second-order equation.
     A member's (x, y) with p = x Q_n + y c Q_{n-1} is `solve_exact` on the
-    columns [Q_n, c Q_{n-1}]; where they are dependent (degree <= 1), the
-    free y is 0 and the fit is a single Q_n.  Empirically j0 = -r-1 members
-    are single Q_n multiples (and satisfy the equation) while j0 = -1
-    members are single c Q_{n-1} multiples (and do not); the published
-    reductions attribute these the other way around.  The
-    members that fail the printed equation are reported in one
-    printed-reduction-mismatch finding, which does not fail the reduction.
-    Members with k <= kmax (default 14r) are examined; a kmax below the
-    first member raises ParameterError.
+    columns [Q_n, c Q_{n-1}] at the rows of c^n and c^(n-2), certified by
+    one CPoly comparison; only where that fails do all rows decide.  Where
+    the columns are dependent (degree <= 1), the free y is 0 and the fit is
+    a single Q_n.  Empirically j0 = -r-1 members are single Q_n multiples
+    (and satisfy the equation) while j0 = -1 members are single c Q_{n-1}
+    multiples (and do not); the published reductions attribute these the
+    other way around.  The members that fail the printed equation are
+    reported in one printed-reduction-mismatch finding, which does not fail
+    the reduction.  Members with k <= kmax (default 14r) are examined; a
+    kmax below the first member raises ParameterError.
     """
     if j0 not in (-1, -r - 1):
         raise ParameterError("gegenbauer reduction applies to j0 in {-1, -r-1}")
@@ -186,7 +187,9 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
         d = int(p.degree)
         q = basis[d]
         cq = basis[d - 1].shift(1) if d >= 1 else CPoly.zero()
-        fit = solve_exact(*_two_term_rows(p, q, cq))
+        fit = solve_exact(*_two_term_rows(p, q, cq, [t for t in (d, d - 2) if t >= 0]))
+        if fit is not None and q.scale(fit[0]) + cq.scale(fit[1]) != p:
+            fit = solve_exact(*_two_term_rows(p, q, cq))  # every row decides
         all_two_term = all_two_term and fit is not None
         ode_zero = gegenbauer_ode_residual(m, d, p).is_zero()
         entries.append({

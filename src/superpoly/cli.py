@@ -22,7 +22,7 @@ from operator import itemgetter
 from . import __version__
 from .classify import (classification_report, gegenbauer, superposition_fit,
                        verify_gegenbauer_reduction)
-from .errors import AlignmentError, SuperpolyError
+from .errors import SuperpolyError
 from .families import canonical_j0, generate, stream
 from .fitting import CLOSED_BOUNDS, fit_ode, in_span, operator_vector
 from .ode import align_index, build_operator, indicial, polynomial_kernel, residual_scan
@@ -183,10 +183,7 @@ def _fit_ode(ns) -> tuple[dict, bool]:
     fam = _family(ns, ns.kmax)
     delta = ns.delta
     if delta is None:
-        try:
-            delta = align_index(fam, ns.type)
-        except AlignmentError:
-            delta = 0
+        delta = align_index(fam, ns.type) or 0  # no shift aligns: fit at delta = 0
     result = fit_ode(fam, coeff_degree_bounds=ns.bounds, delta=delta, holdout=ns.holdout)
     report = result.to_json()
     seed_type = {canonical_j0(t, ns.r): t for t in (1, 2)}.get(fam.j0)

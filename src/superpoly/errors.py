@@ -1,10 +1,11 @@
 """Exceptions raised by the engine.
 
-Verification *findings* (a nonzero residual, a failed certification) are not
-exceptions: they are reported in result records so batch runs can aggregate
-them.  Exceptions are reserved for misuse and for data that violates an
-operation's preconditions.  The recursion's coefficients are defined at every
-index the engine reads, so no class stands for an undefined one.
+Verification *findings* (a nonzero residual, a failed certification, a shift
+search's None) are not exceptions: they are reported in result records so
+batch runs can aggregate them.  Exceptions are reserved for misuse and for
+data that violates an operation's preconditions.  The recursion's
+coefficients are defined at every index the engine reads, so no class
+stands for an undefined one.
 """
 
 
@@ -14,10 +15,6 @@ class SuperpolyError(Exception):
 
 class ParameterError(SuperpolyError):
     """Parameters outside the valid domain (r >= 2, m >= 2, -2r <= j0 <= -1, ...)."""
-
-
-class AlignmentError(SuperpolyError):
-    """No index shift in {0, r, 2r} certifies against the fourth-order operator."""
 
 
 class TruncationError(SuperpolyError):

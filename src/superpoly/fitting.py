@@ -129,7 +129,7 @@ def operator_vector(family_type, r: int, m: int) -> List[Fraction]:
     FitError.  Used to certify span membership of a fitted kernel.
     """
     vec = []
-    for row in build_operator(family_type, r, m, CPoly((0, 1))).coefficient_table():
+    for row in build_operator(family_type, r, m, CPoly((0, 1))).table:
         for entry in row:
             q = CPoly.zero() + entry  # an int entry is a constant in n
             if len(q) > N_DEGREE + 1:

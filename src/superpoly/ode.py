@@ -7,10 +7,10 @@ Both operators share the leading structure
 
 with (W, X, Y, Z) scalar in (r, m, n) per family type; the type-2 scalars
 carry the correction Delta = r^2 (r-2) m (2mn - 7mr + 2m + 4r), which
-vanishes for r = 2 and wherever 2mn - 7mr + 2m + 4r = 0.  Each operator is
-stated once, as its coefficient table (`OdeOperator.coefficient_table`).
-It sends c^s to c^s, c^(s-2) and c^(s-4) only; applying it (`CPoly.act`),
-its leading symbol I(s) and its polynomial kernel all read the table's
+vanishes for r = 2 and wherever 2mn - 7mr + 2m + 4r = 0.  An `OdeOperator`
+is any coefficient table; `build_operator` writes the families' once.  They
+send c^s to c^s, c^(s-2) and c^(s-4) only; applying one (`CPoly.act`), its
+leading symbol I(s) and its polynomial kernel all read the table's
 per-shift symbols (`poly.shift_symbols`).
 """
 
@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, List, Literal, Optional, Sequence, Tuple
 
-from .errors import AlignmentError, ParameterError
+from .errors import ParameterError
 from .families import Family, _check_params, canonical_j0, generate
 from .linalg import nullspace
 from .poly import CPoly, shift_symbols
@@ -62,34 +62,26 @@ def scalar_coefficients(family_type: FamilyType, r: int, m: int, n: int) -> Tupl
 
 
 class OdeOperator:
-    """L_n, fixed by its four integer scalars (W, X, Y, Z) in (r, m, n); at
-    n = CPoly((0, 1)) only `coefficient_table` is read, exact in n."""
+    """sum_i table[i](c) d^i/dc^i: row i holds the c-coefficients, low power
+    first, of the factor of d^i/dc^i (`CPoly.act`'s form), as ints, or at
+    n = CPoly((0, 1)) as polynomials in n (`fitting.operator_vector`)."""
 
-    def __init__(self, family_type: FamilyType, r: int, m: int, n: int,
-                 scalars: Tuple[int, int, int, int]):
-        self.family_type, self.r, self.m, self.n = family_type, r, m, n
-        self.scalars = scalars  # (W, X, Y, Z) of scalar_coefficients
-
-    def coefficient_table(self) -> Tuple[tuple, ...]:
-        """Row i: the c-coefficients, low power first, of the factor of d^i/dc^i."""
-        W, X, Y, Z = self.scalars
-        M = self.m * self.m * self.r ** 4
-        return ((W,), (0, Z), (Y, 0, X),
-                (0, -10 * M, 0, 10 * M),  # 10 M c (c^2 - 1)
-                (M, 0, -2 * M, 0, M))  # M (c^2 - 1)^2
-
-    @property
-    def coefficients(self) -> Tuple[CPoly, ...]:
-        """(coeff0, ..., coeff4): the c-polynomial multiplying d^i/dc^i, at an int n."""
-        return tuple(CPoly(row) for row in self.coefficient_table())
+    def __init__(self, table: Sequence[Sequence[int]]):
+        self.table = table
 
     def apply(self, p: CPoly) -> CPoly:
-        """Exact residual: the sum over i of coefficients[i] times the i-th derivative of p."""
-        return p.act(self.coefficient_table())
+        """The exact image of p."""
+        return p.act(self.table)
 
 
 def build_operator(family_type: FamilyType, r: int, m: int, n: int) -> OdeOperator:
-    return OdeOperator(family_type, r, m, n, scalar_coefficients(family_type, r, m, n))
+    """L_n of the family type: the scalars (W, X, Y, Z) of scalar_coefficients
+    below the two leading rows both types share, with M = m^2 r^4."""
+    W, X, Y, Z = scalar_coefficients(family_type, r, m, n)
+    M = m * m * r ** 4
+    return OdeOperator(((W,), (0, Z), (Y, 0, X),
+                        (0, -10 * M, 0, 10 * M),  # 10 M c (c^2 - 1)
+                        (M, 0, -2 * M, 0, M)))  # M (c^2 - 1)^2
 
 
 def _first_offset(offsets: Sequence[int], members: Sequence[Tuple[int, CPoly]],
@@ -98,8 +90,9 @@ def _first_offset(offsets: Sequence[int], members: Sequence[Tuple[int, CPoly]],
     return next((o for o in offsets if all(annihilates(k + o, p) for k, p in members)), None)
 
 
-def align_index(fam: Family, family_type: FamilyType) -> int:
-    """The shift delta with n = k + delta, searched over {0, r, 2r}.
+def align_index(fam: Family, family_type: FamilyType) -> Optional[int]:
+    """The shift delta with n = k + delta, searched over {0, r, 2r}; None if
+    the family has fewer than three nonzero members or no shift aligns.
 
     Certified by exact annihilation of the first three nonzero members;
     deterministic: the smallest admissible delta.  fit-ode searches, since a
@@ -109,13 +102,9 @@ def align_index(fam: Family, family_type: FamilyType) -> int:
     r, m = fam.r, fam.m
     members = fam.nonzero_members()[:3]
     if len(members) < 3:
-        raise AlignmentError(f"{fam!r} has fewer than 3 nonzero members")
-    delta = _first_offset((0, r, 2 * r), members, lambda n, p: build_operator(
+        return None
+    return _first_offset((0, r, 2 * r), members, lambda n, p: build_operator(
         family_type, r, m, n).apply(p).is_zero())
-    if delta is None:
-        raise AlignmentError(
-            f"no shift in {{0, {r}, {2 * r}}} aligns {fam!r} with type {family_type}")
-    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +164,7 @@ def indicial(family_type: FamilyType, r: int, m: int, n: int) -> dict:
     s = 0..4 decide whether they are equal: the certified factors must
     reproduce I, and the printed ones match it iff Delta = 0.
     """
-    symbol = shift_symbols(build_operator(family_type, r, m, n).coefficient_table(), range(5))[0]
+    symbol = shift_symbols(build_operator(family_type, r, m, n).table, range(5))[0]
 
     def is_symbol(factors) -> bool:
         return [_factor_product(factors, s) for s in range(5)] == symbol
@@ -207,12 +196,13 @@ def polynomial_kernel(op: OdeOperator, degree_bound: int,
                       parity: Literal["even", "odd", "both"] = "both") -> List[CPoly]:
     """Exact basis of {p : deg p <= bound, requested parity, op(p) = 0}.
 
-    With I, J and K the table's symbols at shifts 0, -2 and -4, coefficient
-    t of op(p) is I(t) a_t + J(t+2) a_(t+2) + K(t+4) a_(t+4), so the a_s are
-    solved downward from the top power.  Where I(s) != 0, a_s is
-    fixed by the two above it.  Where I(s) = 0, a_s is a free parameter and
-    the equation at t = s constrains the parameters above it.  I has degree 4
-    in s, so the constraints have at most 4 columns; they go through
+    With I, J and K the table's symbols at shifts 0, -2 and -4 (zero where
+    it has none; any other shift is a ParameterError), coefficient t of
+    op(p) is I(t) a_t + J(t+2) a_(t+2) + K(t+4) a_(t+4), so the a_s are
+    solved downward from the top power.  Where I(s) != 0, a_s is fixed by
+    the two above it.  Where I(s) = 0, a_s is a free parameter and the
+    equation at t = s constrains the parameters above it.  I has degree 4 in
+    s, so the constraints have at most 4 columns; they go through
     `nullspace`, the one elimination path.  Each parametric solution is 1 at
     its own power, 0 at the other parameters and 0 above its own power, so a
     constraint kernel vector maps to the reduced-echelon basis vector of the
@@ -222,8 +212,11 @@ def polynomial_kernel(op: OdeOperator, degree_bound: int,
         raise ParameterError("degree_bound must be >= 0")
     powers = range(1 if parity == "odd" else 0, degree_bound + 1,
                    1 if parity == "both" else 2)
-    symbols = shift_symbols(op.coefficient_table(), range(degree_bound + 5))
-    diag, sub2, sub4 = symbols[0], symbols[-2], symbols[-4]
+    symbols = shift_symbols(op.table, range(degree_bound + 5))
+    if set(symbols) - {0, -2, -4}:
+        raise ParameterError(f"polynomial_kernel solves shifts 0, -2 and -4 only; "
+                             f"the table has {sorted(symbols)}")
+    diag, sub2, sub4 = (symbols.get(d, [0] * (degree_bound + 5)) for d in (0, -2, -4))
     params = [s for s in powers if diag[s] == 0]
     if not params:
         return []

@@ -1,7 +1,7 @@
 """Queries and reference computations that only the tests need: a CPoly's
 coefficients as Fractions, its derivatives, parity, evaluation and parsing,
-the operator's leading symbol, two-term fits on Fraction rows, and a direct
-Gram matrix."""
+an operator's coefficient polynomials and leading symbol, two-term fits on
+Fraction rows, and a direct Gram matrix."""
 
 from fractions import Fraction
 from itertools import accumulate
@@ -81,11 +81,16 @@ def indicial_value(family_type, r, m, n, s) -> int:
     return v
 
 
+def operator_coefficients(op) -> tuple:
+    """(coeff0, ..., coeff4): the c-polynomial multiplying d^i/dc^i, one per table row."""
+    return tuple(CPoly(row) for row in op.table)
+
+
 def leading_symbol(op, s) -> Fraction:
     """Coefficient of c^s in op(c^s): the shift-0 symbol I(s) of its table."""
     if s < 0:
         raise ParameterError("s must be >= 0")
-    return Fraction(shift_symbols(op.coefficient_table(), [s])[0][0])
+    return Fraction(shift_symbols(op.table, [s])[0][0])
 
 
 def resonant_pairs(r_range, m_range):

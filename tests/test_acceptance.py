@@ -31,7 +31,8 @@ from superpoly import (CPoly, align_index, build_operator,
                        printed_indicial_factors, residual_scan,
                        superposition_fit, verify_gegenbauer_reduction)
 
-from cpoly_helpers import indicial_value, leading, leading_symbol, resonant_pairs
+from cpoly_helpers import (indicial_value, leading, leading_symbol, operator_coefficients,
+                           resonant_pairs)
 from test_fitting import materialize
 
 GRID_R = range(2, 9)
@@ -392,10 +393,8 @@ def test_criterion_8_fit_recovery():
     cand = res1.candidates[0] if res1.candidates else None
     if ok:
         for n in (8, 14, 20):
-            op = build_operator(1, 2, 2, n)
             fitted = materialize(cand, res1.bounds, n)
-            paper = [op.coefficients[0], op.coefficients[1], op.coefficients[2],
-                     op.coefficients[3], op.coefficients[4]]
+            paper = operator_coefficients(build_operator(1, 2, 2, n))
             ratios = set()
             for f, p in zip(fitted, paper):
                 ok = ok and f.is_zero() == p.is_zero()

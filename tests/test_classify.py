@@ -213,6 +213,26 @@ def test_reduction_reports_the_printed_mismatch():
     assert verify_gegenbauer_reduction(3, 2, -4)["findings"] == []
 
 
+def test_reduction_falls_back_to_every_row_where_the_top_rows_mislead(monkeypatch):
+    # P_9 + 1 keeps its c^5 and c^3 rows, so the top-row fit is P_9's own;
+    # the certificate rejects it, and solve_exact on every row finds no fit
+    fam = generate(2, 3, -1, 12)
+    members = [(k, p + 1 if k == 9 else p) for k, p in fam.nonzero_members()]
+    monkeypatch.setattr(classify_module, "generate",
+                        lambda *args: types.SimpleNamespace(nonzero_members=lambda: members))
+    solves = []
+    monkeypatch.setattr(classify_module, "solve_exact",
+                        lambda rows, rhs: solves.append(len(rows)) or solve_exact(rows, rhs))
+    report = verify_gegenbauer_reduction(2, 3, -1, kmax=12)
+    assert [e["k"] for e in report["entries"] if not e["two_term"]] == [9]
+    assert not report["all_two_term"]
+    assert report["findings"][0]["kind"] == "reduction-violation"
+    # the members k = 1, 3, ..., 11 have degrees 1..6: one top-row solve each
+    # (one row at degree 1), then P_9's 6 rows once
+    assert [e["degree"] for e in report["entries"]] == [1, 2, 3, 4, 5, 6]
+    assert solves == [1, 2, 2, 2, 2, 6, 2]
+
+
 def test_two_term_fit_is_exact():
     # the fit verify_gegenbauer_reduction makes: solve_exact on the integer
     # columns [q, cq] over one common denominator

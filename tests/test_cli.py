@@ -438,12 +438,23 @@ def test_fit_ode_subcommand(capsys):
 
 
 def test_fit_ode_falls_back_to_delta_0_only_on_alignment_errors(capsys, monkeypatch):
+    # align_index's None (no shift aligns) fits at delta = 0; an exception propagates
+    argv = ["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--kmax", "40"]
+    deltas = []
+    fit = cli.fit_ode
+    monkeypatch.setattr(cli, "fit_ode",
+                        lambda fam, **kw: deltas.append(kw["delta"]) or fit(fam, **kw))
+    monkeypatch.setattr(cli, "align_index", lambda fam, family_type: None)
+    capture(capsys, argv)
+    assert deltas == [0]
+
     def broken(fam, family_type):
         raise ParameterError("not an alignment failure")
 
     monkeypatch.setattr(cli, "align_index", broken)
-    assert main(["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--kmax", "40"]) == 2
+    assert main(argv) == 2
     assert "not an alignment failure" in capsys.readouterr().err
+    assert deltas == [0]
 
 
 def test_scan_reports_members_the_operator_misses(capsys, monkeypatch):
@@ -581,21 +592,20 @@ def test_every_private_function_is_read():
     assert [f"{name}: {fn}" for name, fn in private if fn not in read] == []
 
 
-def test_every_public_cpoly_method_is_read():
-    # a public CPoly method or property has a reader in src/ or perfbench/
-    # (coeffs has only perfbench/traced.py); one that only the tests call
-    # belongs in tests/cpoly_helpers.py
+def test_every_public_method_is_read():
+    # a public method or property of a class in src/ has a reader in src/ or
+    # perfbench/ (CPoly.coeffs has only perfbench/traced.py); one that only
+    # the tests call belongs in tests/cpoly_helpers.py
     root = Path(__file__).resolve().parents[1]
-    paths = [*(root / "src" / "superpoly").glob("*.py"), *(root / "perfbench").glob("*.py")]
-    trees = [ast.parse(path.read_text()) for path in paths]
-    cpoly = next(node for tree in trees for node in tree.body
-                 if isinstance(node, ast.ClassDef) and node.name == "CPoly")
-    public = [node.name for node in cpoly.body
+    sources = [*(root / "src" / "superpoly").glob("*.py")]
+    trees = [ast.parse(path.read_text()) for path in [*sources, *(root / "perfbench").glob("*.py")]]
+    public = [f"{cls.name}.{node.name}" for tree in trees[:len(sources)] for cls in tree.body
+              if isinstance(cls, ast.ClassDef) for node in cls.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
     read = {node.attr for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)}
-    assert "scale" in public and "coeffs" in public
-    assert [name for name in public if name not in read] == []
+    assert {"CPoly.scale", "CPoly.coeffs", "OdeOperator.apply", "Family.extend"} <= set(public)
+    assert [name for name in public if name.split(".")[1] not in read] == []
 
 
 def _parse_outcome(parser, argv, capsys):

@@ -1,14 +1,15 @@
 import sys
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 import pytest
 
-from superpoly import (CPoly, FitError, align_index, build_operator, fit_ode,
-                       generate, in_span, nullspace, operator_vector)
+from superpoly import (CPoly, FitError, OdeOperator, align_index, build_operator, fit_ode,
+                       generate, in_span, nullspace, operator_vector, polynomial_kernel)
 from superpoly.fitting import N_DEGREE
 
-from cpoly_helpers import coefficients, derive, leading
+from cpoly_helpers import coefficients, derive, leading, operator_coefficients
 
 
 def materialize(vec, bounds, n):
@@ -41,10 +42,28 @@ def test_fit_recovers_type1_operator():
     cand = result.candidates[0]
     for n in (8, 12, 16):
         fitted = materialize(cand, result.bounds, n)
-        op = build_operator(1, 2, 2, n)
-        paper = [op.coefficients[0], op.coefficients[1], op.coefficients[2],
-                 op.coefficients[3], op.coefficients[4]]
-        assert proportional(fitted, paper)
+        assert proportional(fitted, operator_coefficients(build_operator(1, 2, 2, n)))
+
+
+def test_fitted_candidate_is_an_operator_with_its_member_as_kernel():
+    # the type-1 fit at (r, m) = (2, 4), read at n = k + delta and cleared to
+    # integers, is an operator in its own right: it annihilates P_k, and its
+    # polynomial kernel to degree deg P_k is P_k alone
+    fam = generate(2, 4, -4, 40)
+    delta = align_index(fam, 1)
+    (cand,) = fit_ode(fam, delta=delta).candidates
+    checked = []
+    for k, p in fam.nonzero_members():
+        if not 6 <= k <= 14:
+            continue
+        polys = materialize(cand, (0, 1, 2, 3, 4), k + delta)
+        den = lcm(*(q.den for q in polys))
+        op = OdeOperator(tuple(tuple(a * (den // q.den) for a in q.num) for q in polys))
+        assert op.apply(p).is_zero()
+        first = next(a for a in p.num if a)
+        assert polynomial_kernel(op, int(p.degree)) == [p.scale(Fraction(p.den, first))]
+        checked.append(k)
+    assert checked == [6, 8, 10, 12, 14]
 
 
 def test_fit_type2_kernel_contains_operator():
@@ -127,10 +146,8 @@ def test_operator_vector_roundtrip():
     # the embedding evaluated back at concrete n reproduces the operator
     vec = operator_vector(1, 3, 5)
     for n in (6, 9, 15):
-        op = build_operator(1, 3, 5, n)
-        assert materialize(vec, (0, 1, 2, 3, 4), n) == [op.coefficients[0], op.coefficients[1],
-                                       op.coefficients[2], op.coefficients[3],
-                                       op.coefficients[4]]
+        assert materialize(vec, (0, 1, 2, 3, 4), n) == list(
+            operator_coefficients(build_operator(1, 3, 5, n)))
 
 
 def test_operator_vector_rejects_a_coefficient_above_degree_4(monkeypatch):
@@ -183,7 +200,7 @@ def test_operator_vector_reads_back_the_operator_on_every_grid_cell():
         vec = operator_vector(t, r, m)
         for n in (-3, 7, 1000):
             assert materialize(vec, (0, 1, 2, 3, 4), n) == list(
-                build_operator(t, r, m, n).coefficients), (t, r, m, n)
+                operator_coefficients(build_operator(t, r, m, n))), (t, r, m, n)
 
 
 def test_in_span_rejects_foreign_operator():

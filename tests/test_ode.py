@@ -4,21 +4,20 @@ from fractions import Fraction
 import pytest
 
 import superpoly.ode as ode
-from superpoly import (AlignmentError, CPoly, ParameterError, align_index, build_operator,
-                       canonical_j0, delta_correction, generate, indicial, is_resonant,
-                       nullspace, polynomial_kernel, printed_indicial_factors,
+from superpoly import (CPoly, OdeOperator, ParameterError, align_index, build_operator,
+                       canonical_j0, delta_correction, gegenbauer, generate, indicial,
+                       is_resonant, nullspace, polynomial_kernel, printed_indicial_factors,
                        residual_scan, scalar_coefficients, scan_cell)
 
 from cpoly_helpers import (coefficient, derive, indicial_value, leading, leading_symbol,
-                           parity, resonant_pairs)
+                           operator_coefficients, parity, resonant_pairs)
 
 
 def reference_apply(op, p):
     """The operator as coefficient polynomials times derivatives, the reference
     the table-driven action is checked against."""
-    return (op.coefficients[4] * derive(p, 4) + op.coefficients[3] * derive(p, 3)
-            + op.coefficients[2] * derive(p, 2) + op.coefficients[1] * derive(p, 1)
-            + op.coefficients[0] * p)
+    return sum((coeff * derive(p, i) for i, coeff in enumerate(operator_coefficients(op))),
+               CPoly.zero())
 
 
 def random_poly(rng, degree):
@@ -27,28 +26,26 @@ def random_poly(rng, degree):
 
 def test_build_operator_type1_hand_expansion():
     # hand expansion of the four closed scalar formulas at (r=2, m=2, n=8)
-    op = build_operator(1, 2, 2, 8)
-    assert op.scalars == (4096, 448, 320, -2496)
-    assert op.coefficients[4] == CPoly((64, 0, -128, 0, 64))
-    assert op.coefficients[3] == CPoly((0, -640, 0, 640))
+    assert scalar_coefficients(1, 2, 2, 8) == (4096, 448, 320, -2496)
+    assert build_operator(1, 2, 2, 8).table == ((4096,), (0, -2496), (320, 0, 448),
+                                                (0, -640, 0, 640), (64, 0, -128, 0, 64))
 
 
 def test_build_operator_coefficients_equal_the_products():
     c2m1 = CPoly((-1, 0, 1))
     for tp in (1, 2):
         for (r, m, n) in [(2, 2, 8), (3, 5, 0), (4, 4, 17), (7, 9, 70)]:
-            op = build_operator(tp, r, m, n)
+            coeffs = operator_coefficients(build_operator(tp, r, m, n))
             W, X, Y, Z = scalar_coefficients(tp, r, m, n)
             M = m * m * r ** 4
-            assert op.coefficients[4] == (c2m1 * c2m1).scale(M)
-            assert op.coefficients[3] == (CPoly((0, 1)) * c2m1).scale(10 * M)
-            assert ((op.coefficients[2], op.coefficients[1], op.coefficients[0])
-                    == (CPoly((Y, 0, X)), CPoly((0, Z)), CPoly((W,))))
+            assert coeffs[4] == (c2m1 * c2m1).scale(M)
+            assert coeffs[3] == (CPoly((0, 1)) * c2m1).scale(10 * M)
+            assert coeffs[:3] == (CPoly((W,)), CPoly((0, Z)), CPoly((Y, 0, X)))
 
 
 def test_build_operator_type2_hand_expansion():
-    op = build_operator(2, 2, 4, 6)
-    assert op.scalars == (-1536, 4032, -512, -3264)
+    assert scalar_coefficients(2, 2, 4, 6) == (-1536, 4032, -512, -3264)
+    assert build_operator(2, 2, 4, 6).table[:3] == ((-1536,), (0, -3264), (-512, 0, 4032))
     assert delta_correction(2, 4, 6) == 0
 
 
@@ -105,8 +102,8 @@ def test_align_degree_relation():
 def test_align_failure_reported():
     # a family the type-1 operator does not annihilate under any shift
     fam = generate(3, 3, -2, 24)
-    with pytest.raises(AlignmentError):
-        align_index(fam, 1)
+    assert len(fam.nonzero_members()) >= 3
+    assert align_index(fam, 1) is None
 
 
 def test_parity_preservation_fuzz():
@@ -295,6 +292,26 @@ def test_kernel_rejects_negative_bound():
         polynomial_kernel(build_operator(1, 2, 2, 8), -1)
 
 
+@pytest.mark.parametrize("table", [((0, 1),), ((0,), (1,)), ((0,), (0,), (0,), (1,)),
+                                   build_operator(1, 2, 2, 8).table + ((1,),)])
+def test_kernel_rejects_a_shift_outside_its_band(table):
+    # c p, p', p''' and L_8 p + p^(5): shifts +1, -1, -3 and -5
+    with pytest.raises(ParameterError, match="shifts 0, -2 and -4 only"):
+        polynomial_kernel(OdeOperator(table), 6)
+
+
+def test_kernel_reads_a_missing_shift_as_zero():
+    # the Gegenbauer equation, m times over: no d^4 row, so no shift -4; its
+    # kernel at degree n is Q_n, first nonzero coefficient 1
+    m = 3
+    for n, q in enumerate(gegenbauer(m, 9)):
+        op = OdeOperator(((n * (2 + m * (n + 2)),), (0, -(2 + 3 * m)), (m, 0, -m)))
+        assert op.apply(q).is_zero()
+        assert polynomial_kernel(op, n) == [q.scale(Fraction(q.den, next(a for a in q.num if a)))]
+    # the lone d^2 row sends c^s to s(s-1) c^(s-2): no shift 0, every power free
+    assert polynomial_kernel(OdeOperator(((), (), (1,))), 3) == [CPoly((1,)), CPoly((0, 1))]
+
+
 def test_scalar_coefficients_rejects_an_unknown_type():
     with pytest.raises(ParameterError, match="family_type must be 1 or 2"):
         scalar_coefficients(3, 2, 3, 8)
@@ -417,6 +434,6 @@ def test_scan_all_ignores_deeper_cached_members():
 
 
 def test_align_index_needs_three_members():
-    # k <= 2 holds P_0 and P_2 only
-    with pytest.raises(AlignmentError, match="fewer than 3"):
-        align_index(generate(2, 3, -4, 2), 1)
+    # k <= 2 holds P_0 and P_2 only; k <= 4 adds P_4, and the search aligns
+    assert align_index(generate(2, 3, -4, 2), 1) is None
+    assert align_index(generate(2, 3, -4, 4), 1) == 4
