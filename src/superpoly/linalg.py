@@ -14,10 +14,12 @@ in three steps on the matrix M with each row cleared to integers:
    m is the product of the primes (Wang's rational reconstruction).  A prime
    with other free columns restarts the accumulation.
 3. Exact check.  Each reconstructed vector, scaled to integers, is checked
-   against every row in Z.  If a reconstruction fails or a row is violated,
-   the next prime is taken: 2^61 - 1 first, then the primes below it in
-   descending order.  A checked vector is scaled so that its first nonzero
-   entry is 1.
+   against every row in Z.  Reconstruction and check are tried when the
+   accumulation holds 1, 2, 4, 8, ... primes.  If a reconstruction fails or
+   a row is violated, the next prime is taken: 1073741789, the largest prime
+   below 2^30, first, then the primes below it in descending order, so every
+   residue fits one 30-bit CPython digit.  A checked vector is scaled so
+   that its first nonzero entry is 1.
 
 Why the result is exact.  A set of rows independent mod p is independent
 over Q, so rank over Q >= rank mod p.  The check passes only when
@@ -36,9 +38,11 @@ is zero, since it is.  The vector of f carries these coefficients, so one
 of its entries has a numerator divisible by every prime accumulated.  It
 exceeds the reconstruction bound, and the check never accepts that vector.
 
-Only finitely many primes change the rank or the pivots, and past them the
-modulus grows until the bound covers every entry, so the loop ends.  An
-unlucky prime costs time, never correctness.
+Both arguments hold for any primes and any schedule of checks.  Only
+finitely many primes change the rank or the pivots, and past them the
+modulus grows until the bound covers every entry, so the loop ends.  (The
+primes below 2^30 multiply to about e^(2^30), a modulus of some 1.5e9 bits.)
+An unlucky prime costs time, never correctness.
 """
 
 from __future__ import annotations
@@ -48,41 +52,21 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, List, Optional, Sequence
 
-_P = (1 << 61) - 1  # Mersenne prime, the first prime tried
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # exact below 3.3e24
+_P = 1073741789  # the largest prime below 2^30, the first prime tried
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """For odd n >= 3: trial division by the odd d <= sqrt(n), at most 16,383 below 2^30."""
+    return all(map(n.__mod__, range(3, isqrt(n) + 1, 2)))
 
 
 _PRIMES = [_P]  # the primes _primes() has reached, in its order
 
 
 def _primes() -> Iterator[int]:
-    """2^61 - 1, then every prime below it in descending order.
+    """_P, then every prime below it in descending order.
 
-    Each prime is found by Miller-Rabin once per process: a walk reads
+    Each prime is found by trial division once per process: a walk reads
     _PRIMES and extends it only past its last entry.
     """
     i = 0
@@ -227,12 +211,15 @@ def _nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Frac
                 vec[c] = -x % p
             vecs.append(vec)
         if free != key:
-            key, m, acc = free, p, vecs
+            key, m, acc, count = free, p, vecs, 1
         else:  # x = a mod m and x = b mod p
             u = pow(m, -1, p)
             acc = [[a + m * ((b - a) * u % p) for a, b in zip(va, vb)]
                    for va, vb in zip(acc, vecs)]
             m *= p
+            count += 1
+        if count & (count - 1):  # lift only at 1, 2, 4, 8, ... primes
+            continue
         basis = _lift(acc, m)
         if basis is not None and _first_violated_row(M, basis) is None:
             out = []

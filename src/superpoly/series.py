@@ -42,9 +42,8 @@ def first_order_residual(fam: Family, K: int) -> List[CPoly]:
     resid = []
     for j in range(K + 1):
         g0, g1, g2 = (fam.polys.get(e - 2 * r, zero) for e in (j, j - r, j - 2 * r))
-        res = (g0.scale(m * j + 2 * r + (1 - 2 * r) * m)
-               - g1.shift(1).scale(2 * m * (j - r) + 2 * r + 2 * (1 - 2 * r) * m)
-               + g2.scale(m * (j - 2 * r) + (1 - 2 * r) * m))
+        res = g0.combine(g2, m * j + 2 * r + (1 - 2 * r) * m, m * (j - 2 * r) + (1 - 2 * r) * m)
+        res = res.combine(g1.shift(1), 1, -(2 * m * (j - r) + 2 * r + 2 * (1 - 2 * r) * m))
         # subtract z^{2r} N(z)
         jj = j - 2 * r
         if -2 * r <= jj <= -1:

@@ -242,7 +242,8 @@ ELIM_FITS = [(1, 2, 2, -4, 80), (2, 2, 3, -2, 60)]
 
 @pytest.mark.parametrize("family_type,r,m,j0,kmax", ELIM_FITS)
 def test_elim_fits_reconstruct_from_one_prime(monkeypatch, family_type, r, m, j0, kmax):
-    # every kernel entry has at most 10 bits, far below the 2^30 bound of one prime
+    # every kernel entry has at most 10 bits, and one 30-bit prime
+    # reconstructs entries up to about 2^14.5 = sqrt(2^30 / 2)
     import superpoly.linalg as linalg
     fam = generate(r, m, j0, kmax)
     delta = align_index(fam, family_type)

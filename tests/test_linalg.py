@@ -162,12 +162,13 @@ def test_unlucky_prime_loop_reaches_true_kernel(monkeypatch):
 
 def test_entries_beyond_one_prime_need_several(monkeypatch):
     # the kernel vector of free column 1 is (-1/N, 1): its 101-bit
-    # denominator needs a modulus above 2 N^2 > 2^201, so four 61-bit primes
+    # denominator needs a modulus above 2 N^2 > 2^201, so seven 30-bit
+    # primes; reconstruction is tried at 1, 2, 4 and 8 primes, so eight
     N = (1 << 100) + 277
     M = [[F(N), F(1)]]
     tried = primes_tried(monkeypatch)
     assert nullspace(M) == rref_nullspace(M, 2) == [[F(1), F(-N)]]
-    assert tried == [[1]] * 4
+    assert tried == [[1]] * 8
 
 
 def test_prime_with_other_pivots_gives_the_rational_basis(monkeypatch):
@@ -178,7 +179,40 @@ def test_prime_with_other_pivots_gives_the_rational_basis(monkeypatch):
     tried = primes_tried(monkeypatch)
     assert nullspace(M) == rref_nullspace(M, 3) == [[F(1), F(-1), F(-P)]]
     assert tried[0] == [1] and tried[1:] == [[2]] * (len(tried) - 1)
-    assert len(tried) == 4  # the entries 1/p of (-1/p, 1/p, 1) need three primes
+    # the entries 1/p of (-1/p, 1/p, 1) need a modulus above 2 p^2, so three
+    # 30-bit primes after the unlucky one; the schedule tries four
+    assert len(tried) == 5
+
+
+def test_reconstruction_waits_for_a_power_of_two_primes(monkeypatch):
+    # _lift runs when the accumulation holds 1, 2, 4, 8, ... primes: after
+    # echelons 1, 2, 4 and 8 for the seven primes of (-1/N, 1), and after
+    # echelons 1, then 2, 3 and 5 where an unlucky prime restarts the count
+    tried = primes_tried(monkeypatch)
+    counts = []
+    inner = linalg._lift
+
+    def spy(vecs, m):
+        counts.append(len(tried))
+        return inner(vecs, m)
+
+    monkeypatch.setattr(linalg, "_lift", spy)
+    N = (1 << 100) + 277
+    assert nullspace([[F(N), F(1)]]) == [[F(1), F(-N)]]
+    assert counts == [1, 2, 4, 8]
+    tried.clear()
+    counts.clear()
+    assert nullspace([[F(1), F(1), F(0)], [F(1 + P), F(1), F(1)]]) == [[F(1), F(-1), F(-P)]]
+    assert counts == [1, 2, 3, 5]
+
+
+def test_first_prime_is_the_largest_below_2_to_the_30():
+    assert P == 1073741789 and linalg._is_prime(P)
+    assert not any(linalg._is_prime(n) for n in range(P + 2, 1 << 30, 2))  # P is odd
+    # trial division must reach isqrt(n): 32749 is the largest prime below 2^15
+    assert linalg._is_prime(32749)
+    assert not linalg._is_prime(32749 ** 2) and 32749 ** 2 == 1_072_497_001
+    assert [n for n in range(3, 30, 2) if linalg._is_prime(n)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_each_prime_is_found_once(monkeypatch):
@@ -187,7 +221,7 @@ def test_each_prime_is_found_once(monkeypatch):
     monkeypatch.setattr(linalg, "_PRIMES", [P])  # a fresh process's cache
     monkeypatch.setattr(linalg, "_is_prime", lambda n: calls.append(n) or is_prime(n))
     first = list(islice(linalg._primes(), 30))
-    # 2^61 - 1, then every prime below it: each odd number in between was tried
+    # _P, then every prime below it: each odd number in between was tried
     assert first[0] == P and calls == list(range(P - 2, first[-1] - 1, -2))
     assert first == [n for n in [P] + calls if is_prime(n)]
     calls.clear()
