@@ -53,11 +53,18 @@ from operator import mul
 from typing import Iterator, List, Optional, Sequence
 
 _P = 1073741789  # the largest prime below 2^30, the first prime tried
+_ODD_PRIMES = []  # the 3,511 odd primes below 2^15, sieved when _is_prime first runs
 
 
 def _is_prime(n: int) -> bool:
-    """For odd n >= 3: trial division by the odd d <= sqrt(n), at most 16,383 below 2^30."""
-    return all(map(n.__mod__, range(3, isqrt(n) + 1, 2)))
+    """For odd n with 3 <= n < 2^30: read off the sieve below 2^15, else trial
+    division by all of _ODD_PRIMES, which reach isqrt(n) and lie below n."""
+    if not _ODD_PRIMES:
+        sieve = bytearray([1]) * (1 << 15)
+        for d in range(3, isqrt(1 << 15) + 1, 2):
+            sieve[d * d::2 * d] = bytes(len(range(d * d, 1 << 15, 2 * d)))
+        _ODD_PRIMES.extend(d for d in range(3, 1 << 15, 2) if sieve[d])
+    return n in _ODD_PRIMES if n < 1 << 15 else all(map(n.__mod__, _ODD_PRIMES))
 
 
 _PRIMES = [_P]  # the primes _primes() has reached, in its order

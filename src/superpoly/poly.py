@@ -14,8 +14,8 @@ package reads a CPoly only through num and den.  Everything is immutable
 and exact; there is no floating-point path.
 
 A report array's strings can be built as it is written, split between
-this process and one forked worker (split_strings), which is the one
-place the package starts a process.
+this process and one worker that _fork_worker decides on and forks, over
+a UTF-8 pipe (split_strings): the one place the package starts a process.
 """
 
 from __future__ import annotations
@@ -180,8 +180,6 @@ class CPoly:
     def to_strings(self) -> "RationalStrings":
         """JSON form: "p/q" in lowest terms ("p" when q = 1), index = power of c."""
         den = self.den
-        if den == 1:
-            return RationalStrings(map(str, self.num))
         out = RationalStrings()
         for a in self.num:
             g = gcd(a, den)
@@ -233,19 +231,6 @@ def shown(strings) -> str:
 SIGKILL = 9  # fixed by POSIX; the signal module would cost every process start an import
 
 
-def _can_fork_worker() -> bool:
-    """True when os.fork exists, this process runs one thread (a fork copies
-    no other thread, nor releases the locks one holds), and it may run on at
-    least two CPUs."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this system
-        cpus = os.cpu_count() or 1
-    return cpus >= 2
-
-
 def _received(reader) -> str:
     """The worker's next line, without its newline; WorkerError when its data ends."""
     line = reader.readline()
@@ -265,22 +250,29 @@ def _workers_share(items, poly):
 
 
 def _fork_worker(items, poly):
-    """Fork the worker on its copy of items; return its pid and a reader of its pipe.
+    """Fork the worker on its copy of items and return its pid and a reader
+    of its UTF-8 pipe (a codec loaded at interpreter start); None without
+    os.fork, beside another thread (a fork copies no other thread, nor
+    releases the locks one holds), or on one CPU.
 
     The worker writes each of its members as a count line and one line per
     entry, flushed per member, so this process never waits on a buffer.  It
     writes nothing else, and leaves only through os._exit, so no inherited
     buffer is flushed and no caller's cleanup runs twice.
     """
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some systems
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid:
         os.close(write_fd)
-        return pid, os.fdopen(read_fd, encoding="ascii")
+        return pid, os.fdopen(read_fd, encoding="utf-8")
     code = 1
     try:
         os.close(read_fd)
-        with os.fdopen(write_fd, "w", encoding="ascii") as out:
+        with os.fdopen(write_fd, "w", encoding="utf-8") as out:
             for _, p, theirs in _workers_share(items, poly):
                 if theirs:
                     strings = p.to_strings()
@@ -301,7 +293,7 @@ def split_strings(items, poly=lambda item: item):
     way out, a generator closed unfinished included.  Without a second CPU
     this process builds every member's strings.
     """
-    pid, reader = _fork_worker(items, poly) if _can_fork_worker() else (None, None)
+    pid, reader = _fork_worker(items, poly) or (None, None)
     try:
         for item, p, theirs in _workers_share(items, poly):
             if reader and theirs:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 
 import pytest
 
@@ -227,6 +228,16 @@ def test_each_prime_is_found_once(monkeypatch):
     calls.clear()
     assert list(islice(linalg._primes(), 30)) == first
     assert calls == []
+
+
+def test_first_primes_match_plain_trial_division(monkeypatch):
+    # a fresh process's caches: the sieve of odd primes below 2^15 runs when
+    # the walk first needs a prime below P
+    monkeypatch.setattr(linalg, "_PRIMES", [P])
+    monkeypatch.setattr(linalg, "_ODD_PRIMES", [])
+    plain = (n for n in range(P, 0, -2) if all(map(n.__mod__, range(3, isqrt(n) + 1, 2))))
+    assert list(islice(linalg._primes(), 100)) == list(islice(plain, 100))
+    assert len(linalg._ODD_PRIMES) == 3511 and linalg._ODD_PRIMES[-1] == 32749
 
 
 def test_malformed_rows_are_rejected():
