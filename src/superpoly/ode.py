@@ -210,6 +210,8 @@ def polynomial_kernel(op: OdeOperator, degree_bound: int,
     """
     if degree_bound < 0:
         raise ParameterError("degree_bound must be >= 0")
+    if parity not in ("even", "odd", "both"):
+        raise ParameterError(f'parity must be "even", "odd" or "both", got {parity!r}')
     powers = range(1 if parity == "odd" else 0, degree_bound + 1,
                    1 if parity == "both" else 2)
     symbols = shift_symbols(op.table, range(degree_bound + 5))
@@ -260,6 +262,9 @@ def scan_cell(family_type: FamilyType, r: int, m: int, n_points="paper") -> dict
         ns = [t * r for t in range(5, 10)]
     elif n_points == "all":
         ns = [k + delta for k in range(12 * r + 1)]
+    elif isinstance(n_points, str):
+        raise ParameterError(f'n_points must be "paper", "all" or a sequence of n, '
+                             f"got {n_points!r}")
     else:
         ns = list(n_points)
     fam = generate(r, m, canonical_j0(family_type, r), max([0] + [n - delta for n in ns]))

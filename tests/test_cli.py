@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import io
 import json
@@ -148,17 +149,21 @@ def test_unwritable_out_exits_2(tmp_path, capsys, name):
     assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
 
 
+def cli_env() -> dict:
+    """This environment with the checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*argv, **kwargs):
     """A superpoly process on argv: a Popen with kwargs if any are given, else the
     CompletedProcess with stdout discarded and stderr captured."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cmd = [sys.executable, "-m", "superpoly.cli", *argv]
     if kwargs:
-        return subprocess.Popen(cmd, env=env, **kwargs)
-    return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                          text=True, timeout=60)
+        return subprocess.Popen(cmd, env=cli_env(), **kwargs)
+    return subprocess.run(cmd, env=cli_env(), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
 
 
 def assert_one_error_line(stderr: str, dest: str):
@@ -209,6 +214,57 @@ def test_closed_pipe_exits_2():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 2
     assert_one_error_line(err, "stdout")
+
+
+# the process entry freezes the heap on the way out; what a process prints,
+# its exit code and what a profiler wraps around it must not change
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_entry_prints_the_whole_text_into_a_pipe(monkeypatch, flag):
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    with run_cli(flag, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and err == ""
+    assert out == (cli.__version__ + "\n" if flag == "--version"
+                   else build_parser().format_help())
+
+
+def test_entry_usage_error_exits_2_with_the_parser_message(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["kernel", "--type", "3", "--r", "2", "--m", "2", "--n", "4"]
+    with pytest.raises(SystemExit):
+        main(argv)
+    message = capsys.readouterr().err
+    assert "error: argument --type: invalid choice" in message
+    with run_cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (2, "", message)
+
+
+def test_entry_freezes_the_heap_and_main_does_not():
+    code = ("import gc, sys, superpoly.cli as cli\n"
+            "sys.argv = ['superpoly', '--version']\n"
+            "try:\n    cli.entry()\n"
+            "finally:\n    print(gc.get_freeze_count() > 0, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, cli.__version__ + "\n", "True\n")
+    # in-process callers keep their collector
+    frozen = gc.get_freeze_count()
+    assert main(["indicial", "--type", "1", "--r", "2", "--m", "4", "--n", "8"]) == 0
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.get_freeze_count() == frozen
+
+
+def test_profiler_writes_its_output_around_the_entry(tmp_path):
+    # an exit through os._exit would skip atexit handlers and this write
+    stats = tmp_path / "cli.prof"
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(stats),
+                           "-m", "superpoly.cli", "--version"],
+                          env=cli_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == cli.__version__ + "\n"
+    assert stats.stat().st_size > 0
 
 
 def test_gegenbauer_strings_built_only_when_iterated(monkeypatch):
@@ -552,10 +608,7 @@ def test_import_loads_no_process_pool():
     code = ("import sys, superpoly.cli; "
             "sys.exit(any(name in sys.modules for name in "
             "('concurrent.futures', 'dataclasses', 'multiprocessing', 'subprocess')))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=cli_env()).returncode == 0
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -292,6 +292,13 @@ def test_kernel_rejects_negative_bound():
         polynomial_kernel(build_operator(1, 2, 2, 8), -1)
 
 
+@pytest.mark.parametrize("parity", ["Odd", "", None])
+def test_kernel_rejects_an_unknown_parity(parity):
+    # any other value used to read as "even"
+    with pytest.raises(ParameterError, match="parity must be"):
+        polynomial_kernel(build_operator(2, 4, 4, 40), 80, parity)
+
+
 @pytest.mark.parametrize("table", [((0, 1),), ((0,), (1,)), ((0,), (0,), (0,), (1,)),
                                    build_operator(1, 2, 2, 8).table + ((1,),)])
 def test_kernel_rejects_a_shift_outside_its_band(table):
@@ -320,6 +327,15 @@ def test_scalar_coefficients_rejects_an_unknown_type():
 def test_scan_rejects_an_empty_grid():
     with pytest.raises(ParameterError, match="empty"):
         residual_scan(1, [], [3])
+
+
+@pytest.mark.parametrize("scan", [lambda points: scan_cell(1, 2, 3, points),
+                                  lambda points: residual_scan(1, [2], [3], points)],
+                         ids=["scan_cell", "residual_scan"])
+def test_scan_rejects_an_unknown_points_name(scan):
+    # a string is not a sequence of n: "some" used to die on "s" - 4
+    with pytest.raises(ParameterError, match="n_points must be"):
+        scan("some")
 
 
 def test_kernel_type2_matches_member():
