@@ -8,6 +8,11 @@ inputs produce byte-identical reports (wall time is kept outside the report
 object).  The parser is built from two tables: FLAGS declares each flag
 once, COMMANDS each subcommand.
 
+The package registers its layers lazily (see its __init__).  This module
+imports families, fitting, ode and poly by name, and reaches classify, orth
+and series as modules, so a command executes those three only if it calls
+them, and the report writer quotes strings itself rather than import json.
+
 A process enters through `entry`, which runs `main` and then freezes the
 garbage collector's heap (gc.freeze).  On its way out the interpreter runs
 full collections that would each walk every object the import left, about
@@ -25,19 +30,14 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from . import __version__
-from .classify import (classification_report, gegenbauer, superposition_fit,
-                       verify_gegenbauer_reduction)
-from .errors import SuperpolyError
+from . import __version__, classify, orth, series  # these three execute on first use
+from .errors import ParameterError, SuperpolyError
 from .families import canonical_j0, generate, stream
 from .fitting import CLOSED_BOUNDS, fit_ode, in_span, operator_vector
 from .ode import align_index, build_operator, indicial, polynomial_kernel, residual_scan
-from .orth import favard, gram_check, identify_ultraspherical, orthogonality_report
 from .poly import RationalStrings, shown, split_strings
-from .series import first_order_residual, pde_residual
 
 
 INDEX_CAP = 2500  # largest member index, c-degree or n a run may ask for
@@ -116,6 +116,19 @@ def _favard_family(ns):
     return _family(ns, max(12, ns.N + 3) * ns.r)
 
 
+def _members(ns) -> int:
+    """--members, checked before classify or superpose generates any seed.
+
+    Each seed is generated to k = (members + 6) r, and nothing else bounds
+    that product; above INDEX_CAP it is refused like any capped flag.
+    """
+    deepest = (ns.members + 6) * ns.r
+    if deepest > INDEX_CAP:
+        raise ParameterError(f"--members {ns.members} at --r {ns.r} generates each seed to "
+                             f"k = (members + 6) r = {deepest}, above the cap {INDEX_CAP}")
+    return ns.members
+
+
 def _verdict(report: dict, *keys: str) -> tuple[dict, bool]:
     """The report, passing when all the named keys of it are true."""
     return report, all(report[key] for key in keys)
@@ -164,7 +177,7 @@ def _kernel(ns) -> tuple[dict, bool]:
 
 
 def _gegenbauer(ns) -> tuple[dict, bool]:
-    qs = gegenbauer(ns.m, ns.nmax)  # every Q_n certified before any output
+    qs = classify.gegenbauer(ns.m, ns.nmax)  # every Q_n certified before any output
     report = {
         "m": ns.m, "lambda": f"{ns.m + 1}/{ns.m}",  # 1 + 1/m in lowest terms
         "polys": map(itemgetter(1), split_strings(qs)),
@@ -177,7 +190,7 @@ def _series(ns) -> tuple[dict, bool]:
     window = ns.K - 2 * ns.r
     # a negative window is first_order_residual's "K must be at least 2r"
     fam = _family(ns, max(window, 0))
-    resid = first_order_residual(fam, ns.K)
+    resid = series.first_order_residual(fam, ns.K)
     bad = [k for k in range(window + 1) if resid[k]]
     report = {
         "r": ns.r, "m": ns.m, "j0": fam.j0, "K": ns.K,
@@ -250,43 +263,43 @@ COMMANDS = [
      _kernel),
     ("classify", "classify all 2r initial conditions",
      {"--r": REQUIRED, "--m": REQUIRED, "--members": 10},
-     lambda ns: (rep := classification_report(ns.r, ns.m, members=ns.members),
+     lambda ns: (rep := classify.classification_report(ns.r, ns.m, members=_members(ns)),
                  not any(e.get("findings") for e in rep["entries"]))),
     ("superpose", "type-B superposition fit + certification",
      {"--r": REQUIRED, "--m": REQUIRED, "--j0": REQUIRED, "--members": 10},
-     lambda ns: (rep := superposition_fit(ns.r, ns.m, ns.j0, members=ns.members),
+     lambda ns: (rep := classify.superposition_fit(ns.r, ns.m, ns.j0, members=_members(ns)),
                  not rep["findings"])),
     ("gegenbauer", "ultraspherical basis certified against its equation",
      {"--m": REQUIRED, "--nmax": 12},
      _gegenbauer),
     ("reduce", "Gegenbauer reduction of the j0=-1 / j0=-r-1 families",
      {"--r": REQUIRED, "--m": REQUIRED, "--j0": REQUIRED, "--kmax": None},
-     lambda ns: _verdict(verify_gegenbauer_reduction(ns.r, ns.m, ns.j0, ns.kmax),
+     lambda ns: _verdict(classify.verify_gegenbauer_reduction(ns.r, ns.m, ns.j0, ns.kmax),
                          "all_two_term")),
     ("favard", "three-term coefficients, positivity, monic data",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--j0": None, "--N": 12},
-     lambda ns: ((fd := favard(_favard_family(ns), ns.N)).to_json(), not fd.findings)),
+     lambda ns: ((fd := orth.favard(_favard_family(ns), ns.N)).to_json(), not fd.findings)),
     ("gram", "exact Gram-matrix orthogonality check",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--N": 12},
-     lambda ns: _verdict(gram_check(favard(_favard_family(ns), ns.N), ns.N),
+     lambda ns: _verdict(orth.gram_check(orth.favard(_favard_family(ns), ns.N), ns.N),
                          "pass")),
     ("identify", "associated-ultraspherical identification",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED},
      # no match is a recorded result, not a failure
-     lambda ns: (identify_ultraspherical(_family(ns)), True)),
+     lambda ns: (orth.identify_ultraspherical(_family(ns)), True)),
     ("orth", "full orthogonality report for one family",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--N": 12, "--n-positive": 200,
       "--closed-form-n": 0},
-     lambda ns: _verdict(orthogonality_report(_favard_family(ns), N=ns.N,
-                                              n_positive=ns.n_positive,
-                                              closed_form_n=ns.closed_form_n),
+     lambda ns: _verdict(orth.orthogonality_report(_favard_family(ns), N=ns.N,
+                                                   n_positive=ns.n_positive,
+                                                   closed_form_n=ns.closed_form_n),
                          "a_positive", "gram_pass")),
     ("series", "first-order generating-function ODE residual",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--j0": None, "--K": 40},
      _series),
     ("pde", "per-exponent fourth-order PDE residuals",
      {"--type": REQUIRED, "--r": REQUIRED, "--m": REQUIRED, "--K": 24, "--corrected": False},
-     lambda ns: _verdict(pde_residual(ns.type, ns.r, ns.m, ns.K, corrected=ns.corrected),
+     lambda ns: _verdict(series.pde_residual(ns.type, ns.r, ns.m, ns.K, corrected=ns.corrected),
                          "pass")),
     ("fit-ode", "blind exact fit of annihilating operators",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--j0": None, "--kmax": None,
@@ -326,6 +339,34 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 WRITE_SIZE = 1 << 16  # characters gathered per write; a report is ASCII, so bytes
 
 
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
+            "\t": "\\t"}
+
+
+def _escaped(char: str) -> str:
+    """One character as json.dumps writes it: printable ASCII as itself, the
+    rest as a short escape or as UTF-16 code units in \\uXXXX form."""
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    if " " <= char <= "~":
+        return char
+    code = ord(char)
+    if code > 0xFFFF:  # a surrogate pair
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+def _quoted(text: str) -> str:
+    """json.dumps(text), byte for byte; most report strings need no escape.
+
+    Like json's encoder, it raises TypeError on anything but a str (a dict key).
+    """
+    if str.isascii(text) and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    return '"' + "".join(map(_escaped, text)) + '"'
+
+
 def _json_pieces(value, indent: str = ""):
     """Yield json.dumps(value, indent=2, sort_keys=True) in pieces.
 
@@ -339,7 +380,7 @@ def _json_pieces(value, indent: str = ""):
     elif value is True or value is False:
         yield "true" if value else "false"
     elif isinstance(value, str):
-        yield encode_basestring_ascii(value)
+        yield _quoted(value)
     elif isinstance(value, int):
         yield int.__repr__(value)
     elif isinstance(value, RationalStrings):
@@ -354,7 +395,7 @@ def _json_pieces(value, indent: str = ""):
         inner = indent + "  "
         if isinstance(value, dict):  # sorted or quoting a non-str key raises TypeError
             brackets = "{}"
-            items = [(encode_basestring_ascii(key) + ": ", value[key]) for key in sorted(value)]
+            items = [(_quoted(key) + ": ", value[key]) for key in sorted(value)]
         else:
             brackets, items = "[]", (("", item) for item in value)
         sep = brackets[0] + "\n" + inner
@@ -408,8 +449,10 @@ def run(argv) -> int:
                       else None)
     ns = ap.parse_args(argv)
     # argv is parsed under the interpreter's digit limit (Python >= 3.10.7);
-    # a report may hold longer integers, and the caps already bound its size
-    if hasattr(sys, "set_int_max_str_digits"):
+    # a report may hold longer integers, and the caps already bound its size;
+    # the caller's limit is restored on every way out
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     started = time.monotonic()
     try:
@@ -434,6 +477,9 @@ def run(argv) -> int:
         print(f"error: cannot write the report to {ns.out or 'stdout'}: {exc.strerror}",
               file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     elapsed = time.monotonic() - started  # a streamed report is built as it is written
     print(f"{ns.command}: {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s)", file=sys.stderr)
     return 0 if ok else 1

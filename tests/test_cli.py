@@ -611,14 +611,124 @@ def test_import_loads_no_process_pool():
     assert subprocess.run([sys.executable, "-c", code], env=cli_env()).returncode == 0
 
 
+# the package registers its modules lazily; a command executes only the layers
+# it reaches, and type() reads a module without executing it
+LAZY_LAYERS = ("series", "classify", "orth")
+
+
+def executed_layers(*commands):
+    """Run each argv through cli.main in one fresh interpreter; after each,
+    (exit code, the LAZY_LAYERS executed so far, whether json is imported)."""
+    code = f"""if True:
+        import io, sys, types
+        import superpoly.cli as cli
+        for argv in {[list(argv) for argv in commands]!r}:
+            sys.stdout = io.StringIO()
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            finally:
+                sys.stdout = sys.__stdout__
+            print((code, [name for name in {LAZY_LAYERS!r}
+                          if type(sys.modules["superpoly." + name]) is types.ModuleType],
+                   "json" in sys.modules))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+
+
+def test_commands_without_a_lazy_layer_leave_them_unexecuted():
+    commands = [
+        ["verify-ode", "--type", "2", "--r-range", "2..3", "--m-range", "2..3"],
+        ["scan", "--type", "1", "--r-range", "2", "--m-range", "3", "--points", "10..12"],
+        ["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--kmax", "40"],
+        ["kernel", "--type", "2", "--r", "2", "--m", "4", "--n", "6"],
+        ["gen", "--r", "2", "--m", "2", "--j0", "-4", "--kmax", "8"],
+        ["--version"],
+    ]
+    assert executed_layers(*commands) == [(0, [], False)] * len(commands)
+
+
+@pytest.mark.parametrize("argv,code,layer", [
+    (["pde", "--type", "1", "--r", "2", "--m", "2", "--K", "24", "--corrected"], 0, "series"),
+    (["classify", "--r", "2", "--m", "3", "--members", "4"], 1, "classify"),
+    (["gram", "--type", "2", "--r", "2", "--m", "4", "--N", "12"], 0, "orth"),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_a_command_executes_only_its_own_lazy_layer(argv, code, layer):
+    assert executed_layers(argv) == [(code, [layer], False)]
+
+
+def test_the_package_serves_each_name_from_its_module():
+    import superpoly
+    assert superpoly.generate is sys.modules["superpoly.families"].generate
+    assert superpoly.classify is sys.modules["superpoly.classify"]
+    assert {"gegenbauer", "orth", "ParameterError", "__version__"} <= set(dir(superpoly))
+    with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
+        superpoly.cli_main
+
+
+@pytest.mark.parametrize("text", [
+    *map(chr, range(0x80)),
+    "".join(map(chr, range(0x80))),
+    "\u00e9", "\u0100", "\u2028", "\u4e2d\u6587", "\ufeff", "\uffff",
+    "\U0001F600", "\ud800", "\udfff", "a\U0001F600\ud800b\"\\",
+], ids=ascii)
+def test_quoted_is_json_dumps(text):
+    assert cli._quoted(text) == json.dumps(text)
+
+
+# run lifts the digit limit for a report and gives the caller back its own
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int <-> str digit limit")
+@pytest.mark.parametrize("argv,code", [
+    (["indicial", "--type", "1", "--r", "2", "--m", "4", "--n", "8"], 0),
+    (["superpose", "--r", "3", "--m", "2", "--j0", "-4"], 1),
+    (["gen", "--r", "1", "--m", "2", "--j0", "-1"], 2),
+    pytest.param(["gegenbauer", "--m", "3", "--nmax", "4", "--out", "/dev/full"], 2,
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full on this system")),
+], ids=["pass", "finding", "domain error", "failed write"])
+def test_run_restores_the_callers_digit_limit(capsys, argv, code):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert main(argv) == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--r", "200", "--m", "3", "--members", "100"],
+    ["classify", "--r", "157", "--m", "3"],
+    ["superpose", "--r", "2500", "--m", "3", "--j0", "-1", "--members", "0"],
+    ["superpose", "--r", "25", "--m", "3", "--j0", "-1", "--members", "95"],
+], ids=" ".join)
+def test_seeds_deeper_than_the_cap_exit_2_before_generating(monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli.classify, "generate", None)  # a seed generated raises TypeError
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --members ")
+    assert err.endswith(f"above the cap {cli.INDEX_CAP}\n")
+
+
+def test_seeds_at_the_cap_are_generated(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli.classify, "classification_report",
+                        lambda r, m, members: seen.append((r, members)) or {"entries": []})
+    assert main(["classify", "--r", "25", "--m", "3", "--members", "94"]) == 0
+    assert seen == [(25, 94)]
+
+
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__ imports to re-export; every other module reads each name it
-    # imports, so a deletion that strands an import shows here
+    # every module, __init__ too now that it re-exports through __getattr__,
+    # reads each name it imports, so a deletion that strands an import shows here
     package = Path(__file__).resolve().parents[1] / "src" / "superpoly"
     unused = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         imported = {(alias.asname or alias.name).split(".")[0]
                     for node in ast.walk(tree)
@@ -632,12 +742,14 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_every_private_function_is_read():
     # a private module-level function has its readers in src/ alone, so one
-    # whose last reader is deleted shows here
+    # whose last reader is deleted shows here; a module's dunder hook
+    # (__getattr__, __dir__) is read by the interpreter
     package = Path(__file__).resolve().parents[1] / "src" / "superpoly"
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     private = [(name, node.name) for name, tree in trees.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and node.name.startswith("_")]
+               and node.name.startswith("_")
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
     read = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
