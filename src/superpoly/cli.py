@@ -9,9 +9,11 @@ object).  The parser is built from two tables: FLAGS declares each flag
 once, COMMANDS each subcommand.
 
 The package registers its layers lazily (see its __init__).  This module
-imports families, fitting, ode and poly by name, and reaches classify, orth
-and series as modules, so a command executes those three only if it calls
-them, and the report writer quotes strings itself rather than import json.
+imports only `errors` by name and reaches every other layer as a module
+(`families.generate(...)`), so a command executes just the layers it calls,
+and `--version` only `errors`; the report writer quotes strings itself
+rather than import json.  A layer's public name read on this module
+(`cli.generate`) is served from the layer's current binding.
 
 A process enters through `entry`, which runs `main` and then freezes the
 garbage collector's heap (gc.freeze).  On its way out the interpreter runs
@@ -32,12 +34,14 @@ import time
 from collections.abc import Iterator
 from operator import itemgetter
 
-from . import __version__, classify, orth, series  # these three execute on first use
+from . import _HOME, __version__, classify, families, fitting, ode, orth, poly, series
 from .errors import ParameterError, SuperpolyError
-from .families import canonical_j0, generate, stream
-from .fitting import CLOSED_BOUNDS, fit_ode, in_span, operator_vector
-from .ode import align_index, build_operator, indicial, polynomial_kernel, residual_scan
-from .poly import RationalStrings, shown, split_strings
+
+
+def __getattr__(name):  # PEP 562: cli.generate is families.generate, wrapped or not
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[f"{__package__}.{_HOME[name]}"], name)
 
 
 INDEX_CAP = 2500  # largest member index, c-degree or n a run may ask for
@@ -107,8 +111,8 @@ def capped(cap: int):
 def _family(ns, kmax: int | None = None):
     """The family of --r, --m to kmax; seeded at --j0 if given, else canonically."""
     j0 = getattr(ns, "j0", None)
-    j0 = canonical_j0(ns.type, ns.r) if j0 is None else j0
-    return generate(ns.r, ns.m, j0, kmax)
+    j0 = families.canonical_j0(ns.type, ns.r) if j0 is None else j0
+    return families.generate(ns.r, ns.m, j0, kmax)
 
 
 def _favard_family(ns):
@@ -120,12 +124,15 @@ def _members(ns) -> int:
     """--members, checked before classify or superpose generates any seed.
 
     Each seed is generated to k = (members + 6) r, and nothing else bounds
-    that product; above INDEX_CAP it is refused like any capped flag.
+    that product; above INDEX_CAP it is refused like any capped flag.  Fewer
+    than one member would check a shrunken depth, so it is refused too.
     """
     deepest = (ns.members + 6) * ns.r
     if deepest > INDEX_CAP:
         raise ParameterError(f"--members {ns.members} at --r {ns.r} generates each seed to "
                              f"k = (members + 6) r = {deepest}, above the cap {INDEX_CAP}")
+    if ns.members < 1:
+        raise ParameterError(f"--members must be at least 1, got {ns.members}")
     return ns.members
 
 
@@ -140,20 +147,20 @@ def _verdict(report: dict, *keys: str) -> tuple[dict, bool]:
 
 def _gen(ns) -> tuple[dict, bool]:
     # stream checks the arguments; the members are generated as the report is written
-    members = stream(ns.r, ns.m, ns.j0, ns.kmax)
+    members = families.stream(ns.r, ns.m, ns.j0, ns.kmax)
 
     def member_json(pair) -> dict:  # --print shows P_k from the strings the report writes
         (k, _), strings = pair
         if ns.print_members and strings:
-            print(f"P_{k} = {shown(strings)}", file=sys.stderr)
+            print(f"P_{k} = {poly.shown(strings)}", file=sys.stderr)
         return {"k": k, "coeffs": strings}
     report = {"r": ns.r, "m": ns.m, "j0": ns.j0,
-              "polys": map(member_json, split_strings(members, itemgetter(1)))}
+              "polys": map(member_json, poly.split_strings(members, itemgetter(1)))}
     return report, True
 
 
 def _indicial(ns) -> tuple[dict, bool]:
-    report = indicial(ns.type, ns.r, ns.m, ns.n)
+    report = ode.indicial(ns.type, ns.r, ns.m, ns.n)
     report["findings"] = [] if report["matches_printed_factorization"] else [{
         "kind": "printed-factorization-mismatch",
         "detail": ("the printed type-2 factorization matches the operator only "
@@ -163,10 +170,10 @@ def _indicial(ns) -> tuple[dict, bool]:
 
 
 def _kernel(ns) -> tuple[dict, bool]:
-    op = build_operator(ns.type, ns.r, ns.m, ns.n)
+    op = ode.build_operator(ns.type, ns.r, ns.m, ns.n)
     bound = ns.bound if ns.bound is not None else max(
-        indicial(ns.type, ns.r, ns.m, ns.n)["admissible_degrees"], default=0) + 2
-    basis = polynomial_kernel(op, bound, ns.parity)
+        ode.indicial(ns.type, ns.r, ns.m, ns.n)["admissible_degrees"], default=0) + 2
+    basis = ode.polynomial_kernel(op, bound, ns.parity)
     report = {
         "family_type": ns.type, "r": ns.r, "m": ns.m, "n": ns.n,
         "degree_bound": bound, "parity": ns.parity,
@@ -180,7 +187,7 @@ def _gegenbauer(ns) -> tuple[dict, bool]:
     qs = classify.gegenbauer(ns.m, ns.nmax)  # every Q_n certified before any output
     report = {
         "m": ns.m, "lambda": f"{ns.m + 1}/{ns.m}",  # 1 + 1/m in lowest terms
-        "polys": map(itemgetter(1), split_strings(qs)),
+        "polys": map(itemgetter(1), poly.split_strings(qs)),
         "ode_certified": True,  # gegenbauer() raises if any member fails its equation
     }
     return report, True
@@ -205,13 +212,13 @@ def _fit_ode(ns) -> tuple[dict, bool]:
     fam = _family(ns, ns.kmax)
     delta = ns.delta
     if delta is None:
-        delta = align_index(fam, ns.type) or 0  # no shift aligns: fit at delta = 0
-    result = fit_ode(fam, coeff_degree_bounds=ns.bounds, delta=delta, holdout=ns.holdout)
+        delta = ode.align_index(fam, ns.type) or 0  # no shift aligns: fit at delta = 0
+    result = fitting.fit_ode(fam, coeff_degree_bounds=ns.bounds, delta=delta, holdout=ns.holdout)
     report = result.to_json()
-    seed_type = {canonical_j0(t, ns.r): t for t in (1, 2)}.get(fam.j0)
-    if seed_type is not None and ns.bounds == CLOSED_BOUNDS:
-        target = operator_vector(seed_type, ns.r, ns.m)
-        report["closed_operator_in_span"] = in_span(result.candidates, target)
+    seed_type = {families.canonical_j0(t, ns.r): t for t in (1, 2)}.get(fam.j0)
+    if seed_type is not None and ns.bounds == fitting.CLOSED_BOUNDS:
+        target = fitting.operator_vector(seed_type, ns.r, ns.m)
+        report["closed_operator_in_span"] = fitting.in_span(result.candidates, target)
     return report, bool(result.candidates)
 
 
@@ -251,7 +258,7 @@ COMMANDS = [
     *((name, "verify the fourth-order operator annihilates the family "
              f"(default points: {points})",
        {"--type": REQUIRED, "--r-range": "2..8", "--m-range": "2..10", "--points": points},
-       lambda ns: (rep := residual_scan(ns.type, ns.r_range, ns.m_range, ns.points),
+       lambda ns: (rep := ode.residual_scan(ns.type, ns.r_range, ns.m_range, ns.points),
                    rep["summary"]["pass"]))
       for name, points in (("verify-ode", "paper"), ("scan", "all"))),
     ("indicial", "indicial roots, admissible degrees, resonance",
@@ -383,7 +390,7 @@ def _json_pieces(value, indent: str = ""):
         yield _quoted(value)
     elif isinstance(value, int):
         yield int.__repr__(value)
-    elif isinstance(value, RationalStrings):
+    elif isinstance(value, poly.RationalStrings):
         if value:  # the joined entries are not copied again
             inner = indent + "  "
             yield "[\n" + inner + '"'

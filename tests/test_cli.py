@@ -103,7 +103,7 @@ def test_gen_print_generates_the_family_once(monkeypatch, capsys):
     counts = {}
     for flags in ([], ["--print"]):
         calls = []
-        monkeypatch.setattr(cli, "stream", lambda *a: calls.append(a) or stream(*a))
+        monkeypatch.setattr(cli.families, "stream", lambda *a: calls.append(a) or stream(*a))
         assert main(["gen", "--r", "2", "--m", "3", "--j0", "-4", "--kmax", "8"] + flags) == 0
         counts[tuple(flags)] = len(calls)
     capsys.readouterr()
@@ -497,17 +497,17 @@ def test_fit_ode_falls_back_to_delta_0_only_on_alignment_errors(capsys, monkeypa
     # align_index's None (no shift aligns) fits at delta = 0; an exception propagates
     argv = ["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--kmax", "40"]
     deltas = []
-    fit = cli.fit_ode
-    monkeypatch.setattr(cli, "fit_ode",
+    fit = cli.fitting.fit_ode
+    monkeypatch.setattr(cli.fitting, "fit_ode",
                         lambda fam, **kw: deltas.append(kw["delta"]) or fit(fam, **kw))
-    monkeypatch.setattr(cli, "align_index", lambda fam, family_type: None)
+    monkeypatch.setattr(cli.ode, "align_index", lambda fam, family_type: None)
     capture(capsys, argv)
     assert deltas == [0]
 
     def broken(fam, family_type):
         raise ParameterError("not an alignment failure")
 
-    monkeypatch.setattr(cli, "align_index", broken)
+    monkeypatch.setattr(cli.ode, "align_index", broken)
     assert main(argv) == 2
     assert "not an alignment failure" in capsys.readouterr().err
     assert deltas == [0]
@@ -612,8 +612,11 @@ def test_import_loads_no_process_pool():
 
 
 # the package registers its modules lazily; a command executes only the layers
-# it reaches, and type() reads a module without executing it
-LAZY_LAYERS = ("series", "classify", "orth")
+# it reaches, and type() reads a module without executing it; cli imports
+# errors by name, so every process executes it
+LAZY_LAYERS = ("poly", "families", "linalg", "ode", "fitting", "series", "classify", "orth")
+GEN_LAYERS = ["poly", "families"]
+ODE_LAYERS = ["poly", "families", "linalg", "ode"]  # ode imports linalg
 
 
 def executed_layers(*commands):
@@ -641,15 +644,20 @@ def executed_layers(*commands):
 
 
 def test_commands_without_a_lazy_layer_leave_them_unexecuted():
+    # one interpreter, in an order where each command adds what it calls
     commands = [
-        ["verify-ode", "--type", "2", "--r-range", "2..3", "--m-range", "2..3"],
-        ["scan", "--type", "1", "--r-range", "2", "--m-range", "3", "--points", "10..12"],
-        ["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--kmax", "40"],
-        ["kernel", "--type", "2", "--r", "2", "--m", "4", "--n", "6"],
-        ["gen", "--r", "2", "--m", "2", "--j0", "-4", "--kmax", "8"],
-        ["--version"],
+        (["--version"], []),
+        (["gen", "--r", "2", "--m", "2", "--j0", "-4", "--kmax", "8"], GEN_LAYERS),
+        (["verify-ode", "--type", "2", "--r-range", "2..3", "--m-range", "2..3"], ODE_LAYERS),
+        (["scan", "--type", "1", "--r-range", "2", "--m-range", "3", "--points", "10..12"],
+         ODE_LAYERS),
+        (["kernel", "--type", "2", "--r", "2", "--m", "4", "--n", "6"], ODE_LAYERS),
+        (["indicial", "--type", "1", "--r", "2", "--m", "4", "--n", "8"], ODE_LAYERS),
+        (["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--kmax", "40"],
+         ODE_LAYERS + ["fitting"]),
     ]
-    assert executed_layers(*commands) == [(0, [], False)] * len(commands)
+    assert (executed_layers(*(argv for argv, _ in commands))
+            == [(0, layers, False) for _, layers in commands])
 
 
 @pytest.mark.parametrize("argv,code,layer", [
@@ -658,7 +666,22 @@ def test_commands_without_a_lazy_layer_leave_them_unexecuted():
     (["gram", "--type", "2", "--r", "2", "--m", "4", "--N", "12"], 0, "orth"),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_a_command_executes_only_its_own_lazy_layer(argv, code, layer):
-    assert executed_layers(argv) == [(code, [layer], False)]
+    # the layer, and the layers it imports
+    imports = {"series": ODE_LAYERS, "classify": ["poly", "families", "linalg"],
+               "orth": GEN_LAYERS}
+    assert executed_layers(argv) == [(code, imports[layer] + [layer], False)]
+
+
+def test_cli_serves_a_layer_name_from_the_layer(monkeypatch):
+    # the tracer wraps a layer's functions where the layer binds them, and
+    # reads cli.generate and cli.fit_ode for its binding check
+    families, fitting = sys.modules["superpoly.families"], sys.modules["superpoly.fitting"]
+    assert cli.generate is families.generate and cli.fit_ode is fitting.fit_ode
+    wrapped = object()
+    monkeypatch.setattr(families, "generate", wrapped)
+    assert cli.generate is wrapped
+    with pytest.raises(AttributeError, match="'superpoly.cli' has no attribute 'nosuch'"):
+        cli.nosuch
 
 
 def test_the_package_serves_each_name_from_its_module():
@@ -795,14 +818,17 @@ def test_one_command_parser_matches_the_full_parser(capsys, name, extra):
 
 
 # inputs that would check nothing: an empty series or PDE window, an empty
-# Gegenbauer basis, too few members to fit, no held-out member, an empty
-# positivity range, an empty closed-form range, points with no nonzero
-# member, a reduction below the first member
+# Gegenbauer basis, fewer than one member to classify or superpose, no
+# held-out member, an empty positivity range, an empty closed-form range,
+# points with no nonzero member, a reduction below the first member
 @pytest.mark.parametrize("argv", [
     ["series", "--type", "2", "--r", "2", "--m", "3", "--K", "3"],
     ["pde", "--type", "1", "--r", "3", "--m", "2", "--K", "5"],
     ["gegenbauer", "--m", "3", "--nmax", "-1"],
     ["superpose", "--r", "3", "--m", "2", "--j0", "-4", "--members", "-5"],
+    ["superpose", "--r", "3", "--m", "2", "--j0", "-4", "--members", "-2"],
+    ["classify", "--r", "2", "--m", "3", "--members", "-3"],
+    ["classify", "--r", "2", "--m", "3", "--members", "0"],
     ["verify-ode", "--type", "2", "--r-range", "2..2", "--m-range", "3..3",
      "--points=-20..-12"],
     ["scan", "--type", "2", "--r-range", "2..2", "--m-range", "3..3", "--points", "7"],
