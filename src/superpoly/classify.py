@@ -41,9 +41,14 @@ def seed_kind(r: int, m: int, j0: int) -> Kind:
 # type-B superposition against the two canonical families
 # ---------------------------------------------------------------------------
 
+def superposition_depth(r: int, members: int) -> int:  # the k superposition_fit generates to
+    return (members + 6) * r
+
+
 def _canonical_pair(r: int, m: int, members: int) -> Tuple[Family, Family]:
     """The type-1 and type-2 canonical families to the depth superposition_fit reads."""
-    return tuple(generate(r, m, canonical_j0(t, r), (members + 6) * r) for t in (1, 2))
+    depth = superposition_depth(r, members)
+    return tuple(generate(r, m, canonical_j0(t, r), depth) for t in (1, 2))
 
 
 def _two_term_rows(p: CPoly, q1: CPoly, q2: CPoly, powers: Optional[List[int]] = None):
@@ -65,7 +70,7 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10,
     certified.  For genuine type-B seeds the three families live on different
     support lattices mod r, so members are aligned by degree (the only
     parity-consistent pairing); the fit is solved exactly from the first two
-    aligned members and certified on all the rest with k <= (members + 6) r.
+    aligned members and certified on all the rest to superposition_depth.
     A failed certification is reported as a superposition-violation finding,
     never patched.  `canonical` is the (type-1, type-2) canonical pair to
     that depth, for a caller that fits several seeds; None generates it.
@@ -84,7 +89,7 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10,
     if kind != "B_linear_combination":
         raise ParameterError(f"j0={j0} is not in the type-B range for r={r}")
 
-    fam_b = generate(r, m, j0, (members + 6) * r)
+    fam_b = generate(r, m, j0, superposition_depth(r, members))
     fam_1, fam_2 = canonical or _canonical_pair(r, m, members)
     mem_b = fam_b.nonzero_members()
     by_degree_1 = {int(p.degree): p for _, p in fam_1.nonzero_members()}

@@ -123,11 +123,11 @@ def _favard_family(ns):
 def _members(ns) -> int:
     """--members, checked before classify or superpose generates any seed.
 
-    Each seed is generated to k = (members + 6) r, and nothing else bounds
-    that product; above INDEX_CAP it is refused like any capped flag.  Fewer
+    Each seed is generated to classify.superposition_depth, and nothing else
+    bounds it; above INDEX_CAP it is refused like any capped flag.  Fewer
     than one member would check a shrunken depth, so it is refused too.
     """
-    deepest = (ns.members + 6) * ns.r
+    deepest = classify.superposition_depth(ns.r, ns.members)
     if deepest > INDEX_CAP:
         raise ParameterError(f"--members {ns.members} at --r {ns.r} generates each seed to "
                              f"k = (members + 6) r = {deepest}, above the cap {INDEX_CAP}")
@@ -210,12 +210,12 @@ def _series(ns) -> tuple[dict, bool]:
 
 def _fit_ode(ns) -> tuple[dict, bool]:
     fam = _family(ns, ns.kmax)
+    seed_type = {families.canonical_j0(t, ns.r): t for t in (1, 2)}.get(fam.j0)
     delta = ns.delta
-    if delta is None:
-        delta = ode.align_index(fam, ns.type) or 0  # no shift aligns: fit at delta = 0
+    if delta is None:  # a canonical seed aligns with its own type, any other with --type
+        delta = ode.align_index(fam, seed_type or ns.type) or 0  # no shift aligns: delta 0
     result = fitting.fit_ode(fam, coeff_degree_bounds=ns.bounds, delta=delta, holdout=ns.holdout)
     report = result.to_json()
-    seed_type = {families.canonical_j0(t, ns.r): t for t in (1, 2)}.get(fam.j0)
     if seed_type is not None and ns.bounds == fitting.CLOSED_BOUNDS:
         target = fitting.operator_vector(seed_type, ns.r, ns.m)
         report["closed_operator_in_span"] = fitting.in_span(result.candidates, target)

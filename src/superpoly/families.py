@@ -12,7 +12,7 @@ generation is total.  Nonzero members live on the lattice k == j0 (mod r).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Literal, Tuple
 
 from .errors import ParameterError
 from .poly import CPoly
@@ -105,7 +105,10 @@ def stream(r: int, m: int, j0: int, kmax: int | None) -> Iterator[Tuple[int, CPo
     return members()
 
 
-def canonical_j0(family_type: int, r: int) -> int:
+FamilyType = Literal[1, 2]
+
+
+def canonical_j0(family_type: FamilyType, r: int) -> int:
     """Seed of the canonical family of a type: -2r for type 1, -r for type 2."""
     if family_type not in (1, 2):
         raise ParameterError(f"family_type must be 1 or 2, got {family_type}")

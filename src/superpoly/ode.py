@@ -18,14 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Callable, List, Literal, Optional, Sequence, Tuple
+from typing import List, Literal, Optional, Sequence, Tuple
 
 from .errors import ParameterError
-from .families import Family, _check_params, canonical_j0, generate
+from .families import Family, FamilyType, _check_params, canonical_j0, generate
 from .linalg import nullspace
 from .poly import CPoly, shift_symbols
-
-FamilyType = Literal[1, 2]
 
 
 def delta_correction(r: int, m: int, n: int) -> int:
@@ -84,12 +82,6 @@ def build_operator(family_type: FamilyType, r: int, m: int, n: int) -> OdeOperat
                         (M, 0, -2 * M, 0, M)))  # M (c^2 - 1)^2
 
 
-def _first_offset(offsets: Sequence[int], members: Sequence[Tuple[int, CPoly]],
-                  annihilates: Callable[[int, CPoly], bool]) -> Optional[int]:
-    """The first offset o with annihilates(k + o, p) for every member (k, p), else None."""
-    return next((o for o in offsets if all(annihilates(k + o, p) for k, p in members)), None)
-
-
 def align_index(fam: Family, family_type: FamilyType) -> Optional[int]:
     """The shift delta with n = k + delta, searched over {0, r, 2r}; None if
     the family has fewer than three nonzero members or no shift aligns.
@@ -103,8 +95,9 @@ def align_index(fam: Family, family_type: FamilyType) -> Optional[int]:
     members = fam.nonzero_members()[:3]
     if len(members) < 3:
         return None
-    return _first_offset((0, r, 2 * r), members, lambda n, p: build_operator(
-        family_type, r, m, n).apply(p).is_zero())
+    return next((d for d in (0, r, 2 * r)
+                 if all(build_operator(family_type, r, m, k + d).apply(p).is_zero()
+                        for k, p in members)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,11 @@ exact CPoly.
 
 from __future__ import annotations
 
-from typing import List, Literal, Optional
+from typing import List, Optional
 
 from .errors import ParameterError, TruncationError
-from .families import Family, canonical_j0, generate
-from .ode import _first_offset
+from .families import Family, FamilyType, canonical_j0, generate
 from .poly import CPoly
-
-FamilyType = Literal[1, 2]
 
 
 def first_order_residual(fam: Family, K: int) -> List[CPoly]:
@@ -109,8 +106,9 @@ def certify_exponent_mapping(family_type: FamilyType, fam: Family, K: int,
     """
     r = fam.r
     members = [(k, g) for k in range(K + 1) if (g := fam.polys[k - 2 * r])]
-    return _first_offset((0, r, 2 * r, -r, -2 * r), members, lambda v, g: pde_reduced(
-        family_type, r, fam.m, v, g, corrected).is_zero())
+    return next((o for o in (0, r, 2 * r, -r, -2 * r)
+                 if all(pde_reduced(family_type, r, fam.m, k + o, g, corrected).is_zero()
+                        for k, g in members)), None)
 
 
 def pde_residual(family_type: FamilyType, r: int, m: int, K: int,

@@ -513,6 +513,33 @@ def test_fit_ode_falls_back_to_delta_0_only_on_alignment_errors(capsys, monkeypa
     assert deltas == [0]
 
 
+@pytest.mark.parametrize("j0", ["-2", "-4"])
+def test_fit_ode_aligns_a_canonical_seed_with_its_own_type(capsys, j0):
+    # at r = 2, j0 = -4 seeds the type-1 family and -2 the type-2 one; either
+    # --type gives the report of the seed's own operator
+    reports = []
+    for family_type in ("1", "2"):
+        code, doc = capture(capsys, ["fit-ode", "--type", family_type, "--r", "2", "--m", "3",
+                                     "--j0", j0, "--kmax", "40"])
+        assert code == 0
+        reports.append(doc["report"])
+    assert reports[0] == reports[1]
+    assert [c["delta"] for c in reports[0]["candidates"]] == [4]
+    assert reports[0]["closed_operator_in_span"] is True
+
+
+def test_fit_ode_aligns_other_seeds_with_the_type_flag(capsys, monkeypatch):
+    # j0 = -3 seeds neither canonical family at r = 2, so --type chooses the operator
+    seen, align = [], cli.ode.align_index
+    monkeypatch.setattr(cli.ode, "align_index", lambda fam, family_type: (
+        seen.append(family_type) or align(fam, family_type)))
+    for family_type in ("1", "2"):
+        code, _ = capture(capsys, ["fit-ode", "--type", family_type, "--r", "2", "--m", "3",
+                                   "--j0", "-3", "--kmax", "40"])
+        assert code == 0
+    assert seen == [1, 2]
+
+
 def test_scan_reports_members_the_operator_misses(capsys, monkeypatch):
     # L_n + 1 sends every member P to L_n P + P = P: each checked n fails
     ode_module = sys.modules["superpoly.ode"]
@@ -662,12 +689,13 @@ def test_commands_without_a_lazy_layer_leave_them_unexecuted():
 
 @pytest.mark.parametrize("argv,code,layer", [
     (["pde", "--type", "1", "--r", "2", "--m", "2", "--K", "24", "--corrected"], 0, "series"),
+    (["series", "--r", "2", "--m", "3", "--K", "40"], 0, "series"),
     (["classify", "--r", "2", "--m", "3", "--members", "4"], 1, "classify"),
     (["gram", "--type", "2", "--r", "2", "--m", "4", "--N", "12"], 0, "orth"),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_a_command_executes_only_its_own_lazy_layer(argv, code, layer):
     # the layer, and the layers it imports
-    imports = {"series": ODE_LAYERS, "classify": ["poly", "families", "linalg"],
+    imports = {"series": GEN_LAYERS, "classify": ["poly", "families", "linalg"],
                "orth": GEN_LAYERS}
     assert executed_layers(argv) == [(code, imports[layer] + [layer], False)]
 
