@@ -11,9 +11,10 @@ once, COMMANDS each subcommand.
 The package registers its layers lazily (see its __init__).  This module
 imports only `errors` by name and reaches every other layer as a module
 (`families.generate(...)`), so a command executes just the layers it calls,
-and `--version` only `errors`; the report writer quotes strings itself
-rather than import json.  A layer's public name read on this module
-(`cli.generate`) is served from the layer's current binding.
+and `--version` only `errors`; only a report with a string that needs an
+escape imports json.  A layer's public name read on this module
+(`cli.generate`) is served from the layer's current binding: the first of
+the package's LAYERS that binds it, which is the one that defines it.
 
 A process enters through `entry`, which runs `main` and then freezes the
 garbage collector's heap (gc.freeze).  On its way out the interpreter runs
@@ -34,14 +35,17 @@ import time
 from collections.abc import Iterator
 from operator import itemgetter
 
-from . import _HOME, __version__, classify, families, fitting, ode, orth, poly, series
+from . import LAYERS, __version__, classify, families, fitting, ode, orth, poly, series
 from .errors import ParameterError, SuperpolyError
 
 
 def __getattr__(name):  # PEP 562: cli.generate is families.generate, wrapped or not
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(sys.modules[f"{__package__}.{_HOME[name]}"], name)
+    if not name.startswith("_"):  # a layer comes before the layers that import from it
+        for layer in LAYERS:
+            module = sys.modules[f"{__package__}.{layer}"]
+            if hasattr(module, name):
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 INDEX_CAP = 2500  # largest member index, c-degree or n a run may ask for
@@ -136,6 +140,10 @@ def _members(ns) -> int:
     return ns.members
 
 
+GRID_CAP = 2500  # most (r, m) cells a verify-ode or scan grid may hold
+FIT_KMAX_PER_R = 300  # fit-ode's --kmax is at most this times --r
+
+
 def _verdict(report: dict, *keys: str) -> tuple[dict, bool]:
     """The report, passing when all the named keys of it are true."""
     return report, all(report[key] for key in keys)
@@ -157,6 +165,17 @@ def _gen(ns) -> tuple[dict, bool]:
     report = {"r": ns.r, "m": ns.m, "j0": ns.j0,
               "polys": map(member_json, poly.split_strings(members, itemgetter(1)))}
     return report, True
+
+
+def _scan(ns) -> tuple[dict, bool]:
+    # every cell's report is held until the grid's is written, so the grid
+    # is refused before any cell is checked
+    cells = len(ns.r_range) * len(ns.m_range)
+    if cells > GRID_CAP:
+        raise ParameterError(f"--r-range {len(ns.r_range)} x --m-range {len(ns.m_range)} "
+                             f"is {cells} (r, m) cells, above the cap {GRID_CAP}")
+    report = ode.residual_scan(ns.type, ns.r_range, ns.m_range, ns.points)
+    return report, report["summary"]["pass"]
 
 
 def _indicial(ns) -> tuple[dict, bool]:
@@ -209,14 +228,20 @@ def _series(ns) -> tuple[dict, bool]:
 
 
 def _fit_ode(ns) -> tuple[dict, bool]:
+    # the fit holds every member's rows at once: at r = 2, --kmax 600 peaks
+    # near 155 MB, and time and memory grow about as kmax^2
+    if ns.kmax is not None and ns.kmax > FIT_KMAX_PER_R * ns.r:
+        raise ParameterError(f"--kmax {ns.kmax} at --r {ns.r} is above the fit's cap "
+                             f"{FIT_KMAX_PER_R} r = {FIT_KMAX_PER_R * ns.r}")
+    bounds = fitting.CLOSED_BOUNDS if ns.bounds is None else ns.bounds
     fam = _family(ns, ns.kmax)
     seed_type = {families.canonical_j0(t, ns.r): t for t in (1, 2)}.get(fam.j0)
     delta = ns.delta
     if delta is None:  # a canonical seed aligns with its own type, any other with --type
         delta = ode.align_index(fam, seed_type or ns.type) or 0  # no shift aligns: delta 0
-    result = fitting.fit_ode(fam, coeff_degree_bounds=ns.bounds, delta=delta, holdout=ns.holdout)
+    result = fitting.fit_ode(fam, coeff_degree_bounds=bounds, delta=delta, holdout=ns.holdout)
     report = result.to_json()
-    if seed_type is not None and ns.bounds == fitting.CLOSED_BOUNDS:
+    if seed_type is not None and bounds == fitting.CLOSED_BOUNDS:
         target = fitting.operator_vector(seed_type, ns.r, ns.m)
         report["closed_operator_in_span"] = fitting.in_span(result.candidates, target)
     return report, bool(result.candidates)
@@ -243,7 +268,8 @@ FLAGS = {
     "--corrected": {"action": "store_true",
                     "help": "apply the erratum terms to the type-1 reduction"},
     "--bounds": {"type": parse_bounds,
-                 "help": "c-degree bound per derivative order, comma separated"},
+                 "help": "c-degree bound per derivative order, comma separated "
+                         "(default: the closed operator's)"},
     "--delta": {"type": capped(INDEX_CAP),
                 "help": "index map n = k + delta (default: aligned, else 0)"},
 }
@@ -258,8 +284,7 @@ COMMANDS = [
     *((name, "verify the fourth-order operator annihilates the family "
              f"(default points: {points})",
        {"--type": REQUIRED, "--r-range": "2..8", "--m-range": "2..10", "--points": points},
-       lambda ns: (rep := ode.residual_scan(ns.type, ns.r_range, ns.m_range, ns.points),
-                   rep["summary"]["pass"]))
+       _scan)
       for name, points in (("verify-ode", "paper"), ("scan", "all"))),
     ("indicial", "indicial roots, admissible degrees, resonance",
      {"--type": REQUIRED, "--r": REQUIRED, "--m": REQUIRED, "--n": REQUIRED},
@@ -310,7 +335,7 @@ COMMANDS = [
                          "pass")),
     ("fit-ode", "blind exact fit of annihilating operators",
      {"--type": 1, "--r": REQUIRED, "--m": REQUIRED, "--j0": None, "--kmax": None,
-      "--bounds": "0,1,2,3,4", "--delta": None, "--holdout": 4},
+      "--bounds": None, "--delta": None, "--holdout": 4},
      _fit_ode),
 ]
 
@@ -346,32 +371,16 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 WRITE_SIZE = 1 << 16  # characters gathered per write; a report is ASCII, so bytes
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
-            "\t": "\\t"}
-
-
-def _escaped(char: str) -> str:
-    """One character as json.dumps writes it: printable ASCII as itself, the
-    rest as a short escape or as UTF-16 code units in \\uXXXX form."""
-    if char in _ESCAPES:
-        return _ESCAPES[char]
-    if " " <= char <= "~":
-        return char
-    code = ord(char)
-    if code > 0xFFFF:  # a surrogate pair
-        code -= 0x10000
-        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-    return f"\\u{code:04x}"
-
-
 def _quoted(text: str) -> str:
-    """json.dumps(text), byte for byte; most report strings need no escape.
+    """json.dumps(text); a string that needs no escape is quoted here, so
+    only a report with one that does (a non-ASCII argv) imports json.
 
     Like json's encoder, it raises TypeError on anything but a str (a dict key).
     """
     if str.isascii(text) and text.isprintable() and '"' not in text and "\\" not in text:
         return '"' + text + '"'
-    return '"' + "".join(map(_escaped, text)) + '"'
+    import json
+    return json.dumps(text)
 
 
 def _json_pieces(value, indent: str = ""):

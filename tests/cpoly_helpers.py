@@ -7,8 +7,10 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from superpoly import CPoly, ParameterError, indicial_factors, is_resonant, solve_exact
-from superpoly.poly import shift_symbols
+from superpoly.errors import ParameterError
+from superpoly.linalg import solve_exact
+from superpoly.ode import indicial_factors, is_resonant
+from superpoly.poly import CPoly, shift_symbols
 
 
 def coefficients(p: CPoly) -> tuple:

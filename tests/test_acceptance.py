@@ -23,13 +23,16 @@ import random
 import time
 from fractions import Fraction
 
-from superpoly import (CPoly, align_index, build_operator,
-                       certify_exponent_mapping, fit_ode, generate,
-                       first_order_residual, gegenbauer_ode_residual, in_span,
-                       indicial, operator_vector, orthogonality_report, pde_reduced,
-                       pde_residual, polynomial_kernel,
-                       printed_indicial_factors, residual_scan,
-                       superposition_fit, verify_gegenbauer_reduction)
+from superpoly.classify import (gegenbauer_ode_residual, superposition_fit,
+                                verify_gegenbauer_reduction)
+from superpoly.families import generate
+from superpoly.fitting import fit_ode, in_span, operator_vector
+from superpoly.ode import (align_index, build_operator, indicial, polynomial_kernel,
+                           printed_indicial_factors, residual_scan)
+from superpoly.orth import orthogonality_report
+from superpoly.poly import CPoly
+from superpoly.series import (certify_exponent_mapping, first_order_residual, pde_reduced,
+                              pde_residual)
 
 from cpoly_helpers import (indicial_value, leading, leading_symbol, operator_coefficients,
                            resonant_pairs)

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 import superpoly.classify as classify_module
-from superpoly import (CPoly, FitError, ParameterError, classification_report,
-                       gegenbauer, gegenbauer_ode_residual, generate, seed_kind,
-                       superposition_fit, verify_gegenbauer_reduction)
-from superpoly.classify import _canonical_pair, _two_term_rows
+from superpoly.classify import (_canonical_pair, _two_term_rows, classification_report, gegenbauer,
+                                gegenbauer_ode_residual, seed_kind, superposition_fit,
+                                verify_gegenbauer_reduction)
+from superpoly.errors import FitError, ParameterError
+from superpoly.families import generate
 from superpoly.linalg import solve_exact
+from superpoly.poly import CPoly
 
 from cpoly_helpers import derive, fraction_two_term_fit
 

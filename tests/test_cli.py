@@ -1,6 +1,7 @@
 import ast
 import gc
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -15,10 +16,12 @@ from pathlib import Path
 import pytest
 
 import superpoly.cli as cli
-from superpoly import CPoly, ParameterError, gegenbauer, generate
+from superpoly import LAYERS
+from superpoly.classify import gegenbauer
 from superpoly.cli import COMMANDS, build_parser, main, parse_span
-from superpoly.families import stream
-from superpoly.poly import split_strings
+from superpoly.errors import ParameterError
+from superpoly.families import generate, stream
+from superpoly.poly import CPoly, split_strings
 
 
 def capture(capsys, argv):
@@ -610,6 +613,38 @@ def test_above_cap_exits_2(capsys, argv):
     assert f"{value} is above the cap" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify-ode", "scan"])
+def test_a_grid_above_the_cell_cap_exits_2_before_any_cell(capsys, monkeypatch, command):
+    def checked(*args):
+        raise AssertionError("a cell was checked")
+    monkeypatch.setattr(cli.ode, "scan_cell", checked)
+    argv = [command, "--type", "1", "--m-range", "2..51", "--r-range"]
+    assert main(argv + ["2..52"]) == 2  # 51 x 50 cells
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: --r-range 51 x --m-range 50 is 2550 (r, m) cells, "
+                                 "above the cap 2500\n")
+    monkeypatch.setattr(cli.ode, "scan_cell", lambda *args: {"pass": True})
+    code, doc = capture(capsys, argv + ["2..51"])
+    assert code == 0 and doc["report"]["summary"] == {"cells": 2500, "pass": True}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_fit_ode_kmax_above_300_r_exits_2_before_generating(capsys, monkeypatch, r):
+    depths = []
+
+    def generating(r, m, j0, kmax):
+        depths.append(kmax)
+        raise ParameterError("generated")
+    monkeypatch.setattr(cli.families, "generate", generating)
+    argv = ["fit-ode", "--type", "1", "--r", str(r), "--m", "3", "--kmax"]
+    assert main(argv + [str(300 * r + 1)]) == 2
+    assert capsys.readouterr().err == (f"error: --kmax {300 * r + 1} at --r {r} is above "
+                                       f"the fit's cap 300 r = {300 * r}\n")
+    assert depths == []
+    assert main(argv + [str(300 * r)]) == 2
+    assert capsys.readouterr().err == "error: generated\n" and depths == [300 * r]
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no int <-> str digit limit")
 def test_report_integers_longer_than_the_digit_limit(capsys):
@@ -700,25 +735,35 @@ def test_a_command_executes_only_its_own_lazy_layer(argv, code, layer):
     assert executed_layers(argv) == [(code, imports[layer] + [layer], False)]
 
 
+def test_only_a_report_with_an_escape_imports_json():
+    # int() reads "\u0662" (ARABIC-INDIC DIGIT TWO) as 2; the argv echo escapes it
+    argv = ["indicial", "--type", "1", "--r", "\u0662", "--m", "3", "--n", "8"]
+    assert executed_layers(argv) == [(0, ODE_LAYERS, True)]
+
+
 def test_cli_serves_a_layer_name_from_the_layer(monkeypatch):
     # the tracer wraps a layer's functions where the layer binds them, and
     # reads cli.generate and cli.fit_ode for its binding check
     families, fitting = sys.modules["superpoly.families"], sys.modules["superpoly.fitting"]
     assert cli.generate is families.generate and cli.fit_ode is fitting.fit_ode
+    # a name no layer binds executes every layer on its way to the error, so
+    # it is read before a layer that imports generate could bind the stand-in
+    with pytest.raises(AttributeError, match="'superpoly.cli' has no attribute 'nosuch'"):
+        cli.nosuch
     wrapped = object()
     monkeypatch.setattr(families, "generate", wrapped)
     assert cli.generate is wrapped
-    with pytest.raises(AttributeError, match="'superpoly.cli' has no attribute 'nosuch'"):
-        cli.nosuch
 
 
-def test_the_package_serves_each_name_from_its_module():
-    import superpoly
-    assert superpoly.generate is sys.modules["superpoly.families"].generate
-    assert superpoly.classify is sys.modules["superpoly.classify"]
-    assert {"gegenbauer", "orth", "ParameterError", "__version__"} <= set(dir(superpoly))
-    with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
-        superpoly.cli_main
+@pytest.mark.parametrize("layer", LAYERS)
+def test_cli_serves_every_public_name_a_layer_defines(layer):
+    module = sys.modules[f"superpoly.{layer}"]
+    defined = [name for name, value in vars(module).items()
+               if (inspect.isfunction(value) or inspect.isclass(value))
+               and not name.startswith("_") and value.__module__ == module.__name__]
+    assert defined
+    for name in defined:
+        assert getattr(cli, name) is getattr(module, name), name
 
 
 @pytest.mark.parametrize("text", [
@@ -913,6 +958,9 @@ GOLDEN_REPORTS = [
      "193fae52ef6cef68037d779a6cadb777aae9296e91afe56115966f7bd9134257"),
     (["indicial", "--type", "2", "--r", "3", "--m", "4", "--n", "12"], 0,
      "f245407c787a6698ef45b909d4ac7f84051d357eee448170d3e537cb1dabcb1b"),
+    # the one report whose argv needs an escape: --r is "\u0662", the digit two
+    (["indicial", "--type", "1", "--r", "\u0662", "--m", "3", "--n", "8"], 0,
+     "fa9514cc8644111ba39849222b060804a798b1dcf86fe597a8029168d0440c5e"),
     (["kernel", "--type", "2", "--r", "2", "--m", "4", "--n", "6"], 0,
      "e4e5073fbab15964caf46e2f4bc2effe799ff64e811169155ff13487004bc189"),
     (["classify", "--r", "4", "--m", "3"], 1,

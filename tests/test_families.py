@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from superpoly import (CPoly, ParameterError, canonical_j0, first_order_residual,
-                       generate)
 from superpoly.cli import _write_report, build_parser
-from superpoly.families import Family, stream
+from superpoly.errors import ParameterError
+from superpoly.families import Family, canonical_j0, generate, stream
+from superpoly.poly import CPoly
+from superpoly.series import first_order_residual
 
 from cpoly_helpers import coefficients
 

@@ -5,9 +5,12 @@ from math import lcm
 
 import pytest
 
-from superpoly import (CPoly, FitError, OdeOperator, align_index, build_operator, fit_ode,
-                       generate, in_span, nullspace, operator_vector, polynomial_kernel)
-from superpoly.fitting import N_DEGREE
+from superpoly.errors import FitError
+from superpoly.families import generate
+from superpoly.fitting import N_DEGREE, fit_ode, in_span, operator_vector
+from superpoly.linalg import nullspace
+from superpoly.ode import OdeOperator, align_index, build_operator, polynomial_kernel
+from superpoly.poly import CPoly
 
 from cpoly_helpers import coefficients, derive, leading, operator_coefficients
 

@@ -5,7 +5,8 @@ from math import isqrt
 
 import pytest
 
-from superpoly import linalg, nullspace, solve_exact
+from superpoly import linalg
+from superpoly.linalg import nullspace, solve_exact
 
 P = linalg._P
 

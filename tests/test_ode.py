@@ -4,10 +4,14 @@ from fractions import Fraction
 import pytest
 
 import superpoly.ode as ode
-from superpoly import (CPoly, OdeOperator, ParameterError, align_index, build_operator,
-                       canonical_j0, delta_correction, gegenbauer, generate, indicial,
-                       is_resonant, nullspace, polynomial_kernel, printed_indicial_factors,
-                       residual_scan, scalar_coefficients, scan_cell)
+from superpoly.classify import gegenbauer
+from superpoly.errors import ParameterError
+from superpoly.families import canonical_j0, generate
+from superpoly.linalg import nullspace
+from superpoly.ode import (OdeOperator, align_index, build_operator, delta_correction, indicial,
+                           is_resonant, polynomial_kernel, printed_indicial_factors, residual_scan,
+                           scalar_coefficients, scan_cell)
+from superpoly.poly import CPoly
 
 from cpoly_helpers import (coefficient, derive, indicial_value, leading, leading_symbol,
                            operator_coefficients, parity, resonant_pairs)

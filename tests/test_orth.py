@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from superpoly import (CPoly, ParameterError, canonical_j0, closed_form_AB, favard,
-                       generate, gram_check, identify_ultraspherical, orthogonality_report)
 from superpoly import orth
-from superpoly.families import Family
+from superpoly.errors import ParameterError
+from superpoly.families import Family, canonical_j0, generate
+from superpoly.orth import (closed_form_AB, favard, gram_check, identify_ultraspherical,
+                            orthogonality_report)
+from superpoly.poly import CPoly
 
 from cpoly_helpers import coefficient, parity, reference_gram, reference_moments
 

@@ -4,9 +4,9 @@ from math import gcd
 
 import pytest
 
-from superpoly import CPoly, build_operator
 from superpoly.families import stream
-from superpoly.poly import RationalStrings, shift_symbols
+from superpoly.ode import build_operator
+from superpoly.poly import CPoly, RationalStrings, shift_symbols
 
 from cpoly_helpers import coefficient, coefficients, derive, evaluate, from_strings, parity
 

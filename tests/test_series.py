@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 import superpoly.series as series
-from superpoly import (CPoly, TruncationError, build_operator,
-                       certify_exponent_mapping, first_order_residual,
-                       generate, pde_reduced, pde_residual)
-from superpoly.families import Family
+from superpoly.errors import TruncationError
+from superpoly.families import Family, generate
+from superpoly.ode import build_operator
+from superpoly.poly import CPoly
+from superpoly.series import (certify_exponent_mapping, first_order_residual, pde_reduced,
+                              pde_residual)
 
 from cpoly_helpers import derive
 
