@@ -45,6 +45,11 @@ def superposition_depth(r: int, members: int) -> int:  # the k superposition_fit
     return (members + 6) * r
 
 
+def _check_members(members: int) -> None:
+    if members < 1:
+        raise ParameterError(f"members must be at least 1, got {members}")
+
+
 def _canonical_pair(r: int, m: int, members: int) -> Tuple[Family, Family]:
     """The type-1 and type-2 canonical families to the depth superposition_fit reads."""
     depth = superposition_depth(r, members)
@@ -75,7 +80,10 @@ def superposition_fit(r: int, m: int, j0: int, members: int = 10,
     never patched.  `canonical` is the (type-1, type-2) canonical pair to
     that depth, for a caller that fits several seeds; None generates it.
     The report's alpha and beta are strings, or None where the fit fails.
+    Fewer than one member would certify a shrunken depth: ParameterError.
     """
+    _check_members(members)
+
     def report(alpha, beta, certified_k, findings):
         return {"r": r, "m": m, "j0": j0,
                 "alpha": None if alpha is None else str(alpha),
@@ -224,7 +232,9 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
 
 
 def classification_report(r: int, m: int, members: int = 10) -> dict:
-    """Per-j0 classification with superposition data for the type-B range."""
+    """Per-j0 classification with superposition data for the type-B range;
+    ParameterError for fewer than one member, as superposition_fit."""
+    _check_members(members)
     entries = []
     canonical = _canonical_pair(r, m, members)
     for j0 in range(-2 * r, 0):

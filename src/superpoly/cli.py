@@ -128,15 +128,13 @@ def _members(ns) -> int:
     """--members, checked before classify or superpose generates any seed.
 
     Each seed is generated to classify.superposition_depth, and nothing else
-    bounds it; above INDEX_CAP it is refused like any capped flag.  Fewer
-    than one member would check a shrunken depth, so it is refused too.
+    bounds it; above INDEX_CAP it is refused like any capped flag.  The
+    classify layer refuses fewer than one member.
     """
     deepest = classify.superposition_depth(ns.r, ns.members)
     if deepest > INDEX_CAP:
         raise ParameterError(f"--members {ns.members} at --r {ns.r} generates each seed to "
                              f"k = (members + 6) r = {deepest}, above the cap {INDEX_CAP}")
-    if ns.members < 1:
-        raise ParameterError(f"--members must be at least 1, got {ns.members}")
     return ns.members
 
 
@@ -214,8 +212,7 @@ def _gegenbauer(ns) -> tuple[dict, bool]:
 
 def _series(ns) -> tuple[dict, bool]:
     window = ns.K - 2 * ns.r
-    # a negative window is first_order_residual's "K must be at least 2r"
-    fam = _family(ns, max(window, 0))
+    fam = _family(ns, 0)  # first_order_residual walks it on to k = window
     resid = series.first_order_residual(fam, ns.K)
     bad = [k for k in range(window + 1) if resid[k]]
     report = {

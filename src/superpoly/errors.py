@@ -17,10 +17,6 @@ class ParameterError(SuperpolyError):
     """Parameters outside the valid domain (r >= 2, m >= 2, -2r <= j0 <= -1, ...)."""
 
 
-class TruncationError(SuperpolyError):
-    """A series operation needs more generated members than are available."""
-
-
 class FitError(SuperpolyError):
     """An exact linear fit is degenerate or the fitting system is underdetermined."""
 

@@ -41,7 +41,7 @@ def _check_kmax(r: int, kmax: int | None) -> int:
 
 
 class Family:
-    """A generated family; polys maps every k >= -2r up to kmax to its CPoly.
+    """A generated family; polys maps k in [-2r, kmax] to P_k, less what `walk` dropped.
 
     Zero polynomials are stored explicitly (off-lattice indices and zero
     initial entries) so series code can index densely.
@@ -60,7 +60,7 @@ class Family:
     def extend(self, kmax: int) -> "Family":
         """Generate P_k for k <= kmax, one integer CPoly.combine per k whose
         inputs P_(k-r), P_(k-2r) are not both zero (else P_k is zero).
-        Only `generate` and `stream` call it; a check generates its family once."""
+        Only `generate` and `walk` call it; a check generates its family once."""
         r, m = self.r, self.m
         for k in range(self.kmax + 1, kmax + 1):
             prev, prev2 = self.polys[k - r], self.polys[k - 2 * r]
@@ -86,23 +86,24 @@ def generate(r: int, m: int, j0: int, kmax: int | None = None) -> Family:
     return fam.extend(_check_kmax(r, kmax))
 
 
-def stream(r: int, m: int, j0: int, kmax: int | None) -> Iterator[Tuple[int, CPoly]]:
-    """(k, P_k) for k = -2r..kmax in order, holding at most 2r + 1 members at once.
+def walk(fam: Family, kmax: int) -> Iterator[Tuple[int, CPoly]]:
+    """(k, P_k) for k = -2r..kmax in order, fam extended as it goes.
 
-    The arguments are checked when stream is called, and kmax = None read
-    as 12r, as `generate` does.  A private Family is extended one index at
-    a time, and the member 2r below the new one, which no later member
-    reads, is dropped before it is yielded.
+    P_(k-2r-1), which no later member reads, is dropped before P_k is read:
+    a reader at k still finds P_(k-r) and P_(k-2r) in fam.polys, and fam
+    holds at most 2r + 1 members through k.
     """
-    fam = Family(r, m, j0)
-    kmax = _check_kmax(r, kmax)
+    r = fam.r
+    for k in range(-2 * r, kmax + 1):
+        fam.polys.pop(k - 2 * r - 1, None)
+        fam.extend(k)
+        yield k, fam.polys[k]
 
-    def members():
-        for k in range(-2 * r, kmax + 1):
-            fam.extend(k)
-            fam.polys.pop(k - 2 * r, None)
-            yield k, fam.polys[k]
-    return members()
+
+def stream(r: int, m: int, j0: int, kmax: int | None) -> Iterator[Tuple[int, CPoly]]:
+    """`walk` over a new family seeded at j0.  The arguments are checked when
+    stream is called, and kmax = None read as 12r, as `generate` does."""
+    return walk(Family(r, m, j0), _check_kmax(r, kmax))
 
 
 FamilyType = Literal[1, 2]

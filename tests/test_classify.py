@@ -47,6 +47,17 @@ def test_superposition_rejects_type_c():
         superposition_fit(4, 2, -2)
 
 
+@pytest.mark.parametrize("members", [0, -1, -5])
+def test_fewer_than_one_member_is_refused_before_generating(monkeypatch, members):
+    # members = 0 used to certify nothing at depth 6r and report a full result
+    monkeypatch.setattr(classify_module, "generate", None)  # a seed generated raises TypeError
+    for call in (lambda: superposition_fit(3, 2, -4, members=members),
+                 lambda: superposition_fit(3, 2, -6, members=members),
+                 lambda: classification_report(4, 3, members=members)):
+        with pytest.raises(ParameterError, match="members must be at least 1"):
+            call()
+
+
 def test_superposition_type_b_violation_is_reported():
     # the three families live on different support lattices mod r, so the
     # member-wise identity cannot hold; the engine must say so, not guess

@@ -496,6 +496,23 @@ def test_fit_ode_subcommand(capsys):
     assert doc["report"]["closed_operator_in_span"] is True
 
 
+def test_fit_ode_bounds_of_the_closed_operator_match_the_default(capsys):
+    # the envelope echoes argv, so the report objects are compared, not digests
+    argv = ["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--kmax", "40"]
+    code, default = capture(capsys, argv)
+    assert capture(capsys, argv + ["--bounds", "0,1,2,3,4"]) == (code, {
+        **default, "argv": argv + ["--bounds", "0,1,2,3,4"]})
+
+
+def test_fit_ode_other_bounds_report_no_closed_operator(capsys):
+    # three bounds fit a second-order operator, and none annihilates the
+    # family; the closed operator's span is asked about only at its own bounds
+    code, doc = capture(capsys, ["fit-ode", "--type", "1", "--r", "2", "--m", "2",
+                                 "--kmax", "40", "--bounds", "0,1,2"])
+    assert code == 1 and doc["report"]["candidates"] == []
+    assert "closed_operator_in_span" not in doc["report"]
+
+
 def test_fit_ode_falls_back_to_delta_0_only_on_alignment_errors(capsys, monkeypatch):
     # align_index's None (no shift aligns) fits at delta = 0; an exception propagates
     argv = ["fit-ode", "--type", "1", "--r", "2", "--m", "2", "--kmax", "40"]
@@ -923,7 +940,7 @@ def test_vacuous_input_exits_2(capsys, argv):
 
 @pytest.mark.parametrize("command", ["series", "pde"])
 def test_window_below_2r_is_reported_as_such(capsys, command):
-    # the family is generated only to k = K - 2r, which is never negative
+    # a window below 2r is refused before any member is read past the seed
     assert main([command, "--type", "1", "--r", "2", "--m", "3", "--K", "3"]) == 2
     assert capsys.readouterr().err == "error: K must be at least 2r\n"
 

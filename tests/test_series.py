@@ -1,11 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import superpoly.series as series
-from superpoly.errors import TruncationError
-from superpoly.families import Family, generate
+from superpoly.families import Family, generate, walk
 from superpoly.ode import build_operator
 from superpoly.poly import CPoly
 from superpoly.series import (certify_exponent_mapping, first_order_residual, pde_reduced,
@@ -55,10 +55,11 @@ def test_first_order_residual_linear_in_initial_data():
     assert zero_through(first_order_residual(fam, 16), 16)
 
 
-def test_truncation_error():
+def test_a_shallow_family_is_walked_to_K_minus_2r():
+    # the residual extends the family it is given, keeping only its window
     fam = Family(2, 7, -4).extend(4)
-    with pytest.raises(TruncationError):
-        first_order_residual(fam, 40)
+    assert zero_through(first_order_residual(fam, 40), 40)
+    assert fam.kmax == 36 and sorted(fam.polys) == list(range(32, 37))
 
 
 def test_zseries_convention():
@@ -166,23 +167,51 @@ def test_pde_off_lattice_zero_coefficient():
 
 
 def test_pde_residual_generates_to_the_last_exponent_read(monkeypatch):
-    # exponent K reads P_(K-2r); at K = 2r that is P_0, far below 12r
-    depths = []
+    # exponent K reads P_(K-2r); at K = 2r that is P_0, far below 12r.  The
+    # mapping search reads k <= 6r - 2r = 8, and the walk the rest
+    made = []
     monkeypatch.setattr(series, "generate",
-                        lambda r, m, j0, kmax: depths.append(kmax) or generate(r, m, j0, kmax))
+                        lambda r, m, j0, kmax: made.append(generate(r, m, j0, kmax)) or made[-1])
     for K in (4, 10, 60):
         assert pde_residual(2, 2, 3, K)["pass"]
-    assert depths == [0, 6, 56]
+    assert [fam.kmax for fam in made] == [0, 6, 56]
+    assert all(len(fam.polys) <= 5 for fam in made)
 
 
 def test_a_tampered_member_past_the_mapping_prefix_is_a_pde_residual(monkeypatch):
-    # the mapping is certified on exponents <= 6r = 12; exponent 20 reads P_16
-    def tampered(r, m, j0, kmax):
-        fam = generate(r, m, j0, kmax)
-        fam.polys[16] = fam.polys[16] + CPoly.one()
-        return fam
-    monkeypatch.setattr(series, "generate", tampered)
+    # the mapping is certified on exponents <= 6r = 12; exponent 20 reads P_16,
+    # which the walk yields perturbed; the members after it are generated
+    # from the stored P_16
+    def tampered(fam, kmax):
+        for k, g in walk(fam, kmax):
+            yield k, g + CPoly.one() if k == 16 else g
+    monkeypatch.setattr(series, "walk", tampered)
     report = pde_residual(2, 2, 4, 24)
     assert report["offset"] == 0 and not report["pass"]
     assert [f["kind"] for f in report["findings"]] == ["pde-residual"]
     assert [e["exponent"] for e in report["residuals"]] == [20]
+
+
+def test_series_checks_hold_a_window_of_the_family():
+    # the type-2 family to k = 396, the last member K = 400 reads, against the
+    # peaks of both checks; each reads its members through the walk's 2r + 1
+    def peak(check):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        check()
+        return tracemalloc.get_traced_memory()[1] - base
+
+    pde_residual(2, 2, 3, 16)  # first calls, outside the window
+    first_order_residual(generate(2, 3, -2, 0), 16)
+    tracemalloc.start()
+    try:
+        fam = generate(2, 3, -2, 396)
+        family_bytes = tracemalloc.get_traced_memory()[0]
+        del fam
+        pde_peak = peak(lambda: pde_residual(2, 2, 3, 400))
+        shallow = generate(2, 3, -2, 0)
+        series_peak = peak(lambda: first_order_residual(shallow, 400))
+    finally:
+        tracemalloc.stop()
+    assert pde_peak < family_bytes / 3, (pde_peak, family_bytes)
+    assert series_peak < family_bytes / 3, (series_peak, family_bytes)
