@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Literal, Optional, Tuple
+from typing import Dict, Iterator, List, Literal, Optional, Tuple
 
 from .errors import FitError, ParameterError
-from .families import Family, _check_params, canonical_j0, generate
+from .families import Family, _check_params, canonical_j0, generate, stream
 from .linalg import solve_exact
 from .poly import CPoly
 
@@ -144,26 +144,28 @@ def gegenbauer_ode_residual(m: int, n: int, y: CPoly) -> CPoly:
     return y.act(((n * (2 + m * (n + 2)),), (0, -(2 + 3 * m)), (m, 0, -m))).scale(Fraction(1, m))
 
 
-def gegenbauer(m: int, nmax: int) -> List[CPoly]:
-    """Ultraspherical Q_0..Q_nmax with lambda = 1 + 1/m.
+def gegenbauer(m: int, nmax: int) -> Iterator[CPoly]:
+    """Ultraspherical Q_0..Q_nmax with lambda = 1 + 1/m, yielded in order.
 
     Generated by the standard three-term recurrence
     n Q_n = 2c (n + lambda - 1) Q_{n-1} - (n + 2 lambda - 2) Q_{n-2},
     times m: nm Q_n = 2(nm + 1) c Q_{n-1} - (nm + 2) Q_{n-2}, one integer
-    `combine` per member (Q_{-1} = 0).  Each member is certified against the
-    second-order equation, which is the anchor the construction must reproduce.
+    `combine` per member (Q_{-1} = 0), built only when asked for.  Each member
+    is certified against the second-order equation, the anchor the
+    construction must reproduce, before it is yielded (else FitError).
+    The arguments are checked when gegenbauer is called.
     """
     if m < 2 or nmax < 0:
         raise ParameterError("need m >= 2 and nmax >= 0")
-    polys = [CPoly.one()]
-    for n in range(1, nmax + 1):
-        nm = n * m
-        below = polys[n - 2] if n >= 2 else CPoly.zero()
-        polys.append(polys[n - 1].shift(1).combine(below, 2 * (nm + 1), -(nm + 2), nm))
-    for n, q in enumerate(polys):
-        if not gegenbauer_ode_residual(m, n, q).is_zero():
-            raise FitError(f"generated Q_{n} fails its own defining equation")
-    return polys
+
+    def certified(below, q):
+        for n in range(nmax + 1):
+            if n:
+                below, q = q, q.shift(1).combine(below, 2 * (n * m + 1), -(n * m + 2), n * m)
+            if not gegenbauer_ode_residual(m, n, q).is_zero():
+                raise FitError(f"generated Q_{n} fails its own defining equation")
+            yield q
+    return certified(CPoly.zero(), CPoly.one())
 
 
 def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = None) -> dict:
@@ -181,30 +183,28 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
     multiples (and do not); the published reductions attribute these the
     other way around.  The members that fail the printed equation are
     reported in one printed-reduction-mismatch finding, which does not fail
-    the reduction.  Members with k <= kmax (default 14r) are examined; a
-    kmax below the first member raises ParameterError.
+    the reduction.  Members with k <= kmax (default 14r) are examined, walked
+    in order with the basis built alongside to each one's degree; a kmax
+    below the first member raises ParameterError.
     """
     if j0 not in (-1, -r - 1):
         raise ParameterError("gegenbauer reduction applies to j0 in {-1, -r-1}")
     if kmax is None:
         kmax = 14 * r
-    fam = generate(r, m, j0, kmax)
-    members = fam.nonzero_members()
-    if not members:
-        raise ParameterError(f"no member with k <= kmax = {kmax}: nothing to reduce")
-    degmax = max(int(p.degree) for _, p in members)
-    basis = gegenbauer(m, degmax)
+    members = stream(r, m, j0, kmax)  # checks the arguments before gegenbauer does
+    basis = gegenbauer(m, (kmax - j0) // r)  # deg P_k <= (k - j0) / r
+    q, n = CPoly.zero(), -1  # Q_n; once a member is read, below holds Q_(n-1)
     entries = []
-    all_two_term = True
     for k, p in members:
+        if k < 0 or not p:
+            continue
         d = int(p.degree)
-        q = basis[d]
-        cq = basis[d - 1].shift(1) if d >= 1 else CPoly.zero()
+        for n in range(n + 1, d + 1):  # degrees rise with k, so n ends at d
+            below, q = q, next(basis)
+        cq = below.shift(1)
         fit = solve_exact(*_two_term_rows(p, q, cq, [t for t in (d, d - 2) if t >= 0]))
         if fit is not None and q.scale(fit[0]) + cq.scale(fit[1]) != p:
             fit = solve_exact(*_two_term_rows(p, q, cq))  # every row decides
-        all_two_term = all_two_term and fit is not None
-        ode_zero = gegenbauer_ode_residual(m, d, p).is_zero()
         entries.append({
             "k": k, "degree": d,
             "two_term": fit is not None,
@@ -212,8 +212,11 @@ def verify_gegenbauer_reduction(r: int, m: int, j0: int, kmax: Optional[int] = N
             "y": str(fit[1]) if fit else None,
             "single_Q": bool(fit and fit[1] == 0),
             "single_cQ": bool(fit and fit[0] == 0 and d >= 1),
-            "ode_zero": ode_zero,
+            "ode_zero": gegenbauer_ode_residual(m, d, p).is_zero(),
         })
+    if not entries:
+        raise ParameterError(f"no member with k <= kmax = {kmax}: nothing to reduce")
+    all_two_term = all(e["two_term"] for e in entries)
     findings = [] if all_two_term else [
         {"kind": "reduction-violation", "detail": "member outside span{Q_n, c Q_{n-1}}"}]
     off_ode = [e["k"] for e in entries if not e["ode_zero"]]

@@ -3,10 +3,10 @@
 Reports are streamed to stdout (or --out FILE) as JSON with sorted keys; a
 one-line human summary goes to stderr.  Exit codes: 0 all checks pass,
 1 verification finding, 2 usage error or a report that could not be written
-whole (a failed write, or a dead strings worker).  Identical
-inputs produce byte-identical reports (wall time is kept outside the report
-object).  The parser is built from two tables: FLAGS declares each flag
-once, COMMANDS each subcommand.
+whole (a failed write, a dead strings worker, or a Q_n that fails its
+equation).  Identical inputs produce byte-identical reports (wall time is
+kept outside the report object).  The parser is built from two tables:
+FLAGS declares each flag once, COMMANDS each subcommand.
 
 The package registers its layers lazily (see its __init__).  This module
 imports only `errors` by name and reaches every other layer as a module
@@ -201,11 +201,11 @@ def _kernel(ns) -> tuple[dict, bool]:
 
 
 def _gegenbauer(ns) -> tuple[dict, bool]:
-    qs = classify.gegenbauer(ns.m, ns.nmax)  # every Q_n certified before any output
+    qs = classify.gegenbauer(ns.m, ns.nmax)  # checked now; each Q_n certified as written
     report = {
         "m": ns.m, "lambda": f"{ns.m + 1}/{ns.m}",  # 1 + 1/m in lowest terms
         "polys": map(itemgetter(1), poly.split_strings(qs)),
-        "ode_certified": True,  # gegenbauer() raises if any member fails its equation
+        "ode_certified": True,  # a Q_n that fails its equation stops the report: exit 2
     }
     return report, True
 
@@ -251,7 +251,7 @@ FLAGS = {
     # (k ~ 2000, N ~ 80) and every value the tests and benchmark use
     **dict.fromkeys(("--r", "--m", "--n", "--n-positive", "--closed-form-n",
                      "--kmax", "--K", "--bound"), {"type": capped(INDEX_CAP)}),
-    # streamed, so this bounds size and time at 600: 52 MB, ~2.5 s (m 3); 212 MB, 21 s (m 2500)
+    # streamed, so this bounds report size and time: 52 MB, 1.2 s (m 3); 212 MB, 9 s (m 2500)
     "--nmax": {"type": capped(600)},
     "--N": {"type": capped(100)},
     "--members": {"type": capped(100)},

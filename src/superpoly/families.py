@@ -72,12 +72,9 @@ class Family:
         self.kmax = max(self.kmax, kmax)
         return self
 
-    def __getitem__(self, k: int) -> CPoly:
-        return self.polys[k]
-
     def nonzero_members(self) -> List[Tuple[int, CPoly]]:
-        """(k, P_k) for 0 <= k <= kmax with P_k != 0, in increasing k."""
-        return [(k, self.polys[k]) for k in range(0, self.kmax + 1) if self.polys[k]]
+        """(k, P_k) for the k >= 0 held in polys with P_k != 0, in polys' order: increasing k."""
+        return [(k, p) for k, p in self.polys.items() if k >= 0 and p]
 
 
 def generate(r: int, m: int, j0: int, kmax: int | None = None) -> Family:

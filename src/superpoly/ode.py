@@ -266,10 +266,10 @@ def scan_cell(family_type: FamilyType, r: int, m: int, n_points="paper") -> dict
         k = n - delta
         if k < -2 * r:
             continue  # before the initial block: no member
-        if not fam[k]:
+        if not fam.polys[k]:
             continue  # off the support lattice: nothing to check
         checked.append(n)
-        res = build_operator(family_type, r, m, n).apply(fam[k])
+        res = build_operator(family_type, r, m, n).apply(fam.polys[k])
         if not res.is_zero():
             failures.append({"r": r, "m": m, "n": n, "residual": res.to_strings()})
     if not checked:

@@ -132,7 +132,7 @@ def test_criterion_4_uniqueness():
                 for n in (4 * r, 6 * r):
                     op = build_operator(tp, r, m, n)
                     bound = max(indicial(tp, r, m, n)["admissible_degrees"]) + 3
-                    member = generate(r, m, -2 * r if tp == 1 else -r, n)[n - 2 * r]
+                    member = generate(r, m, -2 * r if tp == 1 else -r, n).polys[n - 2 * r]
                     if (r, m) in resonant:
                         for par in ("even", "odd"):
                             ok = ok and len(polynomial_kernel(op, bound, par)) <= 1
@@ -191,8 +191,8 @@ def test_criterion_5a_superposition():
             q10 = Fraction((2 * r - 1) * m, 2 * r + m)
             fam_1, fam_2 = generate(r, m, -2 * r, 2 * r), generate(r, m, -r, r)
             if not (q1[0] == [q10]
-                    and [fam_1[k] for k in (0, r, 2 * r)] == [CPoly(q) for q in q1]
-                    and [fam_2[k] for k in (0, r)] == [CPoly(q) for q in q2[1:]]):
+                    and [fam_1.polys[k] for k in (0, r, 2 * r)] == [CPoly(q) for q in q1]
+                    and [fam_2.polys[k] for k in (0, r)] == [CPoly(q) for q in q2[1:]]):
                 misses.append(f"canonical members (r={r},m={m})")
             for j0 in range(-2 * r + 1, -r):
                 seeds += 1
@@ -203,11 +203,11 @@ def test_criterion_5a_superposition():
                 p.append(_recursion_row(r, m, k0 + r, p[0], []))
                 p.append(_recursion_row(r, m, k0 + 2 * r, p[1], p[0]))
                 fam_b = generate(r, m, j0, k0 + 2 * r)
-                if [fam_b[k0 + t * r] for t in range(3)] != [CPoly(x) for x in p]:
+                if [fam_b.polys[k0 + t * r] for t in range(3)] != [CPoly(x) for x in p]:
                     misses.append(f"type-B members {cell}")
                 # equal index: a nonzero constant where both canonical families vanish
                 if not (p[0] == [p0] and p0 != 0
-                        and fam_1[k0].is_zero() and fam_2[k0].is_zero()):
+                        and fam_1.polys[k0].is_zero() and fam_2.polys[k0].is_zero()):
                     misses.append(f"equal-index witness {cell}")
                 # degree alignment: fit on degrees 0 and 1, miss at degree 2
                 alpha = p0 / q10
@@ -251,15 +251,15 @@ def test_criterion_5b_case3_ode():
             fam = generate(r, m, -1, 2 * r - 1)
             lam = 1 + Fraction(1, m)
             amp = Fraction(2, m + 2)
-            if not (fam[r - 1] == CPoly((0, amp))
-                    and fam[2 * r - 1] == CPoly((0, 0, amp))):
+            if not (fam.polys[r - 1] == CPoly((0, amp))
+                    and fam.polys[2 * r - 1] == CPoly((0, 0, amp))):
                 misses.append(f"hand members {cell}")
             # y = amp c^2 leaves 2 amp + amp (n(2/m+n+2) - 4/m - 8) c^2 at index
             # n: exactly the constant 4/(m+2) at n = 2, never zero at any n
             for n in range(11):
                 top = amp * (n * (Fraction(2, m) + n + 2) - Fraction(4, m) - 8)
                 hand = CPoly((Fraction(4, m + 2), 0, top))
-                if gegenbauer_ode_residual(m, n, fam[2 * r - 1]) != hand:
+                if gegenbauer_ode_residual(m, n, fam.polys[2 * r - 1]) != hand:
                     misses.append(f"residual at n={n} {cell}")
             entries = verify_gegenbauer_reduction(r, m, -1, kmax=16 * r)["entries"][:10]
             first, second = entries[0], entries[1]
@@ -348,7 +348,7 @@ def test_criterion_6c_pde_type1():
         fam = generate(r, m, -2 * r, 40 - 2 * r)
         for v in range(41):
             op = build_operator(1, r, m, v)
-            for g in [CPoly.monomial(s) for s in range(5)] + [fam[v - 2 * r]]:
+            for g in [CPoly.monomial(s) for s in range(5)] + [fam.polys[v - 2 * r]]:
                 if pde_reduced(1, r, m, v, g, corrected=True) != op.apply(g):
                     misses.append(f"corrected != L_v at v={v} {cell}")
         if certify_exponent_mapping(1, fam, 40) is not None:
@@ -360,8 +360,8 @@ def test_criterion_6c_pde_type1():
         Q = m * m - 2 * m * m * r + 2 * m * r - 2 * m * r * r + r * r
         a = Fraction(2 * (r + m) * (2 * r - 1) * m,
                      (2 * r + m) * (2 * r + m + r * m))
-        if not (Q < 0 and fam[r] == CPoly((0, a))
-                and pde_reduced(1, r, m, 3 * r, fam[r]) == CPoly((0, 24 * r * r * Q * a))):
+        if not (Q < 0 and fam.polys[r] == CPoly((0, a))
+                and pde_reduced(1, r, m, 3 * r, fam.polys[r]) == CPoly((0, 24 * r * r * Q * a))):
             misses.append(f"exponent-3r witness {cell}")
     assert certify("6c type-1 PDE residuals (printed)", misses,
                    "refuted: no offset zeroes the printed reduction; exponent 3r leaves "

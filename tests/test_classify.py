@@ -1,5 +1,6 @@
 import random
 import types
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from superpoly.classify import (_canonical_pair, _two_term_rows, classification_
                                 gegenbauer_ode_residual, seed_kind, superposition_fit,
                                 verify_gegenbauer_reduction)
 from superpoly.errors import FitError, ParameterError
-from superpoly.families import generate
+from superpoly.families import Family, generate, stream
 from superpoly.linalg import solve_exact
 from superpoly.poly import CPoly
 
@@ -135,21 +136,21 @@ def test_banded_gegenbauer_residual_equals_derivative_composition():
 
 
 def test_gegenbauer_q0_q1():
-    basis = gegenbauer(2, 5)
+    basis = list(gegenbauer(2, 5))
     assert basis[0] == CPoly.one()
     assert basis[1] == CPoly((0, 3))  # Q_1 = 2 lambda c, lambda = 1 + 1/m = 3/2
     assert gegenbauer_ode_residual(2, 1, basis[1]).is_zero()
 
 
 def test_gegenbauer_q5_ode():
-    basis = gegenbauer(2, 6)
+    basis = list(gegenbauer(2, 6))
     assert gegenbauer_ode_residual(2, 5, basis[5]).is_zero()
     # and a non-member fails: Q_5's equation does not annihilate Q_4
     assert not gegenbauer_ode_residual(2, 5, basis[4]).is_zero()
 
 
 def test_gegenbauer_rational_lambda():
-    basis = gegenbauer(3, 8)
+    basis = list(gegenbauer(3, 8))
     assert basis[1] == CPoly((0, 2 * Fraction(4, 3)))  # Q_1 = 2 lambda c
     for n, q in enumerate(basis):
         assert gegenbauer_ode_residual(3, n, q).is_zero()
@@ -181,13 +182,13 @@ def test_case3_members_single_cq():
 def test_case3_first_member_hand_value():
     # k = r-1 row: (2r + rm) P_{r-1} = 2cr, so P_{r-1} = 2c/(2+m)
     fam = generate(2, 3, -1, 4)
-    assert fam[1] == CPoly((0, Fraction(2, 5)))
+    assert fam.polys[1] == CPoly((0, Fraction(2, 5)))
 
 
 def test_case4_first_member_hand_value():
     # k = r-1 row: (2r + rm) P_{r-1} = rm, so P_{r-1} = m/(2+m)
     fam = generate(2, 3, -3, 4)
-    assert fam[1] == CPoly((Fraction(3, 5),))
+    assert fam.polys[1] == CPoly((Fraction(3, 5),))
 
 
 def test_reduction_m2_case4_pure_q():
@@ -207,13 +208,50 @@ def test_reduction_ignores_deeper_cached_members():
     assert deep == fresh
 
 
-def test_reduction_builds_the_basis_to_the_last_degree_read(monkeypatch):
-    # kmax = 48 at r = 3: the deepest member, P_47, has degree 16
-    degrees = []
-    monkeypatch.setattr(classify_module, "gegenbauer",
-                        lambda m, nmax: degrees.append(nmax) or gegenbauer(m, nmax))
-    report = verify_gegenbauer_reduction(3, 2, -1, kmax=48)
-    assert degrees == [max(e["degree"] for e in report["entries"])] == [16]
+@pytest.mark.parametrize("j0, last", [(-1, 16), (-4, 15)])
+def test_reduction_builds_the_basis_only_to_the_last_degree_read(monkeypatch, j0, last):
+    # kmax = 48 at r = 3 reads the 16 members k = 2, 5, ..., 47; the basis is
+    # asked for up to a bound on their degree, (kmax - j0) // r = 16 or 17.
+    # Each Q_n is certified at n as it is built, and each member at its degree.
+    certified = []
+    monkeypatch.setattr(classify_module, "gegenbauer_ode_residual",
+                        lambda m, n, y: certified.append(n) or gegenbauer_ode_residual(m, n, y))
+    report = verify_gegenbauer_reduction(3, 2, j0, kmax=48)
+    degrees = [e["degree"] for e in report["entries"]]
+    assert degrees == list(range(last - 15, last + 1))
+    assert sorted(certified) == sorted(list(range(last + 1)) + degrees)
+
+
+@pytest.mark.parametrize("r, m, j0", [(2, 3, -1), (2, 3, -3), (3, 2, -1), (4, 5, -5)])
+def test_reduction_holds_2r_plus_1_members_and_two_basis_members(monkeypatch, r, m, j0):
+    # recorded at each step of the walk: the family's members, and the Q_n
+    # that the basis handed out and that are still alive
+    class Held(CPoly):  # a CPoly that a weak reference can follow
+        pass
+
+    alive = []
+
+    def basis(m, nmax):
+        for q in gegenbauer(m, nmax):
+            q = Held._canonical(q.num, q.den)
+            alive.append(weakref.ref(q))
+            yield q
+
+    held = []
+    extend = Family.extend
+
+    def recording(self, k):
+        out = extend(self, k)
+        held.append((len(self.polys), sum(ref() is not None for ref in alive)))
+        return out
+
+    monkeypatch.setattr(classify_module, "gegenbauer", basis)
+    monkeypatch.setattr(Family, "extend", recording)
+    report = verify_gegenbauer_reduction(r, m, j0, kmax=20 * r)
+    assert len(report["entries"]) == 20
+    assert len(held) == 20 * r + 2 * r + 1  # one step per k = -2r..kmax
+    assert max(members for members, _ in held) == 2 * r + 1
+    assert max(q for _, q in held) == 2
 
 
 def test_reduction_reports_the_printed_mismatch():
@@ -228,11 +266,10 @@ def test_reduction_reports_the_printed_mismatch():
 
 def test_reduction_falls_back_to_every_row_where_the_top_rows_mislead(monkeypatch):
     # P_9 + 1 keeps its c^5 and c^3 rows, so the top-row fit is P_9's own;
-    # the certificate rejects it, and solve_exact on every row finds no fit
-    fam = generate(2, 3, -1, 12)
-    members = [(k, p + 1 if k == 9 else p) for k, p in fam.nonzero_members()]
-    monkeypatch.setattr(classify_module, "generate",
-                        lambda *args: types.SimpleNamespace(nonzero_members=lambda: members))
+    # the certificate rejects it, and solve_exact on every row finds no fit.
+    # The walk hands out the tampered P_9; later members read the true one.
+    monkeypatch.setattr(classify_module, "stream", lambda *args: (
+        (k, p + 1 if k == 9 else p) for k, p in stream(*args)))
     solves = []
     monkeypatch.setattr(classify_module, "solve_exact",
                         lambda rows, rhs: solves.append(len(rows)) or solve_exact(rows, rhs))
@@ -254,7 +291,7 @@ def test_two_term_fit_is_exact():
         assert {type(x) for row in rows for x in row} | set(map(type, rhs)) == {int}
         return solve_exact(rows, rhs)
 
-    basis = gegenbauer(2, 3)
+    basis = list(gegenbauer(2, 3))
     c = CPoly.monomial(1)
     # at degree 1, Q_1 and c Q_0 are proportional: the fit is a single Q_1
     assert two_term_fit(c.scale(3), basis[1], c * basis[0]) == [1, 0]
@@ -280,7 +317,7 @@ def test_integer_column_fits_equal_fraction_row_fits():
                 assert (rep["alpha"], rep["beta"]) == (str(alpha), str(beta))
             for j0 in (-1, -r - 1):
                 report = verify_gegenbauer_reduction(r, m, j0)
-                basis = gegenbauer(m, max(e["degree"] for e in report["entries"]) + 1)
+                basis = list(gegenbauer(m, max(e["degree"] for e in report["entries"]) + 1))
                 members = dict(generate(r, m, j0, 14 * r).nonzero_members())
                 for e in report["entries"]:
                     d = e["degree"]
@@ -314,8 +351,10 @@ def test_first_members_outside_the_canonical_span_are_a_fit_degeneracy(monkeypat
 
 
 def test_gegenbauer_raises_when_a_member_fails_its_equation(monkeypatch):
-    # Q_0 and Q_1 satisfy the equation of every m; Q_2 only its own
+    # Q_0 and Q_1 satisfy the equation of every m, and are yielded; Q_2 only its own
     monkeypatch.setattr(classify_module, "gegenbauer_ode_residual",
                         lambda m, n, y: gegenbauer_ode_residual(m + 1, n, y))
+    basis = gegenbauer(3, 5)
+    assert [next(basis), next(basis)] == [CPoly.one(), CPoly((0, Fraction(8, 3)))]
     with pytest.raises(FitError, match="Q_2 fails"):
-        gegenbauer(3, 5)
+        next(basis)

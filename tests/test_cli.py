@@ -339,6 +339,26 @@ def test_dead_worker_exits_2_with_one_error_line(monkeypatch, capsys, argv):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one CPU", "two CPUs"])
+def test_a_member_failing_certification_stops_the_streamed_report(monkeypatch, capsys, cpus):
+    # Q_90 fails its equation after more than one write of the report (0.3 MB
+    # in all) has gone out: what was written is the start of the certified
+    # report, and the run ends with one error line; a forked worker's copy
+    # of the basis fails at Q_90 as well
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    argv = ["gegenbauer", "--m", "3", "--nmax", "100"]
+    assert main(argv) == 0
+    certified = capsys.readouterr().out
+    residual = cli.classify.gegenbauer_ode_residual
+    monkeypatch.setattr(cli.classify, "gegenbauer_ode_residual",
+                        lambda m, n, y: CPoly.one() if n == 90 else residual(m, n, y))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out and certified.startswith(out) and len(out) < len(certified)
+    assert err == "error: generated Q_90 fails its own defining equation\n"
+    assert_no_child_left()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this system")
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 def test_failed_write_reaps_the_worker(monkeypatch, capsys):

@@ -37,31 +37,31 @@ def gen_report(r, m, j0, kmax=None):
 def test_unit_initial_condition():
     fam = generate(2, 2, -4, 0)
     for j in range(-4, 0):
-        assert fam[j] == (CPoly.one() if j == -4 else CPoly.zero())
+        assert fam.polys[j] == (CPoly.one() if j == -4 else CPoly.zero())
 
 
 def test_p0_type1_hand_value():
     # k=0 row of the recursion: 6 P_0 = 6 P_{-4}
-    assert generate(2, 2, -4, 0)[0] == CPoly.one()
+    assert generate(2, 2, -4, 0).polys[0] == CPoly.one()
 
 
 def test_off_lattice_is_zero():
-    assert generate(2, 2, -4, 4)[1].is_zero()
-    assert generate(2, 2, -4, 4)[3].is_zero()
+    assert generate(2, 2, -4, 4).polys[1].is_zero()
+    assert generate(2, 2, -4, 4).polys[3].is_zero()
 
 
 def test_p4_hand_value():
     # P_2 = 4c/5, then 14 P_4 = 16c P_2 - 2 P_0
     fam = generate(2, 2, -4, 4)
-    assert fam[2] == CPoly((0, Fraction(4, 5)))
-    assert fam[4] == CPoly((Fraction(-5, 35), 0, Fraction(32, 35)))
+    assert fam.polys[2] == CPoly((0, Fraction(4, 5)))
+    assert fam.polys[4] == CPoly((Fraction(-5, 35), 0, Fraction(32, 35)))
 
 
 def test_type2_hand_values():
     # P_0 = -c/2, then 16 P_2 = 12c P_0 + 4
     fam = generate(2, 4, -2, 2)
-    assert fam[0] == CPoly((0, Fraction(-1, 2)))
-    assert fam[2] == CPoly((Fraction(2, 8), 0, Fraction(-3, 8)))
+    assert fam.polys[0] == CPoly((0, Fraction(-1, 2)))
+    assert fam.polys[2] == CPoly((Fraction(2, 8), 0, Fraction(-3, 8)))
 
 
 def test_recursion_residual_zero_grid_sample():
@@ -135,6 +135,17 @@ def test_generate_returns_a_new_family():
     assert shallow is not deep
     assert shallow.kmax == 6 and deep.kmax == 12
     assert shallow.polys == {k: deep.polys[k] for k in shallow.polys}
+
+
+def test_nonzero_members_after_a_walk_are_its_window():
+    # first_order_residual walks the family on to k = K - 2r = 36, which
+    # leaves it k = 32..36; the members are read from what polys holds
+    fam = generate(2, 3, -4, 0)
+    first_order_residual(fam, 40)
+    assert fam.kmax == 36 and list(fam.polys) == list(range(32, 37))
+    assert fam.nonzero_members() == [
+        (k, p) for k, p in generate(2, 3, -4, 36).nonzero_members() if k >= 32]
+    assert [k for k, _ in fam.nonzero_members()] == [32, 34, 36]
 
 
 def test_results_independent_of_deeper_generation():
@@ -321,8 +332,8 @@ def test_members_match_fraction_recursion_to_k_200(r, m, j0):
     fam = generate(r, m, j0, 200)
     reference = reference_members(r, m, j0, 200)
     for k in range(-2 * r, 201):
-        assert coefficients(fam[k]) == tuple(reference[k])
-        assert fam[k].to_strings() == [str(x) for x in reference[k]]
+        assert coefficients(fam.polys[k]) == tuple(reference[k])
+        assert fam.polys[k].to_strings() == [str(x) for x in reference[k]]
 
 
 def test_generation_and_strings_build_no_fraction(monkeypatch):

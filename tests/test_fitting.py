@@ -93,7 +93,7 @@ def test_fit_candidates_annihilate_holdout():
     result = fit_ode(fam, delta=4)
     for cand in result.candidates:
         for k in result.holdout_k:
-            assert residual(cand, fam[k], k + 4).is_zero()
+            assert residual(cand, fam.polys[k], k + 4).is_zero()
 
 
 def test_holdout_drops_kernel_vectors_that_miss_a_held_out_member(monkeypatch):
@@ -112,7 +112,7 @@ def test_holdout_drops_kernel_vectors_that_miss_a_held_out_member(monkeypatch):
     (k,) = result.holdout_k
     kept = [list(c) for c in result.candidates]
     for vec in kernels[0]:
-        assert residual(vec, fam[k], k + 4).is_zero() == (vec in kept)
+        assert residual(vec, fam.polys[k], k + 4).is_zero() == (vec in kept)
 
 
 def test_fit_type_c_family_candidate():

@@ -352,7 +352,7 @@ def test_kernel_type2_matches_member():
 def test_kernel_type1_r3():
     basis = polynomial_kernel(build_operator(1, 3, 5, 12), 2, "both")
     assert len(basis) == 1
-    member = generate(3, 5, -6, 6)[6]
+    member = generate(3, 5, -6, 6).polys[6]
     ratio = leading(member) / leading(basis[0])
     assert basis[0].scale(ratio) == member
 

@@ -223,7 +223,7 @@ def test_identify_late_first_member():
 def test_tampered_member_breaks_identification_and_relation():
     fam = generate(2, 3, -4, 40)
     assert identify_ultraspherical(fam)["identified"] is not None
-    fam.polys[10] = fam[10] + CPoly.one()  # q_5, read by the relations at t = 4, 5, 6
+    fam.polys[10] = fam.polys[10] + CPoly.one()  # q_5, read by the relations at t = 4, 5, 6
     assert identify_ultraspherical(fam) == {"identified": None, "nu": "4/3",
                                             "certified_t": 0}
     fd = favard(fam, 12)
@@ -233,7 +233,7 @@ def test_tampered_member_breaks_identification_and_relation():
 
 def test_identification_reads_the_relation_failures_favard_found():
     fam = generate(2, 3, -4, 40)
-    fam.polys[4] = fam[4] + CPoly.one()  # q_2, read by the relations at t = 1, 2, 3
+    fam.polys[4] = fam.polys[4] + CPoly.one()  # q_2, read by the relations at t = 1, 2, 3
     assert identify_ultraspherical(fam)["identified"] is None
     report = orthogonality_report(fam)
     assert report["relation_certified_t"] == list(range(4, 20))
@@ -244,7 +244,7 @@ def test_favard_checks_relations_past_its_depth():
     # favard checks every stored relation, but reports only t <= N: a member
     # past N breaks the identification through favard's failed list alone
     fam = generate(2, 3, -4, 40)
-    fam.polys[20] = fam[20] + CPoly.one()  # q_10, read by the relations at t = 9, 10, 11
+    fam.polys[20] = fam.polys[20] + CPoly.one()  # q_10, read by the relations at t = 9, 10, 11
     fd = favard(fam, 3)
     assert fd.failed == [9, 10, 11]
     assert fd.findings == []

@@ -66,7 +66,7 @@ def test_zseries_convention():
     # the coefficient of z^k is P_{k-2r}: a change to P_4 first shows in the
     # residual at z^8, then where it enters as P_{j-r-2r} and P_{j-2r-2r}
     fam = generate(2, 2, -4, 8)
-    assert fam[-4] == CPoly.one()
+    assert fam.polys[-4] == CPoly.one()
     fam.polys[4] = fam.polys[4] + CPoly.one()
     resid = first_order_residual(fam, 12)
     assert [j for j in range(13) if resid[j]] == [8, 10, 12]
@@ -122,7 +122,7 @@ def test_type2_pde_reduction_equals_operator():
     # the per-exponent reduction of the type-2 PDE is exactly L2 at n = exponent
     for (r, m) in [(2, 4), (3, 2), (4, 3)]:
         for n in (2 * r, 3 * r, 5 * r):
-            p = generate(r, m, -r, 8 * r)[n - 2 * r]
+            p = generate(r, m, -r, 8 * r).polys[n - 2 * r]
             lhs = pde_reduced(2, r, m, n, p)
             rhs = build_operator(2, r, m, n).apply(p)
             assert lhs == rhs
@@ -157,7 +157,7 @@ def test_type1_pde_corrected_is_exact():
 def test_corrected_type1_reduction_equals_operator():
     for (r, m) in [(2, 2), (4, 2)]:
         for n in (3 * r, 4 * r):
-            p = generate(r, m, -2 * r, 8 * r)[n - 2 * r]
+            p = generate(r, m, -2 * r, 8 * r).polys[n - 2 * r]
             assert pde_reduced(1, r, m, n, p, corrected=True) \
                 == build_operator(1, r, m, n).apply(p)
 
