@@ -88,7 +88,8 @@ def walk(fam: Family, kmax: int) -> Iterator[Tuple[int, CPoly]]:
 
     P_(k-2r-1), which no later member reads, is dropped before P_k is read:
     a reader at k still finds P_(k-r) and P_(k-2r) in fam.polys, and fam
-    holds at most 2r + 1 members through k.
+    holds at most 2r + 1 members through k.  Every in-order reader walks:
+    gen, series, pde, reduce and the scans (`ode.scan_cell`).
     """
     r = fam.r
     for k in range(-2 * r, kmax + 1):

@@ -21,7 +21,7 @@ from operator import mul
 from typing import List, Literal, Optional, Sequence, Tuple
 
 from .errors import ParameterError
-from .families import Family, FamilyType, _check_params, canonical_j0, generate
+from .families import Family, FamilyType, _check_params, canonical_j0, stream
 from .linalg import nullspace
 from .poly import CPoly, shift_symbols
 
@@ -247,8 +247,10 @@ def scan_cell(family_type: FamilyType, r: int, m: int, n_points="paper") -> dict
     n is P_k's z-exponent k + 2r, the paper's index map, checked at every n.
     n_points: "paper" means n = 5r..9r (sampled evidence, not a proof for all
     n: P_{n-2r} is not polynomial in n); "all" means every member to
-    k = 12r; a sequence of ints, the given n.  The family is generated once,
-    to the deepest member read (k = 7r for the paper points, never below 0).
+    k = 12r; a sequence of ints, the given n, reported in that order, repeats
+    included.  The family is walked once, in index order, to the deepest
+    member read (k = 7r for the paper points, never below 0), so it holds at
+    most 2r + 1 members; each distinct n is checked once.
     """
     delta = 2 * r
     if n_points == "paper":
@@ -260,18 +262,13 @@ def scan_cell(family_type: FamilyType, r: int, m: int, n_points="paper") -> dict
                              f"got {n_points!r}")
     else:
         ns = list(n_points)
-    fam = generate(r, m, canonical_j0(family_type, r), max([0] + [n - delta for n in ns]))
-    checked, failures = [], []
-    for n in ns:
-        k = n - delta
-        if k < -2 * r:
-            continue  # before the initial block: no member
-        if not fam.polys[k]:
-            continue  # off the support lattice: nothing to check
-        checked.append(n)
-        res = build_operator(family_type, r, m, n).apply(fam.polys[k])
-        if not res.is_zero():
-            failures.append({"r": r, "m": m, "n": n, "residual": res.to_strings()})
+    ks = {n - delta for n in ns}
+    residuals = {k + delta: build_operator(family_type, r, m, k + delta).apply(p)
+                 for k, p in stream(r, m, canonical_j0(family_type, r), max([0, *ks]))
+                 if k in ks and p}  # n -> L_n P_(n-2r) where that member is nonzero
+    checked = [n for n in ns if n in residuals]
+    failures = [{"r": r, "m": m, "n": n, "residual": residuals[n].to_strings()}
+                for n in checked if not residuals[n].is_zero()]
     if not checked:
         raise ParameterError(f"no nonzero member P_(n-{delta}) at the requested n "
                              f"for r={r}, m={m}: nothing to verify")

@@ -6,7 +6,7 @@ import pytest
 import superpoly.ode as ode
 from superpoly.classify import gegenbauer
 from superpoly.errors import ParameterError
-from superpoly.families import canonical_j0, generate
+from superpoly.families import Family, canonical_j0, generate, stream
 from superpoly.linalg import nullspace
 from superpoly.ode import (OdeOperator, align_index, build_operator, delta_correction, indicial,
                            is_resonant, polynomial_kernel, printed_indicial_factors, residual_scan,
@@ -416,10 +416,12 @@ def test_scan_cell_extends_past_the_default_depth():
 
 
 def test_scan_checks_exactly_the_requested_points_past_12r():
-    # k = 36 and 56, both past 12r = 24, on the even lattice of type 2 at r = 2
-    report = residual_scan(2, [2], [3], [40, 60])
-    assert report["summary"]["pass"]
-    assert report["cells"][0]["checked_n"] == [40, 60]
+    # k = 36 and 56, both past 12r = 24, on the even lattice of type 2 at r = 2;
+    # out-of-order and repeated points are reported as given
+    for points in ([40, 60], [60, 40, 60]):
+        report = residual_scan(2, [2], [3], points)
+        assert report["summary"]["pass"]
+        assert report["cells"][0]["checked_n"] == points
 
 
 @pytest.mark.parametrize("points, kmax, checks", [
@@ -432,16 +434,32 @@ def test_scan_cell_generates_once_to_the_deepest_member_read(monkeypatch, points
     # reads k <= 12r = 36; a list with no nonzero member still raises
     calls = []
 
-    def recording(r, m, j0, depth=None):
+    def recording(r, m, j0, depth):
         calls.append(depth)
-        return generate(r, m, j0, depth)
-    monkeypatch.setattr(ode, "generate", recording)
+        return stream(r, m, j0, depth)
+    monkeypatch.setattr(ode, "stream", recording)
     if checks:
         assert scan_cell(1, 3, 2, points)["pass"]
     else:
         with pytest.raises(ParameterError):
             scan_cell(1, 3, 2, points)
     assert calls == [kmax]
+
+
+def test_scan_cell_holds_at_most_2r_plus_1_members(monkeypatch):
+    held = []
+    extend = Family.extend
+
+    def recording(self, k):
+        out = extend(self, k)
+        held.append(len(self.polys))
+        return out
+
+    monkeypatch.setattr(Family, "extend", recording)
+    # type 1, r = 2: n = 10..399 reads k = 6..395, one extend per walk step from k = -4
+    cell = scan_cell(1, 2, 3, range(10, 400))
+    assert cell["pass"] and cell["checked_n"] == list(range(10, 400, 2))
+    assert len(held) == 395 + 4 + 1 and max(held) <= 2 * 2 + 1
 
 
 def test_scan_all_ignores_deeper_cached_members():
